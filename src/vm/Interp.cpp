@@ -4,7 +4,9 @@
 
 #include "ast/Expr.h" // BinOpKind / UnOpKind (host expressions)
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 
@@ -17,8 +19,10 @@ namespace {
 // Typed element access on raw buffer bytes
 //===----------------------------------------------------------------------===//
 
-Value loadElem(const std::byte *Base, ScalarKind K, size_t I) {
-  Value V;
+// Always inlined: the vm executor calls these once per lane per access.
+[[gnu::always_inline]] inline Value loadElem(const std::byte *Base,
+                                             ScalarKind K, size_t I) {
+  Value V{};
   switch (K) {
   case ScalarKind::I32: {
     int32_t X;
@@ -55,7 +59,8 @@ Value loadElem(const std::byte *Base, ScalarKind K, size_t I) {
   return V;
 }
 
-void storeElem(std::byte *Base, ScalarKind K, size_t I, Value V) {
+[[gnu::always_inline]] inline void storeElem(std::byte *Base, ScalarKind K,
+                                             size_t I, Value V) {
   switch (K) {
   case ScalarKind::I32: {
     int32_t X = static_cast<int32_t>(V.I);
@@ -115,35 +120,177 @@ struct TrapState {
   bool tripped() const { return Tripped.load(std::memory_order_relaxed); }
 };
 
+/// Register budget of one lane group: NumRegs x G x sizeof(Value) stays
+/// within it, which bounds every worker's register scratch whatever the
+/// kernel. 256 KiB runs every kernel in kernels/ at full block width (the
+/// widest, matmul, needs 34 registers x 256 lanes).
+constexpr size_t GroupRegBytes = 256 * 1024;
+
 struct KernelEnv {
   const VmKernel &K;
   const std::vector<DevBuf> &Bufs;
   TrapState &Trap;
   uint64_t StepBudget = 0; ///< per-thread instruction cap (0 = unlimited)
+  unsigned Threads = 0;    ///< threads per block
+  /// threadIdx by linear thread id: the x plane, then y, then z.
+  std::vector<uint32_t> ThreadIdx;
 };
 
-/// Runs one code object for the current thread. Returns false if a trap
-/// tripped (the caller abandons the launch). \p RetOut receives the
-/// RetVal result for bound programs.
-bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
-              const sim::ThreadCtx &T, std::vector<Value> &R,
-              long long *RetOut) {
-  const Instr *Ins = C.Instrs.data();
-  const size_t N = C.Instrs.size();
-  size_t PC = 0;
+/// Lanes per group for a code object of \p NumRegs registers: one while
+/// anything observes per-thread order — the race log, the bounds log, the
+/// counters' per-thread 32-bank grouping, the per-thread step budget —
+/// else the whole block, narrowed only to keep the register file within
+/// GroupRegBytes.
+unsigned groupWidth(const KernelEnv &E, const sim::BlockCtx &B,
+                    unsigned NumRegs) {
+  if (B.Dev->raceDetection() || B.Dev->boundsChecking() || B.Counters ||
+      E.StepBudget != 0)
+    return 1;
+  const size_t Fit = GroupRegBytes / (sizeof(Value) * std::max(NumRegs, 1u));
+  return static_cast<unsigned>(
+      std::clamp<size_t>(Fit, 1, std::max(E.Threads, 1u)));
+}
 
+/// Per-worker scratch of the lane-group executor, reused across groups,
+/// phases and launches (runGroup re-zeroes the registers every time).
+struct GroupScratch {
+  std::vector<Value> Regs;   ///< lane-major: register r of lane L at r*G+L
+  std::vector<uint32_t> PCs; ///< per lane: parked pc, or LaneDone
+  std::vector<uint32_t> Act; ///< lanes of the running group, ascending
+};
+
+constexpr uint32_t LaneDone = UINT32_MAX;
+
+/// True when elements [Idx, Idx + Span) of \p ES bytes starting at byte
+/// \p Base lie inside an arena of \p Bytes bytes. Compares the index with
+/// the room left after Base instead of forming the byte offset, which a
+/// large index would wrap back into range.
+bool inArena(long long Idx, size_t Span, size_t ES, size_t Base,
+             size_t Bytes) {
+  if (Idx < 0 || Base > Bytes)
+    return false;
+  return ES == 0 || static_cast<size_t>(Idx) + Span <= (Bytes - Base) / ES;
+}
+
+/// Trap text of a shared or arena access outside the block arena. \p Off
+/// is the byte offset as the access computed it; an index too large for
+/// any byte offset is named by its element index instead.
+std::string arenaFault(const char *What, long long Idx, size_t ES,
+                       size_t Base, size_t Off, size_t Bytes) {
+  const bool Wraps = Idx > 0 && ES != 0 &&
+                     static_cast<size_t>(Idx) > (SIZE_MAX - Base) / ES;
+  std::string At = Wraps ? "element " + std::to_string(Idx) + " (" +
+                               std::to_string(ES) +
+                               "-byte elements from byte " +
+                               std::to_string(Base) + ")"
+                         : "byte " + std::to_string(Off);
+  return std::string(What) + " access at " + At +
+         " outside the block arena of " + std::to_string(Bytes) + " bytes";
+}
+
+/// Narrows to float: the F32 ops round through `float` like generated f32
+/// code.
+float f32(double X) { return static_cast<float>(X); }
+
+/// Base^Exp modulo 2^64 by square-and-multiply: O(log Exp) steps, so one
+/// instruction cannot outrun the watchdogs, and unsigned, so it wraps
+/// instead of overflowing.
+uint64_t powWrap(uint64_t Base, uint64_t Exp) {
+  uint64_t Acc = 1;
+  for (; Exp != 0; Exp >>= 1, Base *= Base)
+    if (Exp & 1)
+      Acc *= Base;
+  return Acc;
+}
+
+// Runs the statements once per lane L of the running group, in ascending
+// lane order.
+#define EACH_LANE(...)                                                         \
+  for (unsigned J = 0; J != NA; ++J) {                                         \
+    const unsigned L = Act[J];                                                 \
+    __VA_ARGS__                                                                \
+  }
+
+/// Runs code object \p C for the \p G threads of block \p B with linear
+/// ids [First, First + G), dispatching each instruction once for every
+/// lane of the running group. The running lanes always sit at the lowest
+/// pc of the group ("min-pc" reconvergence): a Jz that splits them lets
+/// the side at the lower pc run on and parks the other; when the runners
+/// reach the lowest parked pc, or jump past it, the lanes parked there
+/// take over, and lanes whose pcs meet run as one group again. Every lane
+/// thus executes exactly the instruction sequence it would alone; only
+/// the interleaving between lanes differs, which a race-free phase cannot
+/// observe. Returns false if a trap tripped. \p RetOut receives lane 0's
+/// RetVal result (bound programs run at G = 1).
+bool runGroup(const Code &C, const KernelEnv &E, const sim::BlockCtx &B,
+              unsigned First, unsigned G, long long *RetOut) {
+  thread_local GroupScratch S;
+  const size_t NumValues = static_cast<size_t>(C.NumRegs) * G;
+  if (S.Regs.size() < NumValues)
+    S.Regs.resize(NumValues);
+  if (NumValues != 0)
+    std::memset(S.Regs.data(), 0, NumValues * sizeof(Value));
+  S.PCs.resize(G);
+  S.Act.resize(G);
+  Value *const R = S.Regs.data();
+  uint32_t *const PCs = S.PCs.data();
+  uint32_t *const Act = S.Act.data();
+
+  const Instr *Ins = C.Instrs.data();
+  const uint32_t N = static_cast<uint32_t>(C.Instrs.size());
+  // The running group: NA lanes listed in Act, all at PC. Every other lane
+  // is parked at its pc in PCs or has finished (LaneDone); Limit is the
+  // lowest parked pc, N if none.
+  unsigned NA = G;
+  for (unsigned L = 0; L != G; ++L)
+    Act[L] = L;
+  uint32_t PC = 0, Limit = N;
+
+  // The running lanes park at \p At (N or beyond: they finish) and the
+  // lanes parked at Limit run next, joined by the runners if At == Limit.
+  // False once no lane is left.
+  auto HandOver = [&](uint32_t At) {
+    if (Limit >= N)
+      return false;
+    const uint32_t ParkAt = At >= N ? LaneDone : At;
+    EACH_LANE(PCs[L] = ParkAt;)
+    PC = Limit;
+    NA = 0;
+    Limit = N;
+    for (unsigned L = 0; L != G; ++L) {
+      if (PCs[L] == PC)
+        Act[NA++] = L;
+      else
+        Limit = std::min(Limit, PCs[L]);
+    }
+    return true;
+  };
+  auto Reg = [&](uint16_t Ix) { return R + static_cast<size_t>(Ix) * G; };
   auto Trap = [&](const std::string &Msg) {
     E.Trap.trip("in kernel `" + E.K.Name + "`: " + Msg);
     return false;
   };
 
+  // Counters and the race log see every access; both run at G = 1.
+  const bool Watch = B.Counters || B.Dev->raceDetection();
+  std::byte *const Shared = B.SharedArena;
+  const size_t SharedBytes = B.SharedBytes;
+
   // The watchdog step budget: each thread's run of a code object may
   // retire at most Budget instructions. An infinite Jmp loop trips here
-  // instead of hanging the pool worker forever.
+  // instead of hanging the pool worker forever. A budget forces G = 1,
+  // so every dispatch is one thread's step.
   const uint64_t Budget = E.StepBudget;
   uint64_t Steps = 0;
 
-  while (PC < N) {
+  for (;;) {
+    if (PC >= Limit) [[unlikely]] {
+      // The running lanes fell off the end (treated like Ret), reached a
+      // parked lane's pc or jumped past it.
+      if (!HandOver(PC))
+        return true;
+      continue;
+    }
     if (Budget && ++Steps > Budget) [[unlikely]] {
       E.Trap.trip("in kernel `" + E.K.Name + "`: step budget of " +
                       std::to_string(Budget) +
@@ -154,94 +301,121 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
     }
     const Instr &I = Ins[PC++];
     switch (I.K) {
-    case Op::Const:
-      R[I.A] = C.Consts[I.Imm];
-      break;
-    case Op::Coord: {
-      long long V = 0;
-      switch (I.Imm) {
-      case 0: V = B.X; break;
-      case 1: V = B.Y; break;
-      case 2: V = B.Z; break;
-      case 3: V = T.X; break;
-      case 4: V = T.Y; break;
-      case 5: V = T.Z; break;
-      default: V = B.CurThread; break;
-      }
-      R[I.A].I = V;
+    case Op::Const: {
+      Value *Ra = Reg(I.A);
+      const Value V = C.Consts[I.Imm];
+      EACH_LANE(Ra[L] = V;)
       break;
     }
-    case Op::Slot:
-      R[I.A].I = B.loopVar(static_cast<unsigned>(I.Imm));
+    case Op::Coord: {
+      Value *Ra = Reg(I.A);
+      if (I.Imm >= 3 && I.Imm <= 5) {
+        const uint32_t *Idx = E.ThreadIdx.data() +
+                              static_cast<size_t>(I.Imm - 3) * E.Threads +
+                              First;
+        EACH_LANE(Ra[L].I = Idx[L];)
+      } else if (I.Imm >= 0 && I.Imm <= 2) {
+        const long long V = I.Imm == 0 ? B.X : I.Imm == 1 ? B.Y : B.Z;
+        EACH_LANE(Ra[L].I = V;)
+      } else {
+        EACH_LANE(Ra[L].I = First + L;)
+      }
       break;
-    case Op::Move:
-      R[I.A] = R[I.B];
+    }
+    case Op::Slot: {
+      Value *Ra = Reg(I.A);
+      const long long V = B.loopVar(static_cast<unsigned>(I.Imm));
+      EACH_LANE(Ra[L].I = V;)
       break;
+    }
+    case Op::Move: {
+      Value *Ra = Reg(I.A);
+      const Value *Rb = Reg(I.B);
+      EACH_LANE(Ra[L] = Rb[L];)
+      break;
+    }
 
     case Op::LoadGlobal:
     case Op::StoreGlobal: {
       const DevBuf &D = E.Bufs[I.Imm];
+      std::byte *const Data = D.Data;
+      const size_t Count = D.Count;
       const bool Write = I.K == Op::StoreGlobal;
-      long long Idx = R[I.B].I;
-      // Replicates GpuDevice::Buffer<T>::load/store: count and log
-      // first, then bounds-check. A negative index wraps to a huge
-      // size_t exactly like the size_t parameter of Buffer::load would.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countGlobal(Write);
-      if (B.Dev->raceDetection()) [[unlikely]]
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
-      if (Idx < 0 || static_cast<size_t>(Idx) >= D.Count) {
-        if (B.Dev->boundsChecking()) {
-          B.Dev->logBounds(D.Id, static_cast<size_t>(Idx), D.Count);
-          if (!Write)
-            R[I.A] = Value{}; // Buffer::load returns T{} on OOB
-          break;
+      const ScalarKind EK = static_cast<ScalarKind>(I.C);
+      Value *Ra = Reg(I.A);
+      const Value *Rb = Reg(I.B);
+      EACH_LANE(
+        const long long Idx = Rb[L].I;
+        // Replicates GpuDevice::Buffer<T>::load/store: count and log
+        // first, then bounds-check. A negative index wraps to a huge
+        // size_t exactly like the size_t parameter of Buffer::load would.
+        if (Watch) [[unlikely]] {
+          if (B.Counters)
+            B.Counters->countGlobal(Write);
+          if (B.Dev->raceDetection())
+            B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
         }
-        // The generated C++ would fault undefined here; trap instead.
-        return Trap("global buffer `" + E.K.Params[I.Imm].Name +
-                    "` index " + std::to_string(Idx) +
-                    " out of range [0, " + std::to_string(D.Count) + ")");
-      }
-      ScalarKind EK = static_cast<ScalarKind>(I.C);
-      if (Write)
-        storeElem(D.Data, EK, static_cast<size_t>(Idx), R[I.A]);
-      else
-        R[I.A] = loadElem(D.Data, EK, static_cast<size_t>(Idx));
+        if (Idx < 0 || static_cast<size_t>(Idx) >= Count) [[unlikely]] {
+          if (B.Dev->boundsChecking()) {
+            B.Dev->logBounds(D.Id, static_cast<size_t>(Idx), Count);
+            if (!Write)
+              Ra[L] = Value{}; // Buffer::load returns T{} on OOB
+            continue;
+          }
+          // The generated C++ would fault undefined here; trap instead.
+          return Trap("global buffer `" + E.K.Params[I.Imm].Name +
+                      "` index " + std::to_string(Idx) +
+                      " out of range [0, " + std::to_string(Count) + ")");
+        }
+        if (Write)
+          storeElem(Data, EK, static_cast<size_t>(Idx), Ra[L]);
+        else
+          Ra[L] = loadElem(Data, EK, static_cast<size_t>(Idx));
+      )
       break;
     }
 
     case Op::LoadGlobal2:
     case Op::StoreGlobal2: {
       const DevBuf &D = E.Bufs[I.Imm];
+      std::byte *const Data = D.Data;
+      const size_t Count = D.Count;
       const bool Write = I.K == Op::StoreGlobal2;
-      long long Idx = R[I.B].I;
-      // Replicates Buffer<T>::load2/store2: ONE counted transaction for
-      // the fused pair, both elements race-logged, bounds through Idx+1.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countGlobal(Write);
-      if (B.Dev->raceDetection()) [[unlikely]] {
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx) + 1, Write);
-      }
-      if (Idx < 0 || static_cast<size_t>(Idx) + 1 >= D.Count) {
-        if (B.Dev->boundsChecking()) {
-          B.Dev->logBounds(D.Id, static_cast<size_t>(Idx) + 1, D.Count);
-          if (!Write)
-            R[I.A] = R[I.A + 1] = Value{};
-          break;
+      const ScalarKind EK = static_cast<ScalarKind>(I.C);
+      Value *Ra = Reg(I.A), *Ra1 = Ra + G;
+      const Value *Rb = Reg(I.B);
+      EACH_LANE(
+        const long long Idx = Rb[L].I;
+        const size_t At = static_cast<size_t>(Idx);
+        // Replicates Buffer<T>::load2/store2: ONE counted transaction for
+        // the fused pair, both elements race-logged, bounds through Idx+1.
+        if (Watch) [[unlikely]] {
+          if (B.Counters)
+            B.Counters->countGlobal(Write);
+          if (B.Dev->raceDetection()) {
+            B.Dev->logAccess(B, D.Id, At, Write);
+            B.Dev->logAccess(B, D.Id, At + 1, Write);
+          }
         }
-        return Trap("global buffer `" + E.K.Params[I.Imm].Name +
-                    "` wide index " + std::to_string(Idx) +
-                    " out of range [0, " + std::to_string(D.Count) + ")");
-      }
-      ScalarKind EK = static_cast<ScalarKind>(I.C);
-      if (Write) {
-        storeElem(D.Data, EK, static_cast<size_t>(Idx), R[I.A]);
-        storeElem(D.Data, EK, static_cast<size_t>(Idx) + 1, R[I.A + 1]);
-      } else {
-        R[I.A] = loadElem(D.Data, EK, static_cast<size_t>(Idx));
-        R[I.A + 1] = loadElem(D.Data, EK, static_cast<size_t>(Idx) + 1);
-      }
+        if (Idx < 0 || At + 1 >= Count) [[unlikely]] {
+          if (B.Dev->boundsChecking()) {
+            B.Dev->logBounds(D.Id, At + 1, Count);
+            if (!Write)
+              Ra[L] = Ra1[L] = Value{};
+            continue;
+          }
+          return Trap("global buffer `" + E.K.Params[I.Imm].Name +
+                      "` wide index " + std::to_string(Idx) +
+                      " out of range [0, " + std::to_string(Count) + ")");
+        }
+        if (Write) {
+          storeElem(Data, EK, At, Ra[L]);
+          storeElem(Data, EK, At + 1, Ra1[L]);
+        } else {
+          Ra[L] = loadElem(Data, EK, At);
+          Ra1[L] = loadElem(Data, EK, At + 1);
+        }
+      )
       break;
     }
 
@@ -251,176 +425,183 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
     case Op::StoreArena: {
       const bool Write = I.K == Op::StoreShared || I.K == Op::StoreArena;
       const bool Arena = I.K == Op::LoadArena || I.K == Op::StoreArena;
-      ScalarKind EK = static_cast<ScalarKind>(I.C);
+      const ScalarKind EK = static_cast<ScalarKind>(I.C);
       const size_t ES = scalarSize(EK);
-      long long Idx = R[I.B].I;
-      size_t Base = static_cast<size_t>(I.Imm) + (Arena ? E.K.LocalsBase : 0);
-      size_t Off = Base + static_cast<size_t>(Idx) * ES;
-      // sharedLoad/sharedStore count and log the byte offset; arena
-      // (spill) slots are per-thread-private and stay uncounted and
-      // unlogged, like BlockCtx::shared.
-      if (!Arena && B.Counters) [[unlikely]]
-        B.Counters->countShared(Off, Write, B.CurThread);
-      if (!Arena && B.Dev->raceDetection()) [[unlikely]]
-        B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
-      if (Idx < 0 || Off + ES > B.SharedBytes || Off < Base)
-        return Trap(std::string(Arena ? "arena" : "shared") +
-                    " access at byte " + std::to_string(Off) +
-                    " outside the block arena of " +
-                    std::to_string(B.SharedBytes) + " bytes");
-      if (Write)
-        storeElem(B.SharedArena + Off, EK, 0, R[I.A]);
-      else
-        R[I.A] = loadElem(B.SharedArena + Off, EK, 0);
+      const size_t Base =
+          static_cast<size_t>(I.Imm) + (Arena ? E.K.LocalsBase : 0);
+      Value *Ra = Reg(I.A);
+      const Value *Rb = Reg(I.B);
+      EACH_LANE(
+        const long long Idx = Rb[L].I;
+        const size_t Off = Base + static_cast<size_t>(Idx) * ES;
+        // sharedLoad/sharedStore count and log the byte offset; arena
+        // (spill) slots are per-thread-private and stay uncounted and
+        // unlogged, like BlockCtx::shared.
+        if (Watch && !Arena) [[unlikely]] {
+          if (B.Counters)
+            B.Counters->countShared(Off, Write, B.CurThread);
+          if (B.Dev->raceDetection())
+            B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
+        }
+        if (!inArena(Idx, 1, ES, Base, SharedBytes)) [[unlikely]]
+          return Trap(arenaFault(Arena ? "arena" : "shared", Idx, ES, Base,
+                                 Off, SharedBytes));
+        if (Write)
+          storeElem(Shared + Off, EK, 0, Ra[L]);
+        else
+          Ra[L] = loadElem(Shared + Off, EK, 0);
+      )
       break;
     }
 
     case Op::LoadShared2:
     case Op::StoreShared2: {
       const bool Write = I.K == Op::StoreShared2;
-      ScalarKind EK = static_cast<ScalarKind>(I.C);
+      const ScalarKind EK = static_cast<ScalarKind>(I.C);
       const size_t ES = scalarSize(EK);
-      long long Idx = R[I.B].I;
-      size_t Base = static_cast<size_t>(I.Imm);
-      size_t Off = Base + static_cast<size_t>(Idx) * ES;
-      // Replicates sharedLoad2/sharedStore2: ONE counted transaction at
-      // the first element's byte offset, both elements race-logged.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countShared(Off, Write, B.CurThread);
-      if (B.Dev->raceDetection()) [[unlikely]] {
-        B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
-        B.Dev->logAccess(B, B.SharedBufferId, Off + ES, Write);
-      }
-      if (Idx < 0 || Off + 2 * ES > B.SharedBytes || Off < Base)
-        return Trap("shared wide access at byte " + std::to_string(Off) +
-                    " outside the block arena of " +
-                    std::to_string(B.SharedBytes) + " bytes");
-      if (Write) {
-        storeElem(B.SharedArena + Off, EK, 0, R[I.A]);
-        storeElem(B.SharedArena + Off + ES, EK, 0, R[I.A + 1]);
-      } else {
-        R[I.A] = loadElem(B.SharedArena + Off, EK, 0);
-        R[I.A + 1] = loadElem(B.SharedArena + Off + ES, EK, 0);
-      }
+      const size_t Base = static_cast<size_t>(I.Imm);
+      Value *Ra = Reg(I.A), *Ra1 = Ra + G;
+      const Value *Rb = Reg(I.B);
+      EACH_LANE(
+        const long long Idx = Rb[L].I;
+        const size_t Off = Base + static_cast<size_t>(Idx) * ES;
+        // Replicates sharedLoad2/sharedStore2: ONE counted transaction at
+        // the first element's byte offset, both elements race-logged.
+        if (Watch) [[unlikely]] {
+          if (B.Counters)
+            B.Counters->countShared(Off, Write, B.CurThread);
+          if (B.Dev->raceDetection()) {
+            B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
+            B.Dev->logAccess(B, B.SharedBufferId, Off + ES, Write);
+          }
+        }
+        if (!inArena(Idx, 2, ES, Base, SharedBytes)) [[unlikely]]
+          return Trap(arenaFault("shared wide", Idx, ES, Base, Off,
+                                 SharedBytes));
+        if (Write) {
+          storeElem(Shared + Off, EK, 0, Ra[L]);
+          storeElem(Shared + Off + ES, EK, 0, Ra1[L]);
+        } else {
+          Ra[L] = loadElem(Shared + Off, EK, 0);
+          Ra1[L] = loadElem(Shared + Off + ES, EK, 0);
+        }
+      )
       break;
     }
 
-#define INT_BIN(OPNAME, EXPR)                                                  \
+#define LANE_BIN(OPNAME, FIELD, EXPR)                                          \
   case Op::OPNAME: {                                                           \
-    long long L = R[I.B].I, Rr = R[I.C].I;                                     \
-    (void)L;                                                                   \
-    (void)Rr;                                                                  \
-    R[I.A].I = (EXPR);                                                         \
+    Value *Ra = Reg(I.A);                                                      \
+    const Value *Rb = Reg(I.B), *Rc = Reg(I.C);                                \
+    EACH_LANE(Ra[L].FIELD = (EXPR);)                                           \
     break;                                                                     \
   }
-      INT_BIN(AddI, L + Rr)
-      INT_BIN(SubI, L - Rr)
-      INT_BIN(MulI, L * Rr)
-    case Op::DivI: {
-      if (R[I.C].I == 0)
-        return Trap("integer division by zero");
-      R[I.A].I = R[I.B].I / R[I.C].I;
-      break;
-    }
+#define LANE_UN(OPNAME, FIELD, EXPR)                                           \
+  case Op::OPNAME: {                                                           \
+    Value *Ra = Reg(I.A);                                                      \
+    const Value *Rb = Reg(I.B);                                                \
+    EACH_LANE(Ra[L].FIELD = (EXPR);)                                           \
+    break;                                                                     \
+  }
+
+      LANE_BIN(AddI, I, Rb[L].I + Rc[L].I)
+      LANE_BIN(SubI, I, Rb[L].I - Rc[L].I)
+      LANE_BIN(MulI, I, Rb[L].I * Rc[L].I)
+    case Op::DivI:
     case Op::ModI: {
-      if (R[I.C].I == 0)
-        return Trap("integer modulo by zero");
-      R[I.A].I = R[I.B].I % R[I.C].I;
+      const bool Div = I.K == Op::DivI;
+      Value *Ra = Reg(I.A);
+      const Value *Rb = Reg(I.B), *Rc = Reg(I.C);
+      EACH_LANE(
+        const long long Y = Rc[L].I;
+        if (Y == 0)
+          return Trap(Div ? "integer division by zero"
+                          : "integer modulo by zero");
+        Ra[L].I = Div ? Rb[L].I / Y : Rb[L].I % Y;
+      )
       break;
     }
     case Op::PowI: {
-      long long Bv = R[I.B].I, Ev = R[I.C].I;
-      if (Ev < 0)
-        return Trap("negative exponent in nat power");
-      long long Acc = 1;
-      for (long long K2 = 0; K2 != Ev; ++K2)
-        Acc *= Bv;
-      R[I.A].I = Acc;
+      Value *Ra = Reg(I.A);
+      const Value *Rb = Reg(I.B), *Rc = Reg(I.C);
+      EACH_LANE(
+        if (Rc[L].I < 0)
+          return Trap("negative exponent in nat power");
+        Ra[L].I = static_cast<long long>(powWrap(
+            static_cast<uint64_t>(Rb[L].I), static_cast<uint64_t>(Rc[L].I)));
+      )
       break;
     }
 
-#define F64_BIN(OPNAME, OP)                                                    \
-  case Op::OPNAME:                                                             \
-    R[I.A].F = R[I.B].F OP R[I.C].F;                                           \
-    break;
-      F64_BIN(AddF, +)
-      F64_BIN(SubF, -)
-      F64_BIN(MulF, *)
-      F64_BIN(DivF, /)
+      LANE_BIN(AddF, F, Rb[L].F + Rc[L].F)
+      LANE_BIN(SubF, F, Rb[L].F - Rc[L].F)
+      LANE_BIN(MulF, F, Rb[L].F * Rc[L].F)
+      LANE_BIN(DivF, F, Rb[L].F / Rc[L].F)
+      LANE_BIN(AddF32, F, static_cast<double>(f32(Rb[L].F) + f32(Rc[L].F)))
+      LANE_BIN(SubF32, F, static_cast<double>(f32(Rb[L].F) - f32(Rc[L].F)))
+      LANE_BIN(MulF32, F, static_cast<double>(f32(Rb[L].F) * f32(Rc[L].F)))
+      LANE_BIN(DivF32, F, static_cast<double>(f32(Rb[L].F) / f32(Rc[L].F)))
 
-#define F32_BIN(OPNAME, OP)                                                    \
-  case Op::OPNAME:                                                             \
-    R[I.A].F = static_cast<double>(static_cast<float>(R[I.B].F)                \
-                                       OP static_cast<float>(R[I.C].F));       \
-    break;
-      F32_BIN(AddF32, +)
-      F32_BIN(SubF32, -)
-      F32_BIN(MulF32, *)
-      F32_BIN(DivF32, /)
+      LANE_BIN(LtI, I, Rb[L].I < Rc[L].I ? 1 : 0)
+      LANE_BIN(LeI, I, Rb[L].I <= Rc[L].I ? 1 : 0)
+      LANE_BIN(GtI, I, Rb[L].I > Rc[L].I ? 1 : 0)
+      LANE_BIN(GeI, I, Rb[L].I >= Rc[L].I ? 1 : 0)
+      LANE_BIN(EqI, I, Rb[L].I == Rc[L].I ? 1 : 0)
+      LANE_BIN(NeI, I, Rb[L].I != Rc[L].I ? 1 : 0)
+      LANE_BIN(LtF, I, Rb[L].F < Rc[L].F ? 1 : 0)
+      LANE_BIN(LeF, I, Rb[L].F <= Rc[L].F ? 1 : 0)
+      LANE_BIN(GtF, I, Rb[L].F > Rc[L].F ? 1 : 0)
+      LANE_BIN(GeF, I, Rb[L].F >= Rc[L].F ? 1 : 0)
+      LANE_BIN(EqF, I, Rb[L].F == Rc[L].F ? 1 : 0)
+      LANE_BIN(NeF, I, Rb[L].F != Rc[L].F ? 1 : 0)
 
-#define CMP_I(OPNAME, OP)                                                      \
-  case Op::OPNAME:                                                             \
-    R[I.A].I = R[I.B].I OP R[I.C].I ? 1 : 0;                                   \
-    break;
-      CMP_I(LtI, <)
-      CMP_I(LeI, <=)
-      CMP_I(GtI, >)
-      CMP_I(GeI, >=)
-      CMP_I(EqI, ==)
-      CMP_I(NeI, !=)
+      LANE_BIN(AndI, I, (Rb[L].I != 0 && Rc[L].I != 0) ? 1 : 0)
+      LANE_BIN(OrI, I, (Rb[L].I != 0 || Rc[L].I != 0) ? 1 : 0)
+      LANE_UN(NotI, I, Rb[L].I == 0 ? 1 : 0)
+      LANE_UN(NegI, I, -Rb[L].I)
+      LANE_UN(NegF, F, -Rb[L].F)
+      LANE_UN(NegF32, F, static_cast<double>(-f32(Rb[L].F)))
+      LANE_UN(I2F, F, static_cast<double>(Rb[L].I))
+      LANE_UN(F2I, I, static_cast<long long>(Rb[L].F))
+      LANE_UN(F2F32, F, static_cast<double>(f32(Rb[L].F)))
 
-#define CMP_F(OPNAME, OP)                                                      \
-  case Op::OPNAME:                                                             \
-    R[I.A].I = R[I.B].F OP R[I.C].F ? 1 : 0;                                   \
-    break;
-      CMP_F(LtF, <)
-      CMP_F(LeF, <=)
-      CMP_F(GtF, >)
-      CMP_F(GeF, >=)
-      CMP_F(EqF, ==)
-      CMP_F(NeF, !=)
-
-    case Op::AndI:
-      R[I.A].I = (R[I.B].I != 0 && R[I.C].I != 0) ? 1 : 0;
-      break;
-    case Op::OrI:
-      R[I.A].I = (R[I.B].I != 0 || R[I.C].I != 0) ? 1 : 0;
-      break;
-    case Op::NotI:
-      R[I.A].I = R[I.B].I == 0 ? 1 : 0;
-      break;
-    case Op::NegI:
-      R[I.A].I = -R[I.B].I;
-      break;
-    case Op::NegF:
-      R[I.A].F = -R[I.B].F;
-      break;
-    case Op::NegF32:
-      R[I.A].F = static_cast<double>(-static_cast<float>(R[I.B].F));
-      break;
-    case Op::I2F:
-      R[I.A].F = static_cast<double>(R[I.B].I);
-      break;
-    case Op::F2I:
-      R[I.A].I = static_cast<long long>(R[I.B].F);
-      break;
-    case Op::F2F32:
-      R[I.A].F = static_cast<double>(static_cast<float>(R[I.B].F));
-      break;
+#undef LANE_BIN
+#undef LANE_UN
 
     case Op::Jmp:
-      PC = static_cast<size_t>(I.Imm);
+      PC = static_cast<uint32_t>(I.Imm);
       break;
-    case Op::Jz:
-      if (R[I.A].I == 0)
-        PC = static_cast<size_t>(I.Imm);
+    case Op::Jz: {
+      const Value *Ra = Reg(I.A);
+      unsigned Taken = 0;
+      EACH_LANE(Taken += Ra[L].I == 0;)
+      if (Taken == NA) {
+        PC = static_cast<uint32_t>(I.Imm);
+      } else if (Taken != 0) {
+        // The group splits: the side at the lower pc runs on, the other
+        // parks. Act is filtered in place, so it stays ascending.
+        const uint32_t Target = static_cast<uint32_t>(I.Imm);
+        const bool TakenRun = Target < PC;
+        const uint32_t Other = TakenRun ? PC : Target;
+        const uint32_t ParkAt = Other >= N ? LaneDone : Other;
+        unsigned Kept = 0;
+        EACH_LANE(if ((Ra[L].I == 0) == TakenRun) Act[Kept++] = L;
+                  else PCs[L] = ParkAt;)
+        NA = Kept;
+        if (TakenRun)
+          PC = Target;
+        Limit = std::min(Limit, Other);
+      }
       break;
-    case Op::Ret:
-      return true;
+    }
     case Op::RetVal:
       if (RetOut)
-        *RetOut = R[I.A].I;
-      return true;
+        *RetOut = Reg(I.A)[0].I;
+      [[fallthrough]];
+    case Op::Ret:
+      if (!HandOver(N))
+        return true;
+      break;
     default:
       // Unreachable after validateKernel, but bytecode that dodged
       // validation (or a latent compiler bug) must trap, not fall into
@@ -430,14 +611,9 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
                   std::to_string(PC - 1) + " (corrupted bytecode?)");
     }
   }
-  return true; // fell off the end: treated like Ret
 }
 
-#undef INT_BIN
-#undef F64_BIN
-#undef F32_BIN
-#undef CMP_I
-#undef CMP_F
+#undef EACH_LANE
 
 //===----------------------------------------------------------------------===//
 // Bytecode validation
@@ -450,6 +626,11 @@ constexpr unsigned NumOps = static_cast<unsigned>(Op::RetVal) + 1;
 /// problem as text, empty when clean.
 std::string validateCode(const Code &C, const VmKernel &K,
                          const char *What) {
+  // Register operands are 16 bits wide: a larger file is unaddressable,
+  // and a corrupted count must not size the executor's register scratch.
+  if (C.NumRegs > 65536)
+    return std::string(What) + " of kernel `" + K.Name + "` declares " +
+           std::to_string(C.NumRegs) + " registers (max 65536)";
   const size_t N = C.Instrs.size();
   for (size_t PC = 0; PC != N; ++PC) {
     const Instr &I = C.Instrs[PC];
@@ -619,36 +800,34 @@ std::string validateNodes(const std::vector<VmNode> &Nodes,
   return {};
 }
 
-long long evalBound(const Code &C, KernelEnv &E, const sim::BlockCtx &B) {
+long long evalBound(const Code &C, const KernelEnv &E,
+                    const sim::BlockCtx &B) {
   if (E.Trap.tripped())
     return 0; // drains the remaining phase structure quickly
-  std::vector<Value> R(C.NumRegs);
   long long Out = 0;
-  sim::ThreadCtx T;
-  execCode(C, E, const_cast<sim::BlockCtx &>(B), T, R, &Out);
+  runGroup(C, E, B, /*First=*/0, /*G=*/1, &Out);
   return E.Trap.tripped() ? 0 : Out;
 }
 
 void buildProgram(sim::PhaseProgram &Prog, const std::vector<VmNode> &Nodes,
-                  KernelEnv &Env, sim::Dim3 Block) {
+                  const KernelEnv &Env) {
   for (const VmNode &N : Nodes) {
     if (N.K == VmNode::Straight) {
-      const Code &Body = N.Body;
       // NOTE: the node's std::function is shared across parallel block
-      // executions — all per-invocation state (the register file, the
-      // thread loop) must live inside the call, never in the capture.
-      Prog.straightBlock([&Env, &Body, Block](sim::BlockCtx &B) {
+      // executions — all per-invocation state (registers, lane pcs) lives
+      // in runGroup's per-worker scratch, never in the capture.
+      Prog.straightBlock([&Env, &Body = N.Body](sim::BlockCtx &B) {
         if (Env.Trap.tripped())
           return;
-        std::vector<Value> R(Body.NumRegs);
-        sim::ThreadCtx T;
-        for (T.Z = 0; T.Z < Block.Z; ++T.Z)
-          for (T.Y = 0; T.Y < Block.Y; ++T.Y)
-            for (T.X = 0; T.X < Block.X; ++T.X) {
-              B.CurThread = (T.Z * Block.Y + T.Y) * Block.X + T.X;
-              if (!execCode(Body, Env, B, T, R, nullptr))
-                return;
-            }
+        const unsigned T = Env.Threads;
+        const unsigned G = groupWidth(Env, B, Body.NumRegs);
+        for (unsigned First = 0; First < T; First += G) {
+          // Observers read the thread id here; they all run at G = 1.
+          B.CurThread = First;
+          if (!runGroup(Body, Env, B, First, std::min(G, T - First),
+                        nullptr))
+            return;
+        }
       });
       continue;
     }
@@ -660,7 +839,7 @@ void buildProgram(sim::PhaseProgram &Prog, const std::vector<VmNode> &Nodes,
         [&Env, &C = N.Hi](const sim::BlockCtx &B) {
           return evalBound(C, Env, B);
         });
-    buildProgram(Prog, N.Children, Env, Block);
+    buildProgram(Prog, N.Children, Env);
     Prog.loopEnd();
   }
 }
@@ -1031,10 +1210,23 @@ RunStatus vm::launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
     return V;
 
   TrapState Trap;
-  KernelEnv Env{K, Args, Trap, Dev.watchdog().StepBudget};
+  KernelEnv Env{K, Args, Trap, Dev.watchdog().StepBudget, K.Block.total(),
+                {}};
+  // At least one entry per plane: loop bounds run as thread 0 even in a
+  // block without threads.
+  Env.ThreadIdx.assign(3 * static_cast<size_t>(std::max(Env.Threads, 1u)), 0);
+  uint32_t *TX = Env.ThreadIdx.data(), *TY = TX + Env.Threads,
+           *TZ = TY + Env.Threads;
+  for (unsigned Z = 0, Lin = 0; Z != K.Block.Z; ++Z)
+    for (unsigned Y = 0; Y != K.Block.Y; ++Y)
+      for (unsigned X = 0; X != K.Block.X; ++X, ++Lin) {
+        TX[Lin] = X;
+        TY[Lin] = Y;
+        TZ[Lin] = Z;
+      }
   const uint64_t Seq0 = Dev.errorSeq();
   sim::PhaseProgram Prog;
-  buildProgram(Prog, K.Nodes, Env, K.Block);
+  buildProgram(Prog, K.Nodes, Env);
   // Synchronous, like every generated sim launch; phase numbering and
   // loopVar slots are maintained by launchProgram itself.
   sim::launchProgram(Dev, K.Grid, K.Block, K.ArenaBytes, Prog);

@@ -3,8 +3,17 @@
 // Part of the Descend reproduction. Executes CompiledProgram artifacts
 // (vm/Bytecode.h) on a sim::GpuDevice: launchKernel builds a
 // sim::PhaseProgram whose phase bodies run the bytecode dispatch loop
-// per thread, so compiled-from-source kernels ride the same persistent
-// worker pool, phase barriers, loopVar slots, shared/arena memory and
+// once per *lane group* — G threads of a block in lockstep, each
+// dispatched instruction applied to every running lane, registers stored
+// lane-major. Well-typed phases are race-free, so the interleaving of a
+// block's threads between two barriers cannot change a result; a branch
+// that splits a group runs the lanes at the lowest pc first and merges
+// lanes whose pcs meet, so each thread still executes exactly its own
+// instruction sequence. G is the block's thread count (narrowed to a
+// fixed register budget), and 1 whenever race detection, bounds
+// checking, counters or a watchdog step budget observe per-thread
+// order. Compiled-from-source kernels ride the same persistent worker
+// pool, phase barriers, loopVar slots, shared/arena memory and
 // race/bounds observability as the build-time-generated C++ — with zero
 // C++ compilation at runtime. runHostFn tree-walks a compiled
 // cpu.thread function (allocations, transfers, launches, scalar code)
@@ -113,10 +122,14 @@ RunStatus validateKernel(const VmKernel &K);
 /// kinds and counts are validated against the kernel's parameter schema,
 /// and the bytecode itself through validateKernel. Fails fast (without
 /// launching) while the device carries a sticky error; a kernel trap
-/// poisons the device in turn. When the device watchdog configures a
+/// poisons the device in turn. Of several faulting threads the trap names
+/// the first the executor reaches: at G = 1 the lowest faulting thread,
+/// else the lowest lane faulting at the earliest faulting instruction of
+/// the lockstep schedule. When the device watchdog configures a
 /// step budget (DESCEND_WATCHDOG steps=N), each thread's phase body may
 /// execute at most N instructions before the launch is cancelled as a
-/// KernelTimeout.
+/// KernelTimeout. Registers start zeroed for every lane group of every
+/// phase, so no value survives from another thread, phase or launch.
 RunStatus launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
                        const std::vector<DevBuf> &Args);
 

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -47,8 +49,8 @@ std::string readFile(const std::string &Path) {
 /// Compiles \p Path through the front end and vm::compile; fails the test
 /// (and returns null) on any diagnostic.
 std::shared_ptr<const vm::CompiledProgram>
-compileVm(const std::string &Path,
-          std::map<std::string, long long> Defines) {
+compileVm(const std::string &Path, std::map<std::string, long long> Defines,
+          const kir::PassConfig &Passes = {}) {
   CompilerInvocation Inv;
   Inv.BufferName = Path;
   Inv.Defines = std::move(Defines);
@@ -58,7 +60,7 @@ compileVm(const std::string &Path,
   EXPECT_TRUE(R.Ok) << S.renderDiagnostics();
   if (!R.Ok)
     return nullptr;
-  vm::CompileVmResult C = vm::compile(*S.module());
+  vm::CompileVmResult C = vm::compile(*S.module(), Passes);
   EXPECT_TRUE(C.Ok) << C.Error;
   return C.Ok ? C.Program : nullptr;
 }
@@ -285,6 +287,12 @@ vm::Instr instr(vm::Op O, uint16_t A = 0, uint16_t B = 0, uint16_t C = 0,
   I.Imm = Imm;
   return I;
 }
+
+vm::Value imm(long long V) {
+  vm::Value X;
+  X.I = V;
+  return X;
+}
 } // namespace
 
 TEST(VmValidate, RejectsOutOfRangeRegisterIndices) {
@@ -349,6 +357,467 @@ TEST(VmValidate, RejectsTruncatedArtifactShapes) {
   ASSERT_TRUE(P);
   for (const vm::VmKernel &K : P->Kernels)
     EXPECT_TRUE(vm::validateKernel(K).Ok);
+}
+
+TEST(VmKernel, SharedIndexTooLargeForAByteOffsetTraps) {
+  // shared[2^61] of 8-byte elements: 2^61 * 8 wraps to byte 0 of a
+  // size_t, which lies inside the 8-byte arena. The index itself is out
+  // of range and must trap, for the scalar and the wide access alike.
+  for (vm::Op Load : {vm::Op::LoadShared, vm::Op::LoadShared2}) {
+    auto K = corruptKernel(
+        {instr(vm::Op::Const, 0, 0, 0, /*Imm=*/0),
+         instr(Load, /*A=*/1, /*B=*/0, static_cast<uint16_t>(ScalarKind::F64),
+               /*Imm=*/0),
+         instr(vm::Op::Ret)},
+        /*NumRegs=*/3);
+    K.Nodes[0].Body.Consts.push_back(imm(1ll << 61));
+    K.SharedBytes = K.LocalsBase = K.ArenaBytes = 8;
+    ASSERT_TRUE(vm::validateKernel(K).Ok);
+
+    sim::GpuDevice DV;
+    vm::RunStatus St = vm::launchKernel(DV, K, {});
+    EXPECT_FALSE(St.Ok) << vm::opName(Load);
+    EXPECT_NE(St.Error.find("shared"), std::string::npos) << St.Error;
+    EXPECT_NE(St.Error.find("2305843009213693952"), std::string::npos)
+        << St.Error;
+    EXPECT_EQ(DV.getLastError(), sim::ErrorCode::KernelTrap);
+  }
+}
+
+TEST(VmKernel, NatPowerWrapsInLogarithmicTime) {
+  // out[0] = 3^(2^40): a trillion multiplications one at a time, forty
+  // squarings by square-and-multiply. The result wraps modulo 2^64.
+  auto K = corruptKernel(
+      {instr(vm::Op::Const, 0, 0, 0, /*Imm=*/0),
+       instr(vm::Op::Const, 1, 0, 0, /*Imm=*/1),
+       instr(vm::Op::PowI, 2, 0, 1), instr(vm::Op::Const, 3, 0, 0, /*Imm=*/2),
+       instr(vm::Op::StoreGlobal, 2, 3, static_cast<uint16_t>(ScalarKind::I64),
+             /*Imm=*/0),
+       instr(vm::Op::Ret)},
+      /*NumRegs=*/4);
+  for (long long V : {3ll, 1ll << 40, 0ll})
+    K.Nodes[0].Body.Consts.push_back(imm(V));
+  K.Params.push_back({"out", ScalarKind::I64, 1});
+
+  sim::GpuDevice DV;
+  vm::DevBuf Out = vm::allocDev(DV, ScalarKind::I64, 1);
+  auto T0 = std::chrono::steady_clock::now();
+  vm::RunStatus St = vm::launchKernel(DV, K, {Out});
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+  ASSERT_TRUE(St.Ok) << St.Error;
+  EXPECT_LT(Ms, 1000.0);
+
+  uint64_t Want = 3;
+  for (int I = 0; I != 40; ++I)
+    Want *= Want;
+  uint64_t Got;
+  std::memcpy(&Got, Out.Data, sizeof(Got));
+  EXPECT_EQ(Got, Want);
+}
+
+//===----------------------------------------------------------------------===//
+// Lane groups: the same bytes at every width, worker count and branch
+// pattern. A default device runs each phase body for a whole block at
+// once; bounds checking, like every mode that observes per-thread order,
+// runs it one thread at a time.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct ExecMode {
+  bool OneThreadGroups; ///< bounds checking on
+  unsigned Workers;
+};
+const ExecMode Modes[] = {{false, 1}, {false, 4}, {true, 1}, {true, 4}};
+
+std::string modeName(const ExecMode &M) {
+  return std::string(M.OneThreadGroups ? "one-thread groups" : "full width") +
+         ", " + std::to_string(M.Workers) + " workers";
+}
+
+sim::GpuDevice &configure(sim::GpuDevice &Dev, const ExecMode &M) {
+  Dev.setWorkers(M.Workers);
+  Dev.setBoundsChecking(M.OneThreadGroups);
+  return Dev;
+}
+
+/// Launches every kernel of \p P once on freshly filled f64 buffers and
+/// returns the bytes of all of them afterwards.
+std::vector<std::byte> runKernels(const vm::CompiledProgram &P,
+                                  const ExecMode &M) {
+  sim::GpuDevice Dev;
+  configure(Dev, M);
+  std::vector<std::byte> Bytes;
+  for (const vm::VmKernel &K : P.Kernels) {
+    std::vector<vm::DevBuf> Bufs;
+    for (const vm::VmKernel::Param &Prm : K.Params) {
+      EXPECT_EQ(Prm.Elem, ScalarKind::F64) << K.Name << " " << Prm.Name;
+      vm::DevBuf D = vm::allocDev(Dev, ScalarKind::F64, Prm.Count);
+      for (size_t I = 0; I != Prm.Count; ++I)
+        devData(D)[I] = fillVal(I + 13 * Bufs.size());
+      Bufs.push_back(D);
+    }
+    vm::RunStatus St = vm::launchKernel(Dev, K, Bufs);
+    EXPECT_TRUE(St.Ok) << K.Name << ": " << St.Error;
+    for (const vm::DevBuf &D : Bufs)
+      Bytes.insert(Bytes.end(), D.Data, D.Data + D.Count * sizeof(double));
+  }
+  EXPECT_TRUE(Dev.boundsViolations().empty());
+  return Bytes;
+}
+
+constexpr unsigned LaneBlocks = 3, LaneThreads = 64;
+
+/// A kernel of LaneBlocks x LaneThreads threads running \p Body, then
+/// `out[_bx * LaneThreads + _lin] = r[Result]` (registers Tmp..Tmp+4 and
+/// one appended constant). A jump to Body.size() lands on that store.
+vm::VmKernel laneKernel(std::vector<vm::Instr> Body,
+                        std::vector<long long> Consts, uint16_t Result,
+                        uint16_t Tmp, unsigned NumRegs) {
+  const int32_t Width = static_cast<int32_t>(Consts.size());
+  Consts.push_back(LaneThreads);
+  for (vm::Instr I :
+       {instr(vm::Op::Coord, Tmp, 0, 0, /*_bx*/ 0),
+        instr(vm::Op::Const, Tmp + 1, 0, 0, Width),
+        instr(vm::Op::MulI, Tmp + 2, Tmp, Tmp + 1),
+        instr(vm::Op::Coord, Tmp + 3, 0, 0, /*_lin*/ 6),
+        instr(vm::Op::AddI, Tmp + 4, Tmp + 2, Tmp + 3),
+        instr(vm::Op::StoreGlobal, Result, Tmp + 4,
+              static_cast<uint16_t>(ScalarKind::I64), 0),
+        instr(vm::Op::Ret)})
+    Body.push_back(I);
+  vm::VmKernel K = corruptKernel(std::move(Body), NumRegs);
+  K.Name = "lanes";
+  K.Grid = sim::Dim3{LaneBlocks};
+  K.Block = sim::Dim3{LaneThreads};
+  for (long long V : Consts)
+    K.Nodes[0].Body.Consts.push_back(imm(V));
+  K.Params.push_back({"out", ScalarKind::I64, LaneBlocks * LaneThreads});
+  return K;
+}
+
+/// out[] after one launch of \p K; untouched entries stay -1.
+std::vector<long long> runLanes(const vm::VmKernel &K, const ExecMode &M) {
+  sim::GpuDevice Dev;
+  configure(Dev, M);
+  vm::DevBuf Out =
+      vm::allocDev(Dev, ScalarKind::I64, LaneBlocks * LaneThreads);
+  std::vector<long long> V(Out.Count, -1);
+  std::memcpy(Out.Data, V.data(), V.size() * sizeof(long long));
+  vm::RunStatus St = vm::launchKernel(Dev, K, {Out});
+  EXPECT_TRUE(St.Ok) << St.Error;
+  std::memcpy(V.data(), Out.Data, V.size() * sizeof(long long));
+  return V;
+}
+
+/// A loop whose trip count depends on _tx, over registers Base..Base+12:
+/// sum of (3i + 1) for i < _tx % 5 + _tx / 16, left in r[Base + 6].
+std::vector<vm::Instr> tripCountLoop(uint16_t Base) {
+  auto R = [Base](int I) { return static_cast<uint16_t>(Base + I); };
+  using vm::Op;
+  return {
+      instr(Op::Coord, R(0), 0, 0, 3),     // 0: tx
+      instr(Op::Const, R(1), 0, 0, 0),     // 1: 5
+      instr(Op::ModI, R(2), R(0), R(1)),   // 2
+      instr(Op::Const, R(3), 0, 0, 1),     // 3: 16
+      instr(Op::DivI, R(4), R(0), R(3)),   // 4
+      instr(Op::AddI, R(5), R(2), R(4)),   // 5: n
+      instr(Op::Const, R(6), 0, 0, 2),     // 6: sum = 0
+      instr(Op::Const, R(7), 0, 0, 2),     // 7: i = 0
+      instr(Op::LtI, R(8), R(7), R(5)),    // 8: loop head
+      instr(Op::Jz, R(8), 0, 0, 17),       // 9
+      instr(Op::Const, R(9), 0, 0, 3),     // 10: 3
+      instr(Op::MulI, R(10), R(7), R(9)),  // 11
+      instr(Op::Const, R(11), 0, 0, 4),    // 12: 1
+      instr(Op::AddI, R(12), R(10), R(11)), // 13
+      instr(Op::AddI, R(6), R(6), R(12)),  // 14
+      instr(Op::AddI, R(7), R(7), R(11)),  // 15
+      instr(Op::Jmp, 0, 0, 0, 8),          // 16
+  };
+}
+const std::vector<long long> TripCountConsts = {5, 16, 0, 3, 1};
+long long tripCountSum(long long Tx) {
+  long long N = Tx % 5 + Tx / 16;
+  return 3 * N * (N - 1) / 2 + N;
+}
+
+} // namespace
+
+TEST(VmLaneGroups, KernelsWriteTheSameBytesAtEveryWidthAndWorkerCount) {
+  kir::PassConfig Vec, Pad;
+  Vec.Vectorize = true;
+  Pad.SharedPad = 1;
+  struct Case {
+    const char *File, *Nat;
+    long long Size;
+    kir::PassConfig Passes;
+  } const Cases[] = {{"transpose.descend", "n", 128, {}},
+                     {"reduce.descend", "nb", 8, {}},
+                     {"scan.descend", "nb", 8, {}},
+                     {"matmul.descend", "nt", 4, {}},
+                     {"scale_vec.descend", "nb", 8, {}},
+                     {"scale2.descend", "nb", 8, Vec},
+                     {"matmul.descend", "nt", 4, Pad}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.File) + " " + C.Passes.cacheKey());
+    auto P = compileVm(std::string(DESCEND_KERNEL_DIR "/") + C.File,
+                       {{C.Nat, C.Size}}, C.Passes);
+    ASSERT_TRUE(P);
+    const std::vector<std::byte> Ref = runKernels(*P, Modes[0]);
+    for (const ExecMode &M : Modes)
+      EXPECT_TRUE(runKernels(*P, M) == Ref) << modeName(M);
+  }
+}
+
+TEST(VmLaneGroups, DivergentBodiesMatchClosedFormsAtEveryWidth) {
+  using vm::Op;
+  struct Case {
+    const char *Name;
+    vm::VmKernel K;
+    long long (*Want)(long long Tx);
+  };
+  const std::vector<Case> Cases = {
+      // if/else on _tx. r6 is written only on the then-path: the else
+      // lanes must read it as 0 although the lane before them wrote 77.
+      {"if/else",
+       laneKernel({instr(Op::Coord, 0, 0, 0, 3),  // 0: tx
+                   instr(Op::Const, 1, 0, 0, 0),  // 1: 3
+                   instr(Op::ModI, 2, 0, 1),      // 2
+                   instr(Op::Jz, 2, 0, 0, 8),     // 3: tx % 3 == 0: else
+                   instr(Op::Const, 3, 0, 0, 1),  // 4: 100
+                   instr(Op::AddI, 5, 0, 3),      // 5
+                   instr(Op::Const, 6, 0, 0, 3),  // 6: 77
+                   instr(Op::Jmp, 0, 0, 0, 10),   // 7
+                   instr(Op::Const, 4, 0, 0, 2),  // 8: 7
+                   instr(Op::MulI, 5, 0, 4),      // 9
+                   instr(Op::AddI, 7, 5, 6)},     // 10
+                  {3, 100, 7, 77}, /*Result=*/7, /*Tmp=*/8, 13),
+       [](long long Tx) { return Tx % 3 ? Tx + 177 : Tx * 7; }},
+      // Nested ifs; lanes in [40, 60) take neither inner branch.
+      {"nested ifs",
+       laneKernel({instr(Op::Coord, 0, 0, 0, 3),  // 0: tx
+                   instr(Op::Const, 1, 0, 0, 0),  // 1: 40
+                   instr(Op::LtI, 2, 0, 1),       // 2
+                   instr(Op::Jz, 2, 0, 0, 11),    // 3: tx >= 40
+                   instr(Op::Const, 3, 0, 0, 1),  // 4: 2
+                   instr(Op::ModI, 4, 0, 3),      // 5
+                   instr(Op::Jz, 4, 0, 0, 9),     // 6: even
+                   instr(Op::Const, 9, 0, 0, 1),  // 7: v = 2
+                   instr(Op::Jmp, 0, 0, 0, 15),   // 8
+                   instr(Op::Const, 9, 0, 0, 2),  // 9: v = 1
+                   instr(Op::Jmp, 0, 0, 0, 15),   // 10
+                   instr(Op::Const, 5, 0, 0, 3),  // 11: 60
+                   instr(Op::GeI, 6, 0, 5),       // 12
+                   instr(Op::Jz, 6, 0, 0, 15),    // 13: tx < 60
+                   instr(Op::Const, 9, 0, 0, 4)}, // 14: v = 3
+                  {40, 2, 1, 60, 3}, /*Result=*/9, /*Tmp=*/10, 15),
+       [](long long Tx) -> long long {
+         return Tx < 40 ? (Tx % 2 ? 2 : 1) : Tx >= 60 ? 3 : 0;
+       }},
+      // if / else if: the first two arms meet at pc 9 while the third
+      // waits at pc 10.
+      {"if / else if",
+       laneKernel({instr(Op::Coord, 0, 0, 0, 3),  // 0: tx
+                   instr(Op::Const, 1, 0, 0, 0),  // 1: 3
+                   instr(Op::ModI, 2, 0, 1),      // 2: m
+                   instr(Op::Jz, 2, 0, 0, 10),    // 3: m == 0
+                   instr(Op::Const, 3, 0, 0, 1),  // 4: 1
+                   instr(Op::EqI, 4, 2, 3),       // 5
+                   instr(Op::Jz, 4, 0, 0, 9),     // 6: m == 2
+                   instr(Op::Const, 6, 0, 0, 2),  // 7: 100
+                   instr(Op::AddI, 5, 5, 6),      // 8: m == 1 only
+                   instr(Op::AddI, 5, 5, 0),      // 9: m != 0
+                   instr(Op::Const, 7, 0, 0, 3),  // 10: 1000
+                   instr(Op::AddI, 8, 5, 7)},     // 11
+                  {3, 1, 100, 1000}, /*Result=*/8, /*Tmp=*/9, 14),
+       [](long long Tx) {
+         return Tx % 3 == 0 ? 1000 : Tx % 3 == 1 ? Tx + 1100 : Tx + 1000;
+       }},
+      {"trip count depends on _tx",
+       laneKernel(tripCountLoop(0), TripCountConsts, /*Result=*/6,
+                  /*Tmp=*/13, 18),
+       tripCountSum},
+      // Lanes with _tx % 4 == 1 return before the store; the others
+      // split again and meet without them.
+      {"early return",
+       laneKernel({instr(Op::Coord, 0, 0, 0, 3), // 0: tx
+                   instr(Op::Const, 1, 0, 0, 0), // 1: 4
+                   instr(Op::ModI, 2, 0, 1),     // 2
+                   instr(Op::Const, 3, 0, 0, 1), // 3: 1
+                   instr(Op::EqI, 4, 2, 3),      // 4
+                   instr(Op::Jz, 4, 0, 0, 7),    // 5
+                   instr(Op::Ret),               // 6
+                   instr(Op::Const, 6, 0, 0, 2), // 7: 2
+                   instr(Op::ModI, 7, 0, 6),     // 8
+                   instr(Op::Jz, 7, 0, 0, 12),   // 9: even
+                   instr(Op::MulI, 5, 0, 0),     // 10: tx * tx
+                   instr(Op::Jmp, 0, 0, 0, 13),  // 11
+                   instr(Op::AddI, 5, 0, 0)},    // 12: tx + tx
+                  {4, 1, 2}, /*Result=*/5, /*Tmp=*/8, 13),
+       [](long long Tx) {
+         return Tx % 4 == 1 ? -1 : Tx % 2 ? Tx * Tx : 2 * Tx;
+       }},
+      // A backward jz (do-while): looping lanes run first, finished ones
+      // wait below the loop.
+      {"backward branch",
+       laneKernel({instr(Op::Coord, 0, 0, 0, 3), // 0: tx
+                   instr(Op::Const, 1, 0, 0, 0), // 1: 4
+                   instr(Op::ModI, 2, 0, 1),     // 2: n
+                   instr(Op::Const, 5, 0, 0, 1), // 3: 1
+                   instr(Op::AddI, 4, 4, 5),     // 4: loop: i += 1
+                   instr(Op::AddI, 3, 3, 4),     // 5: sum += i
+                   instr(Op::GeI, 6, 4, 2),      // 6
+                   instr(Op::Jz, 6, 0, 0, 4)},   // 7: i < n: loop
+                  {4, 1}, /*Result=*/3, /*Tmp=*/7, 12),
+       [](long long Tx) {
+         long long K = std::max(Tx % 4, 1ll);
+         return K * (K + 1) / 2;
+       }},
+      // 3000 registers fit ten lanes into the register budget: the block
+      // runs as groups of 10, 10, ..., 4.
+      {"register count narrows the group",
+       laneKernel(tripCountLoop(2980), TripCountConsts, /*Result=*/2986,
+                  /*Tmp=*/2993, 3000),
+       tripCountSum},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ASSERT_TRUE(vm::validateKernel(C.K).Ok) << vm::validateKernel(C.K).Error;
+    for (const ExecMode &M : Modes) {
+      std::vector<long long> Out = runLanes(C.K, M);
+      for (unsigned G = 0; G != Out.size(); ++G)
+        ASSERT_EQ(Out[G], C.Want(G % LaneThreads))
+            << modeName(M) << ", thread " << G;
+    }
+  }
+}
+
+TEST(VmLaneGroups, TrapTextIsDeterministic) {
+  using vm::Op;
+  const uint16_t I64 = static_cast<uint16_t>(ScalarKind::I64);
+  const std::string DivZero = "in kernel `lanes`: integer division by zero";
+  struct Case {
+    vm::VmKernel K;
+    std::string FullWidth, OneThread; ///< the whole trap text
+  } const Cases[] = {
+      // Lanes >= 5 of every block divide by zero.
+      {laneKernel({instr(Op::Coord, 0, 0, 0, 6), // 0: lin
+                   instr(Op::Const, 1, 0, 0, 0), // 1: 5
+                   instr(Op::LtI, 2, 0, 1),      // 2
+                   instr(Op::DivI, 3, 0, 2)},    // 3
+                  {5}, /*Result=*/3, /*Tmp=*/4, 9),
+       DivZero, DivZero},
+      // Lanes >= 5 branch off to store to out[100000 + _lin] instead, so
+      // the text names the lowest of them.
+      {laneKernel({instr(Op::Coord, 0, 0, 0, 6),  // 0: lin
+                   instr(Op::Const, 1, 0, 0, 0),  // 1: 5
+                   instr(Op::GeI, 2, 0, 1),       // 2
+                   instr(Op::Jz, 2, 0, 0, 7),     // 3: lanes < 5 skip
+                   instr(Op::Const, 3, 0, 0, 1),  // 4: 100000
+                   instr(Op::AddI, 4, 3, 0),      // 5
+                   instr(Op::StoreGlobal, 0, 4, I64, 0)}, // 6
+                  {5, 100000}, /*Result=*/0, /*Tmp=*/5, 10),
+       "in kernel `lanes`: global buffer `out` index 100005 out of range "
+       "[0, 192)",
+       "in kernel `lanes`: global buffer `out` index 100005 out of range "
+       "[0, 192)"},
+      // Lanes fail at different instructions: lane 7 divides by zero at
+      // pc 4, lane 0 stores out of range at pc 9. One thread at a time,
+      // thread 0 runs first and its store is the fault; at full width the
+      // lockstep schedule reaches lane 7's division first.
+      {laneKernel({instr(Op::Coord, 0, 0, 0, 6),  // 0: lin
+                   instr(Op::Const, 1, 0, 0, 0),  // 1: 7
+                   instr(Op::SubI, 2, 0, 1),      // 2
+                   instr(Op::Const, 3, 0, 0, 1),  // 3: 1
+                   instr(Op::DivI, 4, 3, 2),      // 4: 1 / (lin - 7)
+                   instr(Op::Jz, 0, 0, 0, 7),     // 5: lane 0 stores
+                   instr(Op::Jmp, 0, 0, 0, 10),   // 6
+                   instr(Op::Const, 5, 0, 0, 2),  // 7: 100000
+                   instr(Op::AddI, 6, 5, 0),      // 8
+                   instr(Op::StoreGlobal, 0, 6, I64, 0)}, // 9
+                  {7, 1, 100000}, /*Result=*/0, /*Tmp=*/7, 12),
+       DivZero,
+       "in kernel `lanes`: global buffer `out` index 100000 out of range "
+       "[0, 192)"},
+  };
+  for (const Case &C : Cases) {
+    // Full width at 1 and 4 workers, then one-thread groups (the race
+    // detector observes per-thread order), each launched three times.
+    for (int Mode = 0; Mode != 3; ++Mode) {
+      sim::GpuDevice Dev;
+      Dev.setWorkers(Mode == 1 ? 4 : 1);
+      Dev.setRaceDetection(Mode == 2);
+      vm::DevBuf Out =
+          vm::allocDev(Dev, ScalarKind::I64, LaneBlocks * LaneThreads);
+      for (int Rep = 0; Rep != 3; ++Rep) {
+        vm::RunStatus St = vm::launchKernel(Dev, C.K, {Out});
+        EXPECT_FALSE(St.Ok);
+        EXPECT_EQ(Dev.getLastError(), sim::ErrorCode::KernelTrap);
+        EXPECT_EQ(St.Error, Mode == 2 ? C.OneThread : C.FullWidth)
+            << "mode " << Mode << ", launch " << Rep;
+        Dev.reset();
+      }
+    }
+  }
+}
+
+TEST(VmLaneGroups, ObservingModesSeeEveryThreadInOrder) {
+  using vm::Op;
+  const uint16_t I64 = static_cast<uint16_t>(ScalarKind::I64);
+  // Bounds checking alone: every lane makes two out-of-range loads, and
+  // the log must interleave them thread by thread.
+  vm::VmKernel Loads =
+      laneKernel({instr(Op::Coord, 0, 0, 0, 6),       // 0: lin
+                  instr(Op::Const, 1, 0, 0, 0),       // 1: 1000
+                  instr(Op::AddI, 2, 0, 1),           // 2
+                  instr(Op::LoadGlobal, 3, 2, I64, 0), // 3
+                  instr(Op::Const, 4, 0, 0, 1),       // 4: 2000
+                  instr(Op::AddI, 5, 0, 4),           // 5
+                  instr(Op::LoadGlobal, 6, 5, I64, 0)}, // 6
+                 {1000, 2000}, /*Result=*/0, /*Tmp=*/7, 12);
+  {
+    sim::GpuDevice Dev;
+    Dev.setWorkers(1); // blocks in order, so the log is one block at a time
+    Dev.setBoundsChecking(true);
+    vm::DevBuf Out =
+        vm::allocDev(Dev, ScalarKind::I64, LaneBlocks * LaneThreads);
+    vm::RunStatus St = vm::launchKernel(Dev, Loads, {Out});
+    ASSERT_TRUE(St.Ok) << St.Error;
+    const auto &Bounds = Dev.boundsViolations();
+    ASSERT_EQ(Bounds.size(), 2u * LaneBlocks * LaneThreads);
+    EXPECT_EQ(Bounds[0].Offset, 1000u);
+    EXPECT_EQ(Bounds[1].Offset, 2000u);
+    EXPECT_EQ(Bounds[2].Offset, 1001u);
+  }
+  // Race detection alone: lanes 2k and 2k+1 both store to out[2k], a
+  // race the detector must attribute to two threads.
+  vm::VmKernel Racy =
+      laneKernel({instr(Op::Coord, 0, 0, 0, 6),       // 0: lin
+                  instr(Op::Coord, 1, 0, 0, 0),       // 1: bx
+                  instr(Op::Const, 2, 0, 0, 0),       // 2: 64
+                  instr(Op::MulI, 3, 1, 2),           // 3
+                  instr(Op::AddI, 4, 3, 0),           // 4: gid
+                  instr(Op::Const, 5, 0, 0, 1),       // 5: 2
+                  instr(Op::DivI, 6, 4, 5),           // 6
+                  instr(Op::MulI, 7, 6, 5),           // 7: gid & ~1
+                  instr(Op::StoreGlobal, 0, 7, I64, 0)}, // 8
+                 {LaneThreads, 2}, /*Result=*/0, /*Tmp=*/8, 13);
+  {
+    sim::GpuDevice Dev;
+    Dev.setRaceDetection(true);
+    vm::DevBuf Out =
+        vm::allocDev(Dev, ScalarKind::I64, LaneBlocks * LaneThreads);
+    vm::RunStatus St = vm::launchKernel(Dev, Racy, {Out});
+    ASSERT_TRUE(St.Ok) << St.Error;
+    std::vector<sim::RaceReport> Races = Dev.findRaces();
+    ASSERT_EQ(Races.size(), LaneBlocks * LaneThreads / 2);
+    for (const sim::RaceReport &Rc : Races) {
+      EXPECT_NE(Rc.ThreadA, Rc.ThreadB) << Rc.str();
+      EXPECT_EQ(Rc.ThreadA / 2, Rc.ThreadB / 2) << Rc.str();
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
