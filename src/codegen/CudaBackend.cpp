@@ -85,8 +85,11 @@ GenResult CudaBackend::emit(const Module &M, const BackendOptions &Opts) const {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
       continue;
-    hostgen::HostGenResult H = hostgen::emitHostFn(
-        M, Fn, hostgen::HostTarget::Cuda, Opts.FnSuffix);
+    hostgen::HostBuildResult IR = hostgen::buildHostFn(M, Fn);
+    hostgen::HostGenResult H =
+        IR.Ok ? hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Cuda,
+                                     Opts.FnSuffix)
+              : hostgen::HostGenResult{false, "", IR.Error};
     if (!H.Ok) {
       R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
       return R;

@@ -228,16 +228,16 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
       continue;
+    hostgen::HostBuildResult IR = hostgen::buildHostFn(M, Fn);
+    if (!IR.Ok) {
+      R.Error = "while emitting host `" + Fn.Name + "`: " + IR.Error;
+      return R;
+    }
+    // Built once, printed three times; only the cuda printer can fail.
     for (hostgen::HostTarget HT :
          {hostgen::HostTarget::Sim, hostgen::HostTarget::SimStream,
-          hostgen::HostTarget::SimGraph}) {
-      hostgen::HostGenResult H = hostgen::emitHostFn(M, Fn, HT, FnSuffix);
-      if (!H.Ok) {
-        R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
-        return R;
-      }
-      OS << "\n" << H.Code;
-    }
+          hostgen::HostTarget::SimGraph})
+      OS << "\n" << hostgen::printHostFn(IR.Fn, HT, FnSuffix).Code;
   }
   OS << "\n} // namespace descend::gen\n";
   R.Ok = true;

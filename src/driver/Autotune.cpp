@@ -32,10 +32,9 @@ struct RunOutcome {
   double RunMs = 0.0;
 };
 
-/// Executes \p P's host `fn main` on a fresh device with counters on.
-/// Mirrors Session::executeMain's argument conventions (fill values per
-/// positional parameter) so `--autotune --args ...` and `--run --args
-/// ...` see the same program.
+/// Executes \p P's host `fn main` on a fresh device with counters on,
+/// binding its arguments like Session::executeMain (vm::bindMainArgs) so
+/// `--autotune --args ...` and `--run --args ...` see the same program.
 RunOutcome runProgram(const vm::CompiledProgram &P,
                       const std::vector<double> &ArgFills) {
   RunOutcome Out;
@@ -48,37 +47,10 @@ RunOutcome runProgram(const vm::CompiledProgram &P,
 
   sim::GpuDevice Dev;
   Dev.setCounters(true);
-  std::vector<vm::HostVal> Args;
-  std::vector<std::shared_ptr<vm::HostArray>> Held;
-  for (size_t I = 0; I != Main->Params.size(); ++I) {
-    const vm::HostFnIR::Param &Pm = Main->Params[I];
-    double Fill = I < ArgFills.size()
-                      ? ArgFills[I]
-                      : (Pm.K == vm::HostFnIR::Param::Scalar ? 0.0 : 1.0);
-    switch (Pm.K) {
-    case vm::HostFnIR::Param::HostArr: {
-      auto Arr = vm::makeHostArray(Pm.Elem, Pm.Count, Fill);
-      Held.push_back(Arr);
-      Args.push_back(vm::HostVal::array(std::move(Arr)));
-      break;
-    }
-    case vm::HostFnIR::Param::DevArr:
-      Args.push_back(vm::HostVal::dev(vm::allocDev(Dev, Pm.Elem, Pm.Count)));
-      break;
-    case vm::HostFnIR::Param::Scalar: {
-      vm::Value V;
-      if (Pm.Elem == ScalarKind::F32 || Pm.Elem == ScalarKind::F64)
-        V.F = Fill;
-      else
-        V.I = static_cast<long long>(Fill);
-      Args.push_back(vm::HostVal::scalar(Pm.Elem, V));
-      break;
-    }
-    }
-  }
+  vm::MainArgs Bound = vm::bindMainArgs(Dev, *Main, ArgFills);
 
   auto T0 = std::chrono::steady_clock::now();
-  vm::RunStatus St = vm::runHostFn(Dev, P, *Main, Args);
+  vm::RunStatus St = vm::runHostFn(Dev, P, *Main, Bound.Args);
   Out.RunMs = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - T0)
                   .count();
@@ -93,7 +65,7 @@ RunOutcome runProgram(const vm::CompiledProgram &P,
     Out.Barriers += LS.barriers();
     Out.GlobalAccesses += LS.globalLoads() + LS.globalStores();
   }
-  for (const auto &Arr : Held)
+  for (const auto &Arr : Bound.Arrays)
     Out.OutBytes.push_back(Arr->Bytes);
   Out.Ok = true;
   return Out;

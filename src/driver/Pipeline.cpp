@@ -273,37 +273,9 @@ ExecuteResult Session::executeMain(const std::string &Source,
   sim::GpuDevice Dev;
   if (Inv.CollectKernelStats)
     Dev.setCounters(true);
-  std::vector<vm::HostVal> Args;
-  std::vector<std::shared_ptr<vm::HostArray>> Held; // observe results
-  for (size_t I = 0; I != Main->Params.size(); ++I) {
-    const vm::HostFnIR::Param &P = Main->Params[I];
-    double Fill = I < ArgFills.size()
-                      ? ArgFills[I]
-                      : (P.K == vm::HostFnIR::Param::Scalar ? 0.0 : 1.0);
-    switch (P.K) {
-    case vm::HostFnIR::Param::HostArr: {
-      auto Arr = vm::makeHostArray(P.Elem, P.Count, Fill);
-      Held.push_back(Arr);
-      Args.push_back(vm::HostVal::array(std::move(Arr)));
-      break;
-    }
-    case vm::HostFnIR::Param::DevArr:
-      Args.push_back(
-          vm::HostVal::dev(vm::allocDev(Dev, P.Elem, P.Count)));
-      break;
-    case vm::HostFnIR::Param::Scalar: {
-      vm::Value V;
-      if (P.Elem == ScalarKind::F32 || P.Elem == ScalarKind::F64)
-        V.F = Fill;
-      else
-        V.I = static_cast<long long>(Fill);
-      Args.push_back(vm::HostVal::scalar(P.Elem, V));
-      break;
-    }
-    }
-  }
+  vm::MainArgs Bound = vm::bindMainArgs(Dev, *Main, ArgFills);
 
-  vm::RunStatus St = vm::runHostFn(Dev, *C.Program, *Main, Args);
+  vm::RunStatus St = vm::runHostFn(Dev, *C.Program, *Main, Bound.Args);
   if (Inv.CollectKernelStats)
     // Collected even on failure: a trapping launch is precisely the one
     // whose counters are worth reading.
@@ -316,11 +288,11 @@ ExecuteResult Session::executeMain(const std::string &Source,
   // Digest every host-array parameter: count, sum and the two endpoint
   // elements, printed with enough digits to round-trip doubles exactly.
   size_t ArrIdx = 0;
-  for (size_t I = 0; I != Main->Params.size(); ++I) {
-    const vm::HostFnIR::Param &P = Main->Params[I];
-    if (P.K != vm::HostFnIR::Param::HostArr)
+  for (unsigned I = 0; I != Main->NumParams; ++I) {
+    const hostgen::HostVar &P = Main->Vars[I];
+    if (P.K != hostgen::HostVar::HostBuf)
       continue;
-    const vm::HostArray &A = *Held[ArrIdx++];
+    const vm::HostArray &A = *Bound.Arrays[ArrIdx++];
     double Sum = 0.0, First = 0.0, Last = 0.0;
     for (size_t E = 0; E != A.Count; ++E) {
       double D;

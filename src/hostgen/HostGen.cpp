@@ -1,15 +1,13 @@
-//===- hostgen/HostGen.cpp - Host-program code generation --------------------===//
+//===- hostgen/HostGen.cpp - Host-program IR and code generation -------------===//
 
 #include "hostgen/HostGen.h"
 
 #include "codegen/Lowerer.h" // cppScalarType, floatLiteral, arrayNest, containsPow
-#include "support/StringUtils.h"
 
+#include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
-#include <vector>
 
 using namespace descend;
 using namespace descend::hostgen;
@@ -21,35 +19,547 @@ using codegen::containsPow;
 using codegen::cppScalarType;
 using codegen::floatLiteral;
 
-/// What a host variable is, as far as the emitter cares.
-struct HostVar {
-  enum Kind { HostBuf, DevBuf, Scalar, LoopVar } K = Scalar;
-  ScalarKind Elem = ScalarKind::F64;
-  Nat Count;         // HostBuf / DevBuf: element count
-  bool IsParam = false;
-  bool Shared = false; // HostBuf: bound through a shared reference
+std::string emitName(const std::string &Name, const std::string &FnSuffix) {
+  return (Name == "main" ? "run" : Name) + FnSuffix;
+}
+
+bool isBuffer(const HostVar &V) {
+  return V.K == HostVar::HostBuf || V.K == HostVar::DevBuf;
+}
+
+/// Result kind of arithmetic over \p A and \p B: f64 over f32 over
+/// integers, the promotion kernel code applies too.
+ScalarKind promote(ScalarKind A, ScalarKind B) {
+  if (A == ScalarKind::F64 || B == ScalarKind::F64)
+    return ScalarKind::F64;
+  if (A == ScalarKind::F32 || B == ScalarKind::F32)
+    return ScalarKind::F32;
+  return ScalarKind::I64;
+}
+
+/// The scalar kind of a value typed \p Ty (the literal's when untyped).
+ScalarKind scalarOf(const TypeRef &Ty, const Expr &E) {
+  if (const auto *S = dyn_cast_if_present<ScalarType>(Ty.get()))
+    return S->Scalar;
+  if (const auto *Lit = dyn_cast<LiteralExpr>(&E))
+    return Lit->Scalar;
+  return ScalarKind::F64;
+}
+
+//===----------------------------------------------------------------------===//
+// Lowering: one walk over the AST, every acceptance rule
+//===----------------------------------------------------------------------===//
+
+class HostLowering {
+public:
+  HostLowering(const Module &M, const FnDef &Fn) : M(M), Fn(Fn) {}
+
+  HostBuildResult run();
+
+private:
+  const Module &M;
+  const FnDef &Fn;
+  HostFn F;
+  std::string Error;
+  std::vector<std::map<std::string, unsigned>> Scopes;
+
+  bool fail(const std::string &Msg) {
+    if (Error.empty())
+      Error = Msg;
+    return false;
+  }
+
+  unsigned define(const std::string &Name, HostVar V) {
+    V.Name = Name;
+    unsigned Slot = static_cast<unsigned>(F.Vars.size());
+    F.Vars.push_back(std::move(V));
+    Scopes.back()[Name] = Slot;
+    return Slot;
+  }
+
+  std::optional<unsigned> lookup(const std::string &Name) const {
+    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
+      if (auto Found = It->find(Name); Found != It->end())
+        return Found->second;
+    return std::nullopt;
+  }
+
+  /// Simplifies a size or loop bound into \p Out and evaluates it when
+  /// instantiated. An unfolded power has no C++ spelling.
+  bool nat(const Nat &N, Nat &Out, std::optional<long long> &Value) {
+    Out = N.simplified();
+    if (containsPow(Out))
+      return fail("size expression `" + Out.str() +
+                  "` contains an unfolded power");
+    Value = Out.evaluate({});
+    return true;
+  }
+
+  /// \p D with every extent simplified.
+  bool dim(const Dim &D, Dim &Out) {
+    std::optional<long long> Unused;
+    for (auto [From, To] :
+         {std::pair{&D.X, &Out.X}, {&D.Y, &Out.Y}, {&D.Z, &Out.Z}})
+      if (!From->isNull() && !nat(*From, *To, Unused))
+        return false;
+    return true;
+  }
+
+  /// Element count of an array type `[[T; n]; m]` (its element kind into
+  /// \p Elem); nullopt when \p T is no array of scalars.
+  static std::optional<Nat> arrayCount(const TypeRef &T, ScalarKind &Elem) {
+    std::vector<Nat> Dims;
+    if (!arrayNest(T, Dims, Elem))
+      return std::nullopt;
+    Nat Count = Nat::lit(1);
+    for (const Nat &D : Dims)
+      Count = Count * D;
+    return Count;
+  }
+
+  /// Slot of the buffer variable a transfer or launch argument names
+  /// (`&uniq *b`, `&b` or `b`).
+  std::optional<unsigned> bufferArg(const Expr &E) const {
+    const Expr *Inner = &E;
+    if (const auto *B = dyn_cast<BorrowExpr>(Inner))
+      Inner = B->Place.get();
+    const auto *P = dyn_cast<PlaceExpr>(Inner);
+    return P ? lookup(P->rootVar()) : std::nullopt;
+  }
+
+  struct Place {
+    unsigned Slot = 0;
+    std::optional<HostExpr> Index;
+  };
+  std::optional<Place> place(const PlaceExpr &P);
+  std::optional<HostExpr> expr(const Expr &E);
+  std::optional<HostExpr> callArg(const Expr &E);
+
+  bool params();
+  bool block(const BlockExpr &Blk, std::vector<HostStmt> &Out);
+  bool stmt(const Expr &E, std::vector<HostStmt> &Out);
+  bool let(const LetExpr &L, std::vector<HostStmt> &Out);
+  bool call(const CallExpr &C, std::vector<HostStmt> &Out);
+  bool forNat(const ForNatExpr &Loop, std::vector<HostStmt> &Out);
 };
 
-class Emitter {
+HostBuildResult HostLowering::run() {
+  HostBuildResult R;
+  F.Name = Fn.Name;
+  F.Signature = Fn.signature();
+  Scopes.emplace_back();
+  bool Ok = params();
+  if (Ok && Fn.Body)
+    Ok = block(*cast<BlockExpr>(Fn.Body.get()), F.Body);
+  if (!Ok) {
+    R.Error = Error.empty() ? "host lowering failed" : Error;
+    return R;
+  }
+  R.Ok = true;
+  R.Fn = std::move(F);
+  return R;
+}
+
+bool HostLowering::params() {
+  if (Fn.RetTy && !DataType::equal(Fn.RetTy, makeUnit()))
+    return fail("host functions must return (), `" + Fn.Name + "` returns `" +
+                Fn.RetTy->str() + "`");
+  for (const FnParam &P : Fn.Params) {
+    HostVar V;
+    V.IsParam = true;
+    if (const auto *Ref = dyn_cast<RefType>(P.Ty.get())) {
+      std::optional<Nat> Count = arrayCount(Ref->Pointee, V.Elem);
+      if (!Count)
+        return fail("unsupported host parameter type `" + P.Ty->str() + "`");
+      V.Shared = Ref->Own == Ownership::Shrd;
+      if (Ref->Mem.Kind == MemoryKind::CpuMem)
+        V.K = HostVar::HostBuf;
+      else if (Ref->Mem.Kind == MemoryKind::GpuGlobal)
+        V.K = HostVar::DevBuf;
+      else
+        return fail("unsupported host parameter memory `" + Ref->Mem.str() +
+                    "`");
+      if (!nat(*Count, V.Count, V.CountValue))
+        return false;
+    } else if (const auto *S = dyn_cast<ScalarType>(P.Ty.get())) {
+      V.K = HostVar::Scalar;
+      V.Elem = S->Scalar;
+    } else {
+      return fail("unsupported host parameter type `" + P.Ty->str() + "`");
+    }
+    define(P.Name, std::move(V));
+  }
+  F.NumParams = static_cast<unsigned>(F.Vars.size());
+  return true;
+}
+
+/// A variable, optionally indexed once: host arrays are one-dimensional
+/// in every backend (a second index would need row-major flattening).
+std::optional<HostLowering::Place> HostLowering::place(const PlaceExpr &P) {
+  std::vector<const PlaceExpr *> Chain;
+  for (const PlaceExpr *Cur = &P; Cur; Cur = basePlace(Cur))
+    Chain.push_back(Cur);
+  Place Out;
+  for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
+    switch ((*It)->kind()) {
+    case ExprKind::PlaceVar: {
+      const auto *V = cast<PlaceVar>(*It);
+      std::optional<unsigned> Slot = lookup(V->Name);
+      if (!Slot) {
+        fail("unknown host variable `" + V->Name + "`");
+        return std::nullopt;
+      }
+      Out.Slot = *Slot;
+      break;
+    }
+    case ExprKind::PlaceDeref:
+      break; // buffers index directly; the deref is implicit
+    case ExprKind::PlaceIndex:
+      if (Out.Index) {
+        fail("place `" + P.str() + "` indexes more than one dimension");
+        return std::nullopt;
+      }
+      Out.Index = expr(*cast<PlaceIndex>(*It)->Index);
+      if (!Out.Index)
+        return std::nullopt;
+      break;
+    default:
+      fail("place `" + P.str() + "` is not addressable in host code");
+      return std::nullopt;
+    }
+  }
+  return Out;
+}
+
+std::optional<HostExpr> HostLowering::expr(const Expr &E) {
+  HostExpr X;
+  switch (E.kind()) {
+  case ExprKind::Literal: {
+    const auto *L = cast<LiteralExpr>(&E);
+    X.K = HostExpr::Lit;
+    X.Ty = L->Scalar;
+    X.Float = L->FloatValue;
+    X.Int = L->Scalar == ScalarKind::Bool ? L->BoolValue : L->IntValue;
+    return X;
+  }
+  case ExprKind::Binary: {
+    const auto *B = cast<BinaryExpr>(&E);
+    auto L = expr(*B->Lhs);
+    auto R = expr(*B->Rhs);
+    if (!L || !R)
+      return std::nullopt;
+    X.K = HostExpr::Binary;
+    X.BO = B->Op;
+    switch (B->Op) {
+    case BinOpKind::Add:
+    case BinOpKind::Sub:
+    case BinOpKind::Mul:
+    case BinOpKind::Div:
+    case BinOpKind::Mod:
+      X.Ty = promote(L->Ty, R->Ty);
+      break;
+    default:
+      X.Ty = ScalarKind::Bool;
+      break;
+    }
+    X.Ops = {std::move(*L), std::move(*R)};
+    return X;
+  }
+  case ExprKind::Unary: {
+    const auto *U = cast<UnaryExpr>(&E);
+    auto S = expr(*U->Sub);
+    if (!S)
+      return std::nullopt;
+    X.K = HostExpr::Unary;
+    X.UO = U->Op;
+    X.Ty = U->Op == UnOpKind::Not ? ScalarKind::Bool : S->Ty;
+    X.Ops = {std::move(*S)};
+    return X;
+  }
+  case ExprKind::PlaceVar:
+  case ExprKind::PlaceDeref:
+  case ExprKind::PlaceIndex: {
+    const auto &P = *cast<PlaceExpr>(&E);
+    auto Pl = place(P);
+    if (!Pl)
+      return std::nullopt;
+    const HostVar &V = F.Vars[Pl->Slot];
+    X.Slot = Pl->Slot;
+    X.Ty = V.Elem;
+    if (Pl->Index) {
+      if (V.K != HostVar::HostBuf) {
+        fail("place `" + P.str() + "` indexes a non-host-memory buffer");
+        return std::nullopt;
+      }
+      X.K = HostExpr::Index;
+      X.Ops = {std::move(*Pl->Index)};
+      return X;
+    }
+    if (isBuffer(V)) {
+      fail("place `" + P.str() + "` reads a whole buffer as a scalar");
+      return std::nullopt;
+    }
+    X.K = HostExpr::Var;
+    return X;
+  }
+  default:
+    fail("unsupported host expression: " + exprToString(E));
+    return std::nullopt;
+  }
+}
+
+/// A host call argument: a borrowed or named whole buffer passes by slot,
+/// anything else is a scalar value.
+std::optional<HostExpr> HostLowering::callArg(const Expr &E) {
+  const Expr *Inner = &E;
+  if (const auto *B = dyn_cast<BorrowExpr>(Inner))
+    Inner = B->Place.get();
+  if (const auto *P = dyn_cast<PlaceExpr>(Inner)) {
+    auto Pl = place(*P);
+    if (!Pl)
+      return std::nullopt;
+    if (!Pl->Index && isBuffer(F.Vars[Pl->Slot])) {
+      HostExpr X;
+      X.K = HostExpr::Var;
+      X.Slot = Pl->Slot;
+      X.Ty = F.Vars[Pl->Slot].Elem;
+      return X;
+    }
+  }
+  return expr(*Inner);
+}
+
+bool HostLowering::block(const BlockExpr &Blk, std::vector<HostStmt> &Out) {
+  for (const ExprPtr &S : Blk.Stmts)
+    if (!stmt(*S, Out))
+      return false;
+  return true;
+}
+
+bool HostLowering::stmt(const Expr &E, std::vector<HostStmt> &Out) {
+  HostStmt S;
+  switch (E.kind()) {
+  case ExprKind::Let:
+    return let(*cast<LetExpr>(&E), Out);
+  case ExprKind::Call:
+    return call(*cast<CallExpr>(&E), Out);
+  case ExprKind::ForNat:
+    return forNat(*cast<ForNatExpr>(&E), Out);
+  case ExprKind::Assign: {
+    const auto *A = cast<AssignExpr>(&E);
+    auto Pl = place(*A->Lhs);
+    if (!Pl)
+      return false;
+    const HostVar::Kind K = F.Vars[Pl->Slot].K;
+    if (Pl->Index && K != HostVar::HostBuf)
+      return fail("assignment target `" + A->Lhs->str() +
+                  "` is not a host-memory buffer");
+    if (!Pl->Index && K != HostVar::Scalar)
+      return fail("assignment target `" + A->Lhs->str() + "` is not a scalar");
+    S.K = HostStmt::Assign;
+    S.Dst = Pl->Slot;
+    S.Index = std::move(Pl->Index);
+    S.Value = expr(*A->Rhs);
+    if (!S.Value)
+      return false;
+    break;
+  }
+  case ExprKind::Block: {
+    S.K = HostStmt::Block;
+    Scopes.emplace_back();
+    bool Ok = block(*cast<BlockExpr>(&E), S.Body);
+    Scopes.pop_back();
+    if (!Ok)
+      return false;
+    break;
+  }
+  default:
+    return fail("unsupported host statement: " + exprToString(E));
+  }
+  Out.push_back(std::move(S));
+  return true;
+}
+
+bool HostLowering::let(const LetExpr &L, std::vector<HostStmt> &Out) {
+  HostStmt S;
+  HostVar V;
+  const auto *C = dyn_cast<CallExpr>(L.Init.get());
+  if (C && C->Callee == "CpuHeap::new") {
+    const auto *Init = dyn_cast<ArrayInitExpr>(
+        C->Args.empty() ? nullptr : C->Args[0].get());
+    if (!Init)
+      return fail("CpuHeap::new expects an array initializer `[v; n]`");
+    S.K = HostStmt::Alloc;
+    V.K = HostVar::HostBuf;
+    V.Elem = scalarOf(Init->Elem->Ty, *Init->Elem);
+    S.Value = expr(*Init->Elem);
+    if (!S.Value || !nat(Init->Count, V.Count, V.CountValue))
+      return false;
+  } else if (C && C->Callee == "GpuGlobal::alloc_copy") {
+    std::optional<unsigned> Src =
+        C->Args.empty() ? std::nullopt : bufferArg(*C->Args[0]);
+    if (!Src || F.Vars[*Src].K != HostVar::HostBuf)
+      return fail("GpuGlobal::alloc_copy expects a reference to a host "
+                  "buffer variable");
+    S.K = HostStmt::AllocCopy;
+    S.Src = *Src;
+    V.K = HostVar::DevBuf;
+    V.Elem = F.Vars[*Src].Elem;
+    V.Count = F.Vars[*Src].Count;
+    V.CountValue = F.Vars[*Src].CountValue;
+  } else if (const auto *A = dyn_cast<AllocExpr>(L.Init.get())) {
+    // alloc::<cpu.mem, [T; n]>() — zero-initialized host heap array.
+    std::optional<Nat> Count = A->Mem.Kind == MemoryKind::CpuMem
+                                   ? arrayCount(A->AllocTy, V.Elem)
+                                   : std::nullopt;
+    if (!Count)
+      return fail("unsupported host allocation: " + exprToString(*L.Init));
+    if (!nat(*Count, V.Count, V.CountValue))
+      return false;
+    S.K = HostStmt::Alloc;
+    V.K = HostVar::HostBuf;
+  } else {
+    S.K = HostStmt::Let;
+    S.Value = expr(*L.Init);
+    if (!S.Value)
+      return false;
+    V.K = HostVar::Scalar;
+    V.Elem = scalarOf(L.Annotation ? L.Annotation : L.Init->Ty, *L.Init);
+  }
+  S.Dst = define(L.Name, std::move(V));
+  Out.push_back(std::move(S));
+  return true;
+}
+
+bool HostLowering::call(const CallExpr &C, std::vector<HostStmt> &Out) {
+  HostStmt S;
+  S.Callee = C.Callee;
+  if (C.IsLaunch) {
+    S.K = HostStmt::Launch;
+    if (!dim(C.LaunchGrid, S.GridDim) || !dim(C.LaunchBlock, S.BlockDim))
+      return false;
+    for (const ExprPtr &A : C.Args) {
+      std::optional<unsigned> Slot = bufferArg(*A);
+      if (!Slot)
+        return fail("kernel launch arguments must be buffer variable "
+                    "references");
+      if (F.Vars[*Slot].K != HostVar::DevBuf)
+        return fail("kernel launch argument `" + F.Vars[*Slot].Name +
+                    "` is not a device buffer");
+      S.Bufs.push_back(*Slot);
+    }
+  } else if (C.Callee == "copy_mem_to_host" || C.Callee == "copy_to_gpu") {
+    const bool ToHost = C.Callee == "copy_mem_to_host";
+    if (C.Args.size() != 2)
+      return fail("`" + C.Callee + "` expects two arguments");
+    std::optional<unsigned> Dst = bufferArg(*C.Args[0]);
+    std::optional<unsigned> Src = bufferArg(*C.Args[1]);
+    if (!Dst || !Src)
+      return fail("`" + C.Callee + "` expects buffer variable references");
+    auto Is = [&](unsigned Slot, bool Host) {
+      return F.Vars[Slot].K == (Host ? HostVar::HostBuf : HostVar::DevBuf);
+    };
+    if (!Is(*Dst, ToHost) || !Is(*Src, !ToHost))
+      return fail("`" + C.Callee + "`: arguments have the wrong memory spaces");
+    S.K = ToHost ? HostStmt::CopyToHost : HostStmt::CopyToGpu;
+    S.Dst = *Dst;
+    S.Src = *Src;
+  } else if (const FnDef *Callee = M.findFn(C.Callee);
+             Callee && Callee->isCpuFn()) {
+    if (!Callee->Body)
+      return fail("host call of `" + C.Callee + "` which has no body");
+    S.K = HostStmt::Call;
+    for (const auto &Other : M.Fns) {
+      if (Other.get() == Callee)
+        break;
+      S.Target += Other->isCpuFn() && Other->Body;
+    }
+    for (const ExprPtr &A : C.Args) {
+      auto X = callArg(*A);
+      if (!X)
+        return false;
+      S.Args.push_back(std::move(*X));
+    }
+  } else {
+    return fail("unsupported host call: " + C.Callee);
+  }
+  Out.push_back(std::move(S));
+  return true;
+}
+
+bool HostLowering::forNat(const ForNatExpr &Loop, std::vector<HostStmt> &Out) {
+  HostStmt S;
+  S.K = HostStmt::ForNat;
+  if (!nat(Loop.Lo, S.Lo, S.LoValue) || !nat(Loop.Hi, S.Hi, S.HiValue))
+    return false;
+  Scopes.emplace_back();
+  HostVar V;
+  V.K = HostVar::LoopVar;
+  V.Elem = ScalarKind::I64;
+  S.Dst = define(Loop.Var, std::move(V));
+  bool Ok = Loop.Body->kind() == ExprKind::Block
+                ? block(*cast<BlockExpr>(Loop.Body.get()), S.Body)
+                : stmt(*Loop.Body, S.Body);
+  Scopes.pop_back();
+  if (!Ok)
+    return false;
+  Out.push_back(std::move(S));
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Expression spelling, shared by the printers and the listing
+//===----------------------------------------------------------------------===//
+
+std::string exprStr(const HostFn &F, const HostExpr &E) {
+  switch (E.K) {
+  case HostExpr::Lit:
+    if (E.Ty == ScalarKind::F32 || E.Ty == ScalarKind::F64)
+      return floatLiteral(E.Float, E.Ty);
+    if (E.Ty == ScalarKind::Bool)
+      return E.Int ? "true" : "false";
+    return std::to_string(E.Int);
+  case HostExpr::Var:
+    return F.Vars[E.Slot].Name;
+  case HostExpr::Index:
+    return F.Vars[E.Slot].Name + "[" + exprStr(F, E.Ops[0]) + "]";
+  case HostExpr::Unary:
+    return (E.UO == UnOpKind::Neg ? "-" : "!") + exprStr(F, E.Ops[0]);
+  case HostExpr::Binary:
+    return "(" + exprStr(F, E.Ops[0]) + " " + binOpSpelling(E.BO) + " " +
+           exprStr(F, E.Ops[1]) + ")";
+  }
+  return "?";
+}
+
+/// The written place of an Assign: `x` or `buf[i]`.
+std::string targetStr(const HostFn &F, const HostStmt &S) {
+  return F.Vars[S.Dst].Name +
+         (S.Index ? "[" + exprStr(F, *S.Index) + "]" : std::string());
+}
+
+//===----------------------------------------------------------------------===//
+// The printers
+//===----------------------------------------------------------------------===//
+
+class Printer {
 public:
-  Emitter(const Module &M, const FnDef &Fn, HostTarget T,
-          const std::string &FnSuffix)
-      : M(M), Fn(Fn), T(T),
+  Printer(const HostFn &F, HostTarget T, const std::string &FnSuffix)
+      : F(F), T(T),
         Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
         Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
 
   HostGenResult run();
 
 private:
-  const Module &M;
-  const FnDef &Fn;
+  const HostFn &F;
   HostTarget T;
-  /// Emitting an asynchronous sim::Stream-taking overload: device
+  /// Printing an asynchronous sim::Stream-taking overload: device
   /// operations enqueue, host-touching statements synchronize first.
   /// (The graph overload reuses all of this machinery for its
   /// non-captured tail.)
   bool Stream;
-  /// Emitting the graph-mode overload: capture the leading device-op run
+  /// Printing the graph-mode overload: capture the leading device-op run
   /// on the first call, replay + rebind afterwards.
   bool Graph;
   const std::string &FnSuffix;
@@ -57,17 +567,41 @@ private:
   std::ostringstream OS;
   std::string Error;
   unsigned Depth = 1;
+  /// How many loops and blocks enclose the statement being printed.
+  unsigned Nesting = 0;
 
   /// Stream mode: operations are enqueued but not yet joined; the next
   /// statement that touches host memory must synchronize first.
   bool PendingAsync = false;
 
-  /// Stream mode: how many host-memory-touch points have been emitted so
-  /// far. Loop emission snapshots this to detect bodies that touch host
-  /// memory (see emitForNat's back-edge join).
+  /// Stream mode: how many host-memory-touch points have been printed so
+  /// far. Loop printing snapshots this to detect bodies that touch host
+  /// memory (see the ForNat back-edge join).
   unsigned HostTouches = 0;
 
+  /// Device buffers allocated at function scope, in allocation order
+  /// (cuda: released with cudaFree before returning).
+  std::vector<unsigned> DeviceBufs;
+
+  /// Graph mode: the host-buffer parameters the capture rebinds, in
+  /// first-use order; a variable's index here is its graph slot.
+  std::vector<unsigned> Rebound;
+
   bool isSim() const { return T != HostTarget::Cuda; }
+  const HostVar &var(unsigned Slot) const { return F.Vars[Slot]; }
+  const std::string &name(unsigned Slot) const { return F.Vars[Slot].Name; }
+
+  /// The C++ expression denoting the raw host storage of a host buffer
+  /// for a cudaMemcpy argument (locals are std::vectors, parameters raw
+  /// pointers).
+  std::string hostRaw(unsigned Slot) const {
+    return var(Slot).IsParam ? name(Slot) : name(Slot) + ".data()";
+  }
+
+  void indent() {
+    for (unsigned I = 0; I != Depth; ++I)
+      OS << "  ";
+  }
 
   /// Stream mode: joins the stream before a host-memory-touching
   /// statement (no-op otherwise). Every join is followed by a
@@ -77,8 +611,10 @@ private:
     if (!Stream)
       return;
     ++HostTouches;
-    if (!PendingAsync)
-      return;
+    if (PendingAsync)
+      join();
+  }
+  void join() {
     indent();
     OS << "_stream.synchronize();\n";
     indent();
@@ -86,210 +622,38 @@ private:
     PendingAsync = false;
   }
 
-  std::vector<std::map<std::string, HostVar>> Scopes;
-  /// Device buffers allocated at function scope, in allocation order
-  /// (cuda: released with cudaFree before returning).
-  std::vector<std::string> DeviceBufs;
-
-  bool fail(const std::string &Msg) {
-    if (Error.empty())
-      Error = Msg;
-    return false;
-  }
-
-  void indent() {
-    for (unsigned I = 0; I != Depth; ++I)
-      OS << "  ";
-  }
-
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-
-  void bind(const std::string &Name, HostVar V) {
-    Scopes.back()[Name] = std::move(V);
-  }
-
-  const HostVar *lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-      if (auto Found = It->find(Name); Found != It->end())
-        return &Found->second;
-    return nullptr;
-  }
-
-  /// Spelling of a Nat as C++ (sizes are simplified first; unfolded pow
-  /// has no C++ spelling and is rejected).
-  std::optional<std::string> natCpp(const Nat &N) {
-    Nat S = N.simplified();
-    if (containsPow(S)) {
-      fail("size expression `" + S.str() + "` contains an unfolded power");
-      return std::nullopt;
-    }
-    return S.str();
-  }
-
-  /// The C++ expression denoting the raw host storage of \p Name for a
-  /// cudaMemcpy argument (locals are std::vectors, parameters raw
-  /// pointers).
-  std::string hostRaw(const std::string &Name, const HostVar &V) const {
-    return V.IsParam ? Name : Name + ".data()";
-  }
-
-  std::optional<std::string> exprCpp(const Expr &E);
-  std::optional<std::string> placeCpp(const PlaceExpr &P);
-  std::string argVar(const Expr &E);
-
-  bool emitSignature();
-  bool emitBlock(const BlockExpr &Blk);
-  bool emitStmt(const Expr &E);
-  bool emitLet(const LetExpr &L);
-  bool emitAllocCall(const CallExpr &C, const std::string &Let);
-  bool emitCall(const CallExpr &C);
-  bool emitLaunch(const CallExpr &C);
-  bool emitForNat(const ForNatExpr &F);
+  void signature();
+  bool body(const std::vector<HostStmt> &Body);
+  bool stmt(const HostStmt &S);
+  bool allocCopy(const HostStmt &S);
+  void copy(const HostStmt &S);
+  void launch(const HostStmt &S);
+  void call(const HostStmt &S);
+  bool forNat(const HostStmt &S);
 
   // Graph mode ---------------------------------------------------------
 
-  /// Host-buffer slot of host variable \p Name, assigned in first-use
-  /// order during capture emission (also the bind emission order).
-  unsigned graphSlot(const std::string &Name) {
-    auto It = GraphSlots.find(Name);
-    if (It != GraphSlots.end())
-      return It->second;
-    unsigned Slot = static_cast<unsigned>(GraphSlots.size());
-    GraphSlots[Name] = Slot;
-    SlotBinds.emplace_back(Slot, Name);
-    return Slot;
+  /// Graph slot of host-buffer parameter \p Var, assigned in first-use
+  /// order during capture printing (also the bind printing order).
+  unsigned graphSlot(unsigned Var) {
+    auto It = std::find(Rebound.begin(), Rebound.end(), Var);
+    if (It == Rebound.end())
+      It = Rebound.insert(It, Var);
+    return static_cast<unsigned>(It - Rebound.begin());
   }
 
-  bool captureStmtOk(const Expr &E, std::set<std::string> &Locals);
-  size_t scanCapturePrefix(const BlockExpr &Blk);
-  bool emitCaptureStmt(const Expr &E);
-  bool emitGraphBody(const BlockExpr &Blk, size_t Prefix);
-
-  std::map<std::string, unsigned> GraphSlots;
-  std::vector<std::pair<unsigned, std::string>> SlotBinds;
+  bool capturable(const HostStmt &S, std::set<unsigned> &Locals) const;
+  bool mentions(const HostStmt &S, const std::set<unsigned> &Vars) const;
+  bool mentions(const HostExpr &E, const std::set<unsigned> &Vars) const;
+  size_t capturePrefix() const;
+  void captureStmt(const HostStmt &S);
+  bool graphBody(size_t Prefix);
 };
 
-/// True when \p E (or anything nested in it) names one of \p Names.
-/// Conservative: used to reject graph capture when post-capture host code
-/// reaches into a capture-produced device buffer.
-bool mentionsAny(const Expr &E, const std::set<std::string> &Names) {
-  if (const auto *V = dyn_cast<PlaceVar>(&E))
-    if (Names.count(V->Name))
-      return true;
-  bool Found = false;
-  forEachChild(const_cast<Expr &>(E), [&](Expr &C) {
-    if (!Found && mentionsAny(C, Names))
-      Found = true;
-  });
-  return Found;
-}
-
-/// Root variable name of a borrow / place argument; empty for anything
-/// else (the callers report the error with context).
-std::string Emitter::argVar(const Expr &E) {
-  const Expr *Inner = &E;
-  if (const auto *B = dyn_cast<BorrowExpr>(Inner))
-    Inner = B->Place.get();
-  if (const auto *P = dyn_cast<PlaceExpr>(Inner))
-    return P->rootVar();
-  return "";
-}
-
-std::optional<std::string> Emitter::placeCpp(const PlaceExpr &P) {
-  // Flatten root-to-leaf.
-  std::vector<const PlaceExpr *> Chain;
-  for (const PlaceExpr *Cur = &P; Cur; Cur = basePlace(Cur))
-    Chain.push_back(Cur);
-  std::reverse(Chain.begin(), Chain.end());
-
-  std::string S;
-  for (const PlaceExpr *Step : Chain) {
-    switch (Step->kind()) {
-    case ExprKind::PlaceVar: {
-      const auto *V = cast<PlaceVar>(Step);
-      if (!lookup(V->Name)) {
-        fail("unknown host variable `" + V->Name + "`");
-        return std::nullopt;
-      }
-      S = V->Name;
-      break;
-    }
-    case ExprKind::PlaceDeref:
-      // Buffers index directly in both targets (HostBuffer::operator[],
-      // raw pointers, std::vector); the deref is implicit.
-      break;
-    case ExprKind::PlaceIndex: {
-      const auto *Idx = cast<PlaceIndex>(Step);
-      auto I = exprCpp(*Idx->Index);
-      if (!I)
-        return std::nullopt;
-      S += "[" + *I + "]";
-      break;
-    }
-    default:
-      fail("place `" + P.str() + "` is not addressable in host code");
-      return std::nullopt;
-    }
-  }
-  return S;
-}
-
-std::optional<std::string> Emitter::exprCpp(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Literal: {
-    const auto *L = cast<LiteralExpr>(&E);
-    switch (L->Scalar) {
-    case ScalarKind::F32:
-    case ScalarKind::F64:
-      return floatLiteral(L->FloatValue, L->Scalar);
-    case ScalarKind::Bool:
-      return std::string(L->BoolValue ? "true" : "false");
-    default:
-      return std::to_string(L->IntValue);
-    }
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    auto L = exprCpp(*B->Lhs);
-    auto R = exprCpp(*B->Rhs);
-    if (!L || !R)
-      return std::nullopt;
-    return "(" + *L + " " + binOpSpelling(B->Op) + " " + *R + ")";
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    auto S = exprCpp(*U->Sub);
-    if (!S)
-      return std::nullopt;
-    return std::string(U->Op == UnOpKind::Neg ? "-" : "!") + *S;
-  }
-  case ExprKind::PlaceVar:
-  case ExprKind::PlaceDeref:
-  case ExprKind::PlaceIndex:
-    return placeCpp(*cast<PlaceExpr>(&E));
-  default:
-    fail("unsupported host expression: " + exprToString(E));
-    return std::nullopt;
-  }
-}
-
-bool Emitter::emitSignature() {
-  if (Fn.RetTy && !DataType::equal(Fn.RetTy, makeUnit()))
-    return fail("host functions must return (), `" + Fn.Name + "` returns `" +
-                Fn.RetTy->str() + "`");
-
-  OS << "/// " << Fn.signature() << "\n";
-  OS << (isSim() ? "inline void " : "void ")
-     << hostFnEmitName(Fn, FnSuffix) << "(";
-  bool First = true;
-  auto Sep = [&]() {
-    if (!First)
-      OS << ",\n    ";
-    else if (isSim())
-      OS << ",\n    "; // after the device/stream argument
-    First = false;
-  };
+void Printer::signature() {
+  OS << "/// " << F.Signature << "\n";
+  OS << (isSim() ? "inline void " : "void ") << emitName(F.Name, FnSuffix)
+     << "(";
   if (Stream) {
     OS << "descend::sim::Stream &_stream";
     if (Graph)
@@ -297,53 +661,21 @@ bool Emitter::emitSignature() {
   } else if (isSim()) {
     OS << "descend::sim::GpuDevice &_dev";
   }
-
-  for (const FnParam &P : Fn.Params) {
-    HostVar V;
-    V.IsParam = true;
-    if (const auto *Ref = dyn_cast<RefType>(P.Ty.get())) {
-      std::vector<Nat> Dims;
-      ScalarKind Elem = ScalarKind::F64;
-      if (!arrayNest(Ref->Pointee, Dims, Elem))
-        return fail("unsupported host parameter type `" + P.Ty->str() + "`");
-      Nat Count = Nat::lit(1);
-      for (const Nat &D : Dims)
-        Count = Count * D;
-      V.Elem = Elem;
-      V.Count = Count.simplified();
-      V.Shared = Ref->Own == Ownership::Shrd;
-      if (Ref->Mem.Kind == MemoryKind::CpuMem) {
-        V.K = HostVar::HostBuf;
-        Sep();
-        if (isSim())
-          OS << (V.Shared ? "const descend::rt::HostBuffer<"
-                          : "descend::rt::HostBuffer<")
-             << cppScalarType(Elem) << "> &" << P.Name;
-        else
-          OS << (V.Shared ? "const " : "") << cppScalarType(Elem) << " *"
-             << P.Name;
-      } else if (Ref->Mem.Kind == MemoryKind::GpuGlobal) {
-        V.K = HostVar::DevBuf;
-        Sep();
-        if (isSim())
-          OS << "descend::sim::GpuDevice::Buffer<" << cppScalarType(Elem)
-             << "> " << P.Name;
-        else
-          OS << (V.Shared ? "const " : "") << cppScalarType(Elem) << " *"
-             << P.Name;
-      } else {
-        return fail("unsupported host parameter memory `" +
-                    Ref->Mem.str() + "`");
-      }
-    } else if (const auto *S = dyn_cast<ScalarType>(P.Ty.get())) {
-      V.K = HostVar::Scalar;
-      V.Elem = S->Scalar;
-      Sep();
-      OS << cppScalarType(S->Scalar) << " " << P.Name;
-    } else {
-      return fail("unsupported host parameter type `" + P.Ty->str() + "`");
-    }
-    bind(P.Name, std::move(V));
+  for (unsigned I = 0; I != F.NumParams; ++I) {
+    const HostVar &V = F.Vars[I];
+    const char *CT = cppScalarType(V.Elem);
+    if (I || isSim())
+      OS << ",\n    "; // after the device/stream argument
+    if (V.K == HostVar::Scalar)
+      OS << CT << " " << V.Name;
+    else if (!isSim())
+      OS << (V.Shared ? "const " : "") << CT << " *" << V.Name;
+    else if (V.K == HostVar::HostBuf)
+      OS << (V.Shared ? "const descend::rt::HostBuffer<"
+                      : "descend::rt::HostBuffer<")
+         << CT << "> &" << V.Name;
+    else
+      OS << "descend::sim::GpuDevice::Buffer<" << CT << "> " << V.Name;
   }
   OS << ") {\n";
   if (Stream) {
@@ -354,370 +686,223 @@ bool Emitter::emitSignature() {
     indent();
     OS << "(void)_dev;\n";
   }
-  return true;
 }
 
-bool Emitter::emitBlock(const BlockExpr &Blk) {
-  for (const ExprPtr &S : Blk.Stmts)
-    if (!emitStmt(*S))
+bool Printer::body(const std::vector<HostStmt> &Body) {
+  for (const HostStmt &S : Body)
+    if (!stmt(S))
       return false;
   return true;
 }
 
-bool Emitter::emitStmt(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Let:
-    return emitLet(*cast<LetExpr>(&E));
-  case ExprKind::Call:
-    return emitCall(*cast<CallExpr>(&E));
-  case ExprKind::Assign: {
-    const auto *A = cast<AssignExpr>(&E);
-    syncIfPending(); // assignment may read/write host buffers
-    auto L = placeCpp(*A->Lhs);
-    auto R = exprCpp(*A->Rhs);
-    if (!L || !R)
-      return false;
+bool Printer::stmt(const HostStmt &S) {
+  switch (S.K) {
+  case HostStmt::Alloc: {
+    const HostVar &V = var(S.Dst);
+    const char *CT = cppScalarType(V.Elem);
     indent();
-    OS << *L << " = " << *R << ";\n";
+    OS << (isSim() ? "descend::rt::HostBuffer<" : "std::vector<") << CT
+       << "> " << V.Name << "(" << V.Count.str() << ", ";
+    if (S.Value)
+      OS << exprStr(F, *S.Value);
+    else
+      OS << CT << "{}";
+    OS << ");\n";
     return true;
   }
-  case ExprKind::ForNat:
+  case HostStmt::AllocCopy:
+    return allocCopy(S);
+  case HostStmt::CopyToHost:
+  case HostStmt::CopyToGpu:
+    copy(S);
+    return true;
+  case HostStmt::Launch:
+    launch(S);
+    return true;
+  case HostStmt::Let:
+    syncIfPending(); // the initializer may read host buffers
+    indent();
+    OS << cppScalarType(var(S.Dst).Elem) << " " << name(S.Dst) << " = "
+       << exprStr(F, *S.Value) << ";\n";
+    return true;
+  case HostStmt::Assign:
+    syncIfPending(); // assignment may read/write host buffers
+    indent();
+    OS << targetStr(F, S) << " = " << exprStr(F, *S.Value) << ";\n";
+    return true;
+  case HostStmt::ForNat:
     syncIfPending(); // the loop body may read host buffers
-    return emitForNat(*cast<ForNatExpr>(&E));
-  case ExprKind::Block: {
+    return forNat(S);
+  case HostStmt::Call:
+    call(S);
+    return true;
+  case HostStmt::Block: {
     indent();
     OS << "{\n";
     ++Depth;
-    pushScope();
-    bool Ok = emitBlock(*cast<BlockExpr>(&E));
-    popScope();
+    ++Nesting;
+    bool Ok = body(S.Body);
+    --Nesting;
     --Depth;
     indent();
     OS << "}\n";
     return Ok;
   }
-  default:
-    return fail("unsupported host statement: " + exprToString(E));
   }
+  return true;
 }
 
-bool Emitter::emitForNat(const ForNatExpr &F) {
-  auto Lo = natCpp(F.Lo);
-  auto Hi = natCpp(F.Hi);
-  if (!Lo || !Hi)
+bool Printer::allocCopy(const HostStmt &S) {
+  const std::string &Dst = name(S.Dst), &Src = name(S.Src);
+  if (isSim()) {
+    indent();
+    if (Stream) {
+      OS << "auto " << Dst << " = descend::rt::allocCopyAsync(_stream, "
+         << Src << ");\n";
+      PendingAsync = true;
+    } else {
+      OS << "auto " << Dst << " = descend::rt::allocCopy(_dev, " << Src
+         << ");\n";
+    }
+    return true;
+  }
+  // The cuda driver frees every device buffer before returning, which
+  // only covers allocations that are live at function scope.
+  if (Nesting) {
+    Error = "device allocations must happen at host-function scope "
+            "(needed for cudaFree cleanup)";
     return false;
+  }
+  const char *CT = cppScalarType(var(S.Src).Elem);
+  const std::string N = var(S.Src).Count.str();
   indent();
-  OS << "for (long long " << F.Var << " = " << *Lo << "; " << F.Var << " != "
-     << *Hi << "; ++" << F.Var << ") {\n";
+  OS << CT << " *" << Dst << " = nullptr;\n";
+  indent();
+  OS << "cudaMalloc(&" << Dst << ", sizeof(" << CT << ") * (" << N << "));\n";
+  indent();
+  OS << "cudaMemcpy(" << Dst << ", " << hostRaw(S.Src) << ", sizeof(" << CT
+     << ") * (" << N << "), cudaMemcpyHostToDevice);\n";
+  DeviceBufs.push_back(S.Dst);
+  return true;
+}
+
+void Printer::copy(const HostStmt &S) {
+  const bool ToHost = S.K == HostStmt::CopyToHost;
+  const std::string &Dst = name(S.Dst), &Src = name(S.Src);
+  indent();
+  if (isSim()) {
+    // Pass the host-program variable names through so a size-mismatch
+    // rt::Error names the offending buffers, not just the counts.
+    OS << (ToHost ? "descend::rt::copyToHost" : "descend::rt::copyToGpu")
+       << (Stream ? "Async(_stream, " : "(") << Dst << ", " << Src << ", \""
+       << Dst << "\", \"" << Src << "\");\n";
+    if (Stream)
+      PendingAsync = true;
+    return;
+  }
+  const HostVar &HostSide = var(ToHost ? S.Dst : S.Src);
+  OS << "cudaMemcpy(" << (ToHost ? hostRaw(S.Dst) : Dst) << ", "
+     << (ToHost ? Src : hostRaw(S.Src)) << ", sizeof("
+     << cppScalarType(HostSide.Elem) << ") * (" << HostSide.Count.str()
+     << "), "
+     << (ToHost ? "cudaMemcpyDeviceToHost" : "cudaMemcpyHostToDevice")
+     << ");\n";
+}
+
+void Printer::launch(const HostStmt &S) {
+  std::string Args;
+  for (unsigned B : S.Bufs)
+    Args += ", " + name(B);
+  indent();
+  if (!isSim()) {
+    // Each extent lands in its own axis slot (a Y-only grid is
+    // dim3(1, n, 1)); absent axes default to 1.
+    auto Dim3 = [](const Dim &D) {
+      auto Part = [&](Axis A) {
+        return D.hasAxis(A) ? D.extent(A).str() : std::string("1");
+      };
+      return "dim3(" + Part(Axis::X) + ", " + Part(Axis::Y) + ", " +
+             Part(Axis::Z) + ")";
+    };
+    OS << S.Callee << FnSuffix << "<<<" << Dim3(S.GridDim) << ", "
+       << Dim3(S.BlockDim) << ">>>(" << (Args.empty() ? "" : Args.substr(2))
+       << ");\n";
+    indent();
+    OS << "cudaDeviceSynchronize();\n";
+    return;
+  }
+  // The generated simulator kernel lives in the same emitted namespace;
+  // its signature already encodes the (statically checked) launch
+  // configuration. Stream mode enqueues the same call as a stream
+  // operation (buffer handles captured by value, the device by reference
+  // — the frame outlives the operation because stream drivers synchronize
+  // before returning).
+  if (Stream) {
+    OS << "_stream.enqueue([=, &_dev] { " << S.Callee << FnSuffix << "(_dev"
+       << Args << "); });\n";
+    PendingAsync = true;
+    return;
+  }
+  OS << S.Callee << FnSuffix << "(_dev" << Args << ");\n";
+  // Synchronous launches complete before returning; surface a sticky
+  // device error (trap, timeout) here as a structured rt::Error instead
+  // of silently running the rest of the driver on a poisoned device.
+  indent();
+  OS << "descend::rt::checkDevice(_dev, \"launch " << S.Callee << "\");\n";
+}
+
+/// A call of another host function. Stream mode threads the stream
+/// through, joining the caller's pending operations first (the callee may
+/// touch host memory in its first statement without a sync of its own); a
+/// callee with pending operations joins them before returning, so the
+/// caller resumes with a quiet stream either way.
+void Printer::call(const HostStmt &S) {
+  syncIfPending();
+  indent();
+  OS << emitName(S.Callee, FnSuffix) << "(";
+  if (isSim())
+    OS << (Stream ? "_stream" : "_dev") << (S.Args.empty() ? "" : ", ");
+  for (size_t I = 0; I != S.Args.size(); ++I) {
+    const HostExpr &A = S.Args[I];
+    // Cuda locals are std::vectors but host parameters are raw pointers;
+    // decay at the call boundary.
+    bool Decay = !isSim() && A.K == HostExpr::Var &&
+                 var(A.Slot).K == HostVar::HostBuf;
+    OS << (I ? ", " : "") << (Decay ? hostRaw(A.Slot) : exprStr(F, A));
+  }
+  OS << ");\n";
+  PendingAsync = false;
+}
+
+bool Printer::forNat(const HostStmt &S) {
+  const std::string &V = name(S.Dst);
+  indent();
+  OS << "for (long long " << V << " = " << S.Lo.str() << "; " << V
+     << " != " << S.Hi.str() << "; ++" << V << ") {\n";
   ++Depth;
-  pushScope();
-  HostVar V;
-  V.K = HostVar::LoopVar;
-  V.Elem = ScalarKind::I64;
-  bind(F.Var, std::move(V));
+  ++Nesting;
   const unsigned TouchesBefore = HostTouches;
-  bool Ok = F.Body->kind() == ExprKind::Block
-                ? emitBlock(*cast<BlockExpr>(F.Body.get()))
-                : emitStmt(*F.Body);
+  bool Ok = body(S.Body);
   // Stream mode back edge: a body that both touches host memory and
   // leaves operations pending would race with its own next iteration
-  // (the per-statement sync points were emitted against the *first*
+  // (the per-statement sync points were printed against the *first*
   // iteration's pending state). Join at the end of each iteration. A
-  // body with no host-touch points safely carries its pending
-  // operations across the back edge — the stream keeps them in order.
-  if (Ok && Stream && PendingAsync && HostTouches != TouchesBefore) {
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
-  popScope();
+  // body with no host-touch points safely carries its pending operations
+  // across the back edge — the stream keeps them in order.
+  if (Ok && Stream && PendingAsync && HostTouches != TouchesBefore)
+    join();
+  --Nesting;
   --Depth;
   indent();
   OS << "}\n";
   return Ok;
 }
 
-bool Emitter::emitLet(const LetExpr &L) {
-  if (const auto *C = dyn_cast<CallExpr>(L.Init.get()))
-    if (C->Callee == "CpuHeap::new" || C->Callee == "GpuGlobal::alloc_copy")
-      return emitAllocCall(*C, L.Name);
-  if (const auto *A = dyn_cast<AllocExpr>(L.Init.get())) {
-    // alloc::<cpu.mem, [T; n]>() — zero-initialized host heap array.
-    std::vector<Nat> Dims;
-    ScalarKind Elem = ScalarKind::F64;
-    if (A->Mem.Kind != MemoryKind::CpuMem ||
-        !arrayNest(A->AllocTy, Dims, Elem))
-      return fail("unsupported host allocation: " + exprToString(*L.Init));
-    Nat Count = Nat::lit(1);
-    for (const Nat &D : Dims)
-      Count = Count * D;
-    auto N = natCpp(Count);
-    if (!N)
-      return false;
-    indent();
-    if (isSim())
-      OS << "descend::rt::HostBuffer<" << cppScalarType(Elem) << "> "
-         << L.Name << "(" << *N << ", " << cppScalarType(Elem) << "{});\n";
-    else
-      OS << "std::vector<" << cppScalarType(Elem) << "> " << L.Name << "("
-         << *N << ", " << cppScalarType(Elem) << "{});\n";
-    HostVar V;
-    V.K = HostVar::HostBuf;
-    V.Elem = Elem;
-    V.Count = Count.simplified();
-    bind(L.Name, std::move(V));
-    return true;
-  }
-  // Scalar let.
-  syncIfPending(); // the initializer may read host buffers
-  auto Init = exprCpp(*L.Init);
-  if (!Init)
-    return false;
-  ScalarKind Elem = ScalarKind::F64;
-  if (const auto *S = dyn_cast_if_present<ScalarType>(
-          (L.Annotation ? L.Annotation : L.Init->Ty).get()))
-    Elem = S->Scalar;
-  else if (const auto *Lit = dyn_cast<LiteralExpr>(L.Init.get()))
-    Elem = Lit->Scalar;
-  indent();
-  OS << cppScalarType(Elem) << " " << L.Name << " = " << *Init << ";\n";
-  HostVar V;
-  V.K = HostVar::Scalar;
-  V.Elem = Elem;
-  bind(L.Name, std::move(V));
-  return true;
-}
-
-bool Emitter::emitAllocCall(const CallExpr &C, const std::string &Let) {
-  if (C.Callee == "CpuHeap::new") {
-    const auto *Init = dyn_cast<ArrayInitExpr>(C.Args.empty()
-                                                   ? nullptr
-                                                   : C.Args[0].get());
-    if (!Init)
-      return fail("CpuHeap::new expects an array initializer `[v; n]`");
-    ScalarKind Elem = ScalarKind::F64;
-    if (const auto *S =
-            dyn_cast_if_present<ScalarType>(Init->Elem->Ty.get()))
-      Elem = S->Scalar;
-    else if (const auto *Lit = dyn_cast<LiteralExpr>(Init->Elem.get()))
-      Elem = Lit->Scalar;
-    auto Fill = exprCpp(*Init->Elem);
-    auto N = natCpp(Init->Count);
-    if (!Fill || !N)
-      return false;
-    indent();
-    if (isSim())
-      OS << "descend::rt::HostBuffer<" << cppScalarType(Elem) << "> " << Let
-         << "(" << *N << ", " << *Fill << ");\n";
-    else
-      OS << "std::vector<" << cppScalarType(Elem) << "> " << Let << "(" << *N
-         << ", " << *Fill << ");\n";
-    HostVar V;
-    V.K = HostVar::HostBuf;
-    V.Elem = Elem;
-    V.Count = Init->Count.simplified();
-    bind(Let, std::move(V));
-    return true;
-  }
-
-  // GpuGlobal::alloc_copy(&host_buf).
-  std::string Src = argVar(*C.Args[0]);
-  const HostVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-  if (!SrcVar || SrcVar->K != HostVar::HostBuf)
-    return fail("GpuGlobal::alloc_copy expects a reference to a host "
-                "buffer variable");
-  const char *CT = cppScalarType(SrcVar->Elem);
-  indent();
-  if (isSim()) {
-    if (Stream) {
-      OS << "auto " << Let << " = descend::rt::allocCopyAsync(_stream, "
-         << Src << ");\n";
-      PendingAsync = true;
-    } else {
-      OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
-         << ");\n";
-    }
-  } else {
-    auto N = natCpp(SrcVar->Count);
-    if (!N)
-      return false;
-    if (Scopes.size() > 1)
-      return fail("device allocations must happen at host-function scope "
-                  "(needed for cudaFree cleanup)");
-    OS << CT << " *" << Let << " = nullptr;\n";
-    indent();
-    OS << "cudaMalloc(&" << Let << ", sizeof(" << CT << ") * (" << *N
-       << "));\n";
-    indent();
-    OS << "cudaMemcpy(" << Let << ", " << hostRaw(Src, *SrcVar) << ", sizeof("
-       << CT << ") * (" << *N << "), cudaMemcpyHostToDevice);\n";
-    DeviceBufs.push_back(Let);
-  }
-  HostVar V;
-  V.K = HostVar::DevBuf;
-  V.Elem = SrcVar->Elem;
-  V.Count = SrcVar->Count;
-  bind(Let, std::move(V));
-  return true;
-}
-
-bool Emitter::emitCall(const CallExpr &C) {
-  if (C.IsLaunch)
-    return emitLaunch(C);
-
-  if (C.Callee == "copy_mem_to_host" || C.Callee == "copy_to_gpu") {
-    bool ToHost = C.Callee == "copy_mem_to_host";
-    std::string Dst = argVar(*C.Args[0]);
-    std::string Src = argVar(*C.Args[1]);
-    const HostVar *DstVar = Dst.empty() ? nullptr : lookup(Dst);
-    const HostVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-    if (!DstVar || !SrcVar)
-      return fail("`" + C.Callee + "` expects buffer variable references");
-    indent();
-    if (isSim()) {
-      // Pass the host-program variable names through so a size-mismatch
-      // rt::Error names the offending buffers, not just the counts.
-      if (Stream) {
-        OS << (ToHost ? "descend::rt::copyToHostAsync(_stream, "
-                      : "descend::rt::copyToGpuAsync(_stream, ")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-        PendingAsync = true;
-      } else {
-        OS << (ToHost ? "descend::rt::copyToHost("
-                      : "descend::rt::copyToGpu(")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-      }
-      return true;
-    }
-    const HostVar &HostSide = ToHost ? *DstVar : *SrcVar;
-    const char *CT = cppScalarType(HostSide.Elem);
-    auto N = natCpp(HostSide.Count);
-    if (!N)
-      return false;
-    if (ToHost)
-      OS << "cudaMemcpy(" << hostRaw(Dst, *DstVar) << ", " << Src
-         << ", sizeof(" << CT << ") * (" << *N
-         << "), cudaMemcpyDeviceToHost);\n";
-    else
-      OS << "cudaMemcpy(" << Dst << ", " << hostRaw(Src, *SrcVar)
-         << ", sizeof(" << CT << ") * (" << *N
-         << "), cudaMemcpyHostToDevice);\n";
-    return true;
-  }
-
-  // Plain call of another host function. Stream mode threads the stream
-  // through, joining the caller's pending operations first (the callee
-  // may touch host memory in its first statement without a sync of its
-  // own); a callee with pending operations joins them before returning,
-  // so the caller resumes with a quiet stream either way.
-  if (const FnDef *Callee = M.findFn(C.Callee); Callee && Callee->isCpuFn()) {
-    syncIfPending();
-    std::vector<std::string> Args;
-    for (const ExprPtr &A : C.Args) {
-      std::string Name = argVar(*A);
-      if (!Name.empty()) {
-        const HostVar *V = lookup(Name);
-        if (!V)
-          return fail("unknown host variable `" + Name + "`");
-        // Cuda locals are std::vectors but host parameters are raw
-        // pointers; decay at the call boundary.
-        Args.push_back(T == HostTarget::Cuda && V->K == HostVar::HostBuf
-                           ? hostRaw(Name, *V)
-                           : Name);
-        continue;
-      }
-      auto S = exprCpp(*A);
-      if (!S)
-        return false;
-      Args.push_back(*S);
-    }
-    indent();
-    OS << hostFnEmitName(*Callee, FnSuffix) << "(";
-    if (isSim())
-      OS << (Stream ? "_stream" : "_dev") << (Args.empty() ? "" : ", ");
-    for (size_t I = 0; I != Args.size(); ++I)
-      OS << (I ? ", " : "") << Args[I];
-    OS << ");\n";
-    PendingAsync = false;
-    return true;
-  }
-  return fail("unsupported host call: " + C.Callee);
-}
-
-bool Emitter::emitLaunch(const CallExpr &C) {
-  std::vector<std::string> Args;
-  for (const ExprPtr &A : C.Args) {
-    std::string Name = argVar(*A);
-    if (Name.empty() || !lookup(Name))
-      return fail("kernel launch arguments must be buffer variable "
-                  "references");
-    Args.push_back(Name);
-  }
-  indent();
-  if (isSim()) {
-    // The generated simulator kernel lives in the same emitted namespace;
-    // its signature already encodes the (statically checked) launch
-    // configuration. Stream mode enqueues the same call as a stream
-    // operation (buffer handles captured by value, the device by
-    // reference — the frame outlives the operation because stream
-    // drivers synchronize before returning).
-    if (Stream) {
-      OS << "_stream.enqueue([=, &_dev] { " << C.Callee << FnSuffix
-         << "(_dev";
-      for (const std::string &A : Args)
-        OS << ", " << A;
-      OS << "); });\n";
-      PendingAsync = true;
-      return true;
-    }
-    OS << C.Callee << FnSuffix << "(_dev";
-    for (const std::string &A : Args)
-      OS << ", " << A;
-    OS << ");\n";
-    // Synchronous launches complete before returning; surface a sticky
-    // device error (trap, timeout) here as a structured rt::Error
-    // instead of silently running the rest of the driver on a poisoned
-    // device.
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"launch " << C.Callee << "\");\n";
-    return true;
-  }
-  auto DimOf = [&](const Dim &D) -> std::optional<std::string> {
-    // Each extent lands in its own axis slot (a Y-only grid is
-    // dim3(1, n, 1)); absent axes default to 1.
-    std::string Parts[3] = {"1", "1", "1"};
-    for (Axis A : {Axis::X, Axis::Y, Axis::Z}) {
-      if (!D.hasAxis(A))
-        continue;
-      auto S = natCpp(D.extent(A));
-      if (!S)
-        return std::nullopt;
-      Parts[static_cast<unsigned>(A)] = *S;
-    }
-    return "dim3(" + Parts[0] + ", " + Parts[1] + ", " + Parts[2] + ")";
-  };
-  auto Grid = DimOf(C.LaunchGrid);
-  auto Block = DimOf(C.LaunchBlock);
-  if (!Grid || !Block)
-    return false;
-  OS << C.Callee << FnSuffix << "<<<" << *Grid << ", " << *Block << ">>>(";
-  for (size_t I = 0; I != Args.size(); ++I)
-    OS << (I ? ", " : "") << Args[I];
-  OS << ");\n";
-  indent();
-  OS << "cudaDeviceSynchronize();\n";
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
-// Graph mode: capture-prefix analysis and emission
+// Graph mode: capture-prefix analysis and printing
 //===----------------------------------------------------------------------===//
 
-/// Is \p E a top-level statement the graph overload can capture? The
+/// Is \p S a top-level statement the graph overload can capture? The
 /// capturable shapes are exactly the device-op run a serving loop repeats
 /// per request:
 ///   * `let d = GpuGlobal::alloc_copy(&h)` with `h` a host-buffer
@@ -727,171 +912,255 @@ bool Emitter::emitLaunch(const CallExpr &C) {
 ///     and a capture-local device buffer,
 ///   * launches whose arguments are all capture-locals (a device-buffer
 ///     parameter would replay the first call's buffer forever).
-bool Emitter::captureStmtOk(const Expr &E, std::set<std::string> &Locals) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = dyn_cast<CallExpr>(L->Init.get());
-    if (!C || C->Callee != "GpuGlobal::alloc_copy" || C->Args.size() != 1)
+bool Printer::capturable(const HostStmt &S,
+                         std::set<unsigned> &Locals) const {
+  auto HostParam = [&](unsigned V) {
+    return var(V).K == HostVar::HostBuf && var(V).IsParam;
+  };
+  auto Local = [&](unsigned V) { return Locals.count(V) != 0; };
+  switch (S.K) {
+  case HostStmt::AllocCopy:
+    if (!HostParam(S.Src))
       return false;
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *V = Src.empty() ? nullptr : lookup(Src);
-    if (!V || V->K != HostVar::HostBuf || !V->IsParam)
-      return false;
-    Locals.insert(L->Name);
+    Locals.insert(S.Dst);
     return true;
-  }
-  const auto *C = dyn_cast<CallExpr>(&E);
-  if (!C)
+  case HostStmt::Launch:
+    return !S.Bufs.empty() &&
+           std::all_of(S.Bufs.begin(), S.Bufs.end(), Local);
+  case HostStmt::CopyToHost:
+    return HostParam(S.Dst) && Local(S.Src);
+  case HostStmt::CopyToGpu:
+    return HostParam(S.Src) && Local(S.Dst);
+  default:
     return false;
-  if (C->IsLaunch) {
-    if (C->Args.empty())
-      return false;
-    for (const ExprPtr &A : C->Args) {
-      std::string Name = argVar(*A);
-      if (Name.empty() || !Locals.count(Name))
-        return false;
-    }
+  }
+}
+
+/// True when \p S (or anything nested in it) uses one of \p Vars.
+/// Conservative: used to reject graph capture when post-capture host code
+/// reaches into a capture-produced device buffer.
+bool Printer::mentions(const HostStmt &S,
+                       const std::set<unsigned> &Vars) const {
+  // Dst is a use unless the statement defines it.
+  const bool Copy = S.K == HostStmt::CopyToHost || S.K == HostStmt::CopyToGpu;
+  const bool UsesSrc = Copy || S.K == HostStmt::AllocCopy;
+  const bool UsesDst = Copy || S.K == HostStmt::Assign;
+  if ((UsesSrc && Vars.count(S.Src)) || (UsesDst && Vars.count(S.Dst)))
     return true;
-  }
-  if (C->Callee == "copy_mem_to_host" || C->Callee == "copy_to_gpu") {
-    if (C->Args.size() != 2)
-      return false;
-    const bool ToHost = C->Callee == "copy_mem_to_host";
-    std::string Dst = argVar(*C->Args[0]);
-    std::string Src = argVar(*C->Args[1]);
-    const std::string &Host = ToHost ? Dst : Src;
-    const std::string &Device = ToHost ? Src : Dst;
-    const HostVar *HV = Host.empty() ? nullptr : lookup(Host);
-    return HV && HV->K == HostVar::HostBuf && HV->IsParam &&
-           Locals.count(Device) != 0;
-  }
+  for (unsigned B : S.Bufs)
+    if (Vars.count(B))
+      return true;
+  for (const auto *E : {&S.Index, &S.Value})
+    if (*E && mentions(**E, Vars))
+      return true;
+  for (const HostExpr &A : S.Args)
+    if (mentions(A, Vars))
+      return true;
+  for (const HostStmt &B : S.Body)
+    if (mentions(B, Vars))
+      return true;
   return false;
 }
 
-/// Length of the maximal capturable leading run of \p Blk's top-level
+bool Printer::mentions(const HostExpr &E,
+                       const std::set<unsigned> &Vars) const {
+  if ((E.K == HostExpr::Var || E.K == HostExpr::Index) && Vars.count(E.Slot))
+    return true;
+  for (const HostExpr &Op : E.Ops)
+    if (mentions(Op, Vars))
+      return true;
+  return false;
+}
+
+/// Length of the maximal capturable leading run of the body's top-level
 /// statements, or 0 when the program can't use capture at all (including
 /// when a post-prefix statement reaches into a capture-local: those live
 /// inside the first-call capture block and replay frozen, so any later
 /// mention would change meaning — fall back entirely).
-size_t Emitter::scanCapturePrefix(const BlockExpr &Blk) {
-  std::set<std::string> Locals;
+size_t Printer::capturePrefix() const {
+  std::set<unsigned> Locals;
   size_t Prefix = 0;
-  while (Prefix != Blk.Stmts.size() &&
-         captureStmtOk(*Blk.Stmts[Prefix], Locals))
+  while (Prefix != F.Body.size() && capturable(F.Body[Prefix], Locals))
     ++Prefix;
   if (Prefix == 0)
     return 0;
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (mentionsAny(*Blk.Stmts[I], Locals))
+  for (size_t I = Prefix; I != F.Body.size(); ++I)
+    if (mentions(F.Body[I], Locals))
       return 0;
   return Prefix;
 }
 
-/// Emits one capturable prefix statement in capture form: transfers go
+/// Prints one capturable prefix statement in capture form: transfers go
 /// through the rt::*Capture helpers (slot-based, rebindable at replay);
-/// launches emit exactly the stream-mode enqueue — enqueue-during-capture
+/// launches print exactly the stream-mode enqueue — enqueue-during-capture
 /// records the closure as a graph node.
-bool Emitter::emitCaptureStmt(const Expr &E) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = cast<CallExpr>(L->Init.get());
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *SrcVar = lookup(Src);
-    indent();
-    OS << "auto " << L->Name << " = descend::rt::allocCopyCapture<"
-       << cppScalarType(SrcVar->Elem) << ">(_stream, " << graphSlot(Src)
-       << ", " << Src << ".size(), \"" << Src << "\");\n";
-    HostVar V;
-    V.K = HostVar::DevBuf;
-    V.Elem = SrcVar->Elem;
-    V.Count = SrcVar->Count;
-    bind(L->Name, std::move(V));
-    return true;
-  }
-  const auto *C = cast<CallExpr>(&E);
-  if (C->IsLaunch)
-    return emitLaunch(*C);
-  const bool ToHost = C->Callee == "copy_mem_to_host";
-  std::string Dst = argVar(*C->Args[0]);
-  std::string Src = argVar(*C->Args[1]);
+void Printer::captureStmt(const HostStmt &S) {
+  if (S.K == HostStmt::Launch)
+    return launch(S);
+  const std::string &Dst = name(S.Dst), &Src = name(S.Src);
   indent();
-  if (ToHost)
-    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(Dst)
+  if (S.K == HostStmt::AllocCopy)
+    OS << "auto " << Dst << " = descend::rt::allocCopyCapture<"
+       << cppScalarType(var(S.Src).Elem) << ">(_stream, " << graphSlot(S.Src)
+       << ", " << Src << ".size(), \"" << Src << "\");\n";
+  else if (S.K == HostStmt::CopyToHost)
+    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(S.Dst)
        << ", " << Src << ", \"" << Dst << "\");\n";
   else
-    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(Src)
+    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(S.Src)
        << ", " << Dst << ", \"" << Src << "\");\n";
-  return true;
 }
 
 /// The graph overload's body: capture the prefix once (first call),
 /// rebind the host-buffer slots to this call's parameters, replay the
-/// whole prefix as one stream operation, then emit the non-captured tail
+/// whole prefix as one stream operation, then print the non-captured tail
 /// in plain stream form.
-bool Emitter::emitGraphBody(const BlockExpr &Blk, size_t Prefix) {
+bool Printer::graphBody(size_t Prefix) {
   indent();
   OS << "if (!_graph.instantiated()) {\n";
   ++Depth;
   indent();
   OS << "_stream.beginCapture();\n";
   for (size_t I = 0; I != Prefix; ++I)
-    if (!emitCaptureStmt(*Blk.Stmts[I]))
-      return false;
+    captureStmt(F.Body[I]);
   indent();
   OS << "_graph = _stream.endCapture().instantiate();\n";
   --Depth;
   indent();
   OS << "}\n";
-  PendingAsync = false; // capture records; nothing actually enqueued
-  for (const auto &SB : SlotBinds) {
+  for (unsigned Slot = 0; Slot != Rebound.size(); ++Slot) {
     indent();
-    OS << "_graph.bind(" << SB.first << ", " << SB.second << ", \""
-       << SB.second << "\");\n";
+    OS << "_graph.bind(" << Slot << ", " << name(Rebound[Slot]) << ", \""
+       << name(Rebound[Slot]) << "\");\n";
   }
   indent();
   OS << "_graph.launch(_stream);\n";
   PendingAsync = true; // the replay is one pending stream operation
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (!emitStmt(*Blk.Stmts[I]))
+  for (size_t I = Prefix; I != F.Body.size(); ++I)
+    if (!stmt(F.Body[I]))
       return false;
   return true;
 }
 
-HostGenResult Emitter::run() {
+HostGenResult Printer::run() {
   HostGenResult R;
-  pushScope();
-  bool Ok = emitSignature();
-  if (Ok && Fn.Body) {
-    const auto &Blk = *cast<BlockExpr>(Fn.Body.get());
-    const size_t Prefix = Graph ? scanCapturePrefix(Blk) : 0;
-    if (Graph && Prefix == 0) {
-      // Shape doesn't fit capture: the graph overload degrades to the
-      // plain stream body (emission is total, never a compile failure).
-      indent();
-      OS << "(void)_graph;\n";
-    }
-    Ok = Prefix > 0 ? emitGraphBody(Blk, Prefix) : emitBlock(Blk);
+  signature();
+  const size_t Prefix = Graph ? capturePrefix() : 0;
+  if (Graph && Prefix == 0) {
+    // Shape doesn't fit capture: the graph overload degrades to the plain
+    // stream body (printing is total, never a compile failure).
+    indent();
+    OS << "(void)_graph;\n";
   }
-  if (Ok && T == HostTarget::Cuda)
-    for (const std::string &Buf : DeviceBufs) {
+  bool Ok = Prefix > 0 ? graphBody(Prefix) : body(F.Body);
+  if (!Ok) {
+    R.Error = Error;
+    return R;
+  }
+  if (T == HostTarget::Cuda)
+    for (unsigned Buf : DeviceBufs) {
       indent();
-      OS << "cudaFree(" << Buf << ");\n";
+      OS << "cudaFree(" << name(Buf) << ");\n";
     }
   // Stream drivers join before returning: enqueued operations may borrow
   // this frame's locals, and the caller observes the same state as after
   // the synchronous driver.
-  if (Ok)
-    syncIfPending();
+  syncIfPending();
   OS << "}\n";
-  popScope();
-  if (!Ok) {
-    R.Error = Error.empty() ? "host emission failed" : Error;
-    return R;
-  }
   R.Ok = true;
   R.Code = OS.str();
   return R;
 }
 
+//===----------------------------------------------------------------------===//
+// The listing
+//===----------------------------------------------------------------------===//
+
+void dumpStmts(std::ostringstream &OS, const HostFn &F,
+               const std::vector<HostStmt> &Body, unsigned Depth) {
+  const std::string Ind(Depth * 2 + 2, ' ');
+  auto Name = [&](unsigned Slot) -> const std::string & {
+    return F.Vars[Slot].Name;
+  };
+  for (const HostStmt &S : Body) {
+    OS << Ind;
+    switch (S.K) {
+    case HostStmt::Alloc:
+      OS << "alloc " << Name(S.Dst) << " = ["
+         << (S.Value ? exprStr(F, *S.Value) : "0") << "; "
+         << F.Vars[S.Dst].Count.str() << "]";
+      break;
+    case HostStmt::AllocCopy:
+    case HostStmt::CopyToHost:
+    case HostStmt::CopyToGpu:
+      OS << (S.K == HostStmt::AllocCopy    ? "alloc-copy "
+             : S.K == HostStmt::CopyToHost ? "copy-to-host "
+                                           : "copy-to-gpu ")
+         << Name(S.Dst) << " <- " << Name(S.Src);
+      break;
+    case HostStmt::Launch:
+      OS << "launch " << S.Callee << "(";
+      for (size_t I = 0; I != S.Bufs.size(); ++I)
+        OS << (I ? ", " : "") << Name(S.Bufs[I]);
+      OS << ")";
+      break;
+    case HostStmt::Let:
+      OS << "let " << Name(S.Dst) << " = " << exprStr(F, *S.Value);
+      break;
+    case HostStmt::Assign:
+      OS << "assign " << targetStr(F, S) << " = " << exprStr(F, *S.Value);
+      break;
+    case HostStmt::ForNat:
+      OS << "for-nat " << Name(S.Dst) << " in [" << S.Lo.str() << ".."
+         << S.Hi.str() << ")";
+      break;
+    case HostStmt::Call:
+      OS << "call " << S.Callee << "(";
+      for (size_t I = 0; I != S.Args.size(); ++I)
+        OS << (I ? ", " : "") << exprStr(F, S.Args[I]);
+      OS << ")";
+      break;
+    case HostStmt::Block:
+      OS << "block";
+      break;
+    }
+    OS << "\n";
+    dumpStmts(OS, F, S.Body, Depth + 1);
+  }
+}
+
 } // namespace
+
+HostBuildResult hostgen::buildHostFn(const Module &M, const FnDef &Fn) {
+  if (!Fn.isCpuFn()) {
+    HostBuildResult R;
+    R.Error = "`" + Fn.Name + "` is not a cpu.thread function";
+    return R;
+  }
+  return HostLowering(M, Fn).run();
+}
+
+HostGenResult hostgen::printHostFn(const HostFn &Fn, HostTarget Target,
+                                   const std::string &FnSuffix) {
+  return Printer(Fn, Target, FnSuffix).run();
+}
+
+std::string hostgen::dumpHostFn(const HostFn &Fn) {
+  static const char *const KindNames[] = {"host", "device", "scalar", "loop"};
+  std::ostringstream OS;
+  OS << "host " << Fn.Name << " (" << Fn.Vars.size() << " slots, "
+     << Fn.NumParams << " params)\n";
+  for (size_t I = 0; I != Fn.Vars.size(); ++I) {
+    const HostVar &V = Fn.Vars[I];
+    OS << "  slot " << I << " " << V.Name << ": " << KindNames[V.K] << " "
+       << scalarKindName(V.Elem);
+    if (isBuffer(V))
+      OS << " x " << V.Count.str();
+    OS << "\n";
+  }
+  dumpStmts(OS, Fn, Fn.Body, 0);
+  return OS.str();
+}
 
 bool hostgen::hasHostFns(const Module &M) {
   for (const auto &Fn : M.Fns)
@@ -902,16 +1171,5 @@ bool hostgen::hasHostFns(const Module &M) {
 
 std::string hostgen::hostFnEmitName(const FnDef &Fn,
                                     const std::string &FnSuffix) {
-  return (Fn.Name == "main" ? "run" : Fn.Name) + FnSuffix;
-}
-
-HostGenResult hostgen::emitHostFn(const Module &M, const FnDef &Fn,
-                                  HostTarget Target,
-                                  const std::string &FnSuffix) {
-  if (!Fn.isCpuFn()) {
-    HostGenResult R;
-    R.Error = "`" + Fn.Name + "` is not a cpu.thread function";
-    return R;
-  }
-  return Emitter(M, Fn, Target, FnSuffix).run();
+  return emitName(Fn.Name, FnSuffix);
 }

@@ -1,49 +1,59 @@
-//===- hostgen/HostGen.h - Host-program code generation ---------*- C++ -*-===//
+//===- hostgen/HostGen.h - Host-program IR and code generation --*- C++ -*-===//
 //
 // Part of the Descend reproduction. Lowers the *host* side of a Descend
 // program (Sections 2.3 / 3.4 / 3.5): `cpu.thread` functions that allocate
 // heap and device memory, transfer data between cpu.mem and gpu.global and
 // launch kernels with an explicit execution configuration. Where the type
 // checker proves the transfers and launches correct, this layer turns the
-// proven program into a runnable driver:
+// proven program into a runnable driver, in two steps:
 //
-//   sim        C++ against runtime/HostRuntime.h + sim/Sim.h —
-//              rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
-//              transfers, and direct calls of the generated simulator
-//              kernels in the same header.
-//   simStream  the asynchronous overload of the same driver, taking a
-//              sim::Stream instead of a device: transfers enqueue through
-//              rt::*Async, launches enqueue as stream operations, and a
-//              stream synchronize is inserted before any statement that
-//              touches host memory (and before returning), so results are
-//              bit-identical to the synchronous driver while consecutive
-//              device operations pipeline with a single join.
-//   simGraph   the graph-mode overload (sim::Stream + sim::GraphExec):
-//              the driver's leading run of device operations — transfers
-//              touching only host-buffer *parameters* plus launches over
-//              the buffers those transfers produced — is captured into a
-//              launch graph on the first call and *replayed* as one
-//              stream operation on every call, with the parameter buffers
-//              rebound per call (GraphExec::bind); any trailing host
-//              statements emit in stream form. Programs whose shape
-//              doesn't fit (no capturable prefix, or later statements
-//              reaching into capture-produced buffers) fall back to the
-//              plain stream body — emission is total.
-//   cuda       CUDA runtime API host code — std::vector staging,
-//              cudaMalloc / cudaMemcpy with statically computed byte
-//              counts, real kernel<<<grid, block>>> launches and cudaFree
-//              cleanup.
+//   buildHostFn  walks one type-checked cpu.thread function once and
+//                builds its host IR (HostFn): variables numbered as frame
+//                slots, statements and scalar expressions. It is the
+//                only place that decides which host code is accepted:
+//                the host fragment (lets, builtin allocation/transfer
+//                calls, launches, for-nat loops, host calls, scalar
+//                arithmetic and one-dimensional host-array indexing). What
+//                it rejects, every backend rejects with the same message.
+//   printHostFn  prints the IR as C++ for one target:
+//     sim        against runtime/HostRuntime.h + sim/Sim.h —
+//                rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
+//                transfers, and direct calls of the generated simulator
+//                kernels in the same header.
+//     simStream  the asynchronous overload of the same driver, taking a
+//                sim::Stream instead of a device: transfers enqueue through
+//                rt::*Async, launches enqueue as stream operations, and a
+//                stream synchronize is inserted before any statement that
+//                touches host memory (and before returning), so results
+//                are bit-identical to the synchronous driver while
+//                consecutive device operations pipeline with a single join.
+//     simGraph   the graph-mode overload (sim::Stream + sim::GraphExec):
+//                the driver's leading run of device operations — transfers
+//                touching only host-buffer *parameters* plus launches over
+//                the buffers those transfers produced — is captured into a
+//                launch graph on the first call and *replayed* as one
+//                stream operation on every call, with the parameter
+//                buffers rebound per call (GraphExec::bind); any trailing
+//                host statements emit in stream form. Programs whose shape
+//                doesn't fit fall back to the plain stream body.
+//     cuda       CUDA runtime API host code — std::vector staging,
+//                cudaMalloc / cudaMemcpy with statically computed byte
+//                counts, real kernel<<<grid, block>>> launches and
+//                cudaFree cleanup.
+//
+// The vm backend keeps the same IR in its compiled program and interprets
+// it (vm/Bytecode.h, vm/Interp.h); `--emit=vm` lists it with dumpHostFn.
+//
+// Two rules belong to one target and stay there:
+//   * cuda: device allocations only at function scope, so the cudaFree
+//     cleanup before returning covers every buffer (printHostFn);
+//   * vm: every size and loop bound must be instantiated (`-D`), because
+//     no later compiler evaluates them (vm::compile).
 //
 // A host function named `main` is emitted under the name `run` (plus the
 // invocation's function suffix), which is the entry point tests and
 // examples drive; every other host function keeps its own name so host
 // functions can call each other.
-//
-// The emitters are deliberately structural: they only accept the host
-// fragment of the language (lets, builtin allocation/transfer calls,
-// launches, for-nat loops, scalar arithmetic and host-array assignment)
-// and fail with a descriptive error otherwise — device-only constructs
-// never reach them in type-checked modules.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,22 +62,113 @@
 
 #include "ast/Item.h"
 
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace descend {
 namespace hostgen {
 
-/// Which host substrate to emit for. SimStream emits the asynchronous
+//===----------------------------------------------------------------------===//
+// The host IR
+//===----------------------------------------------------------------------===//
+
+/// One variable of a host function; its index in HostFn::Vars is its frame
+/// slot.
+struct HostVar {
+  enum Kind { HostBuf, DevBuf, Scalar, LoopVar } K = Scalar;
+  std::string Name;
+  ScalarKind Elem = ScalarKind::F64; ///< element or value kind (LoopVar: i64)
+  Nat Count;                         ///< buffers: element count, simplified
+  std::optional<long long> CountValue; ///< Count, when instantiated
+  bool IsParam = false;
+  bool Shared = false; ///< parameter bound through a shared reference
+};
+
+/// A scalar expression over the frame.
+struct HostExpr {
+  enum Kind { Lit, Var, Index, Unary, Binary } K = Lit;
+  ScalarKind Ty = ScalarKind::F64; ///< result kind (Lit: the literal's)
+  double Float = 0.0;              ///< Lit of a float kind
+  long long Int = 0;               ///< Lit of an integer kind; bool as 0/1
+  unsigned Slot = 0;               ///< Var; Index: the host buffer
+  BinOpKind BO = BinOpKind::Add;
+  UnOpKind UO = UnOpKind::Neg;
+  std::vector<HostExpr> Ops; ///< Index: {index}; Unary: {x}; Binary: {l, r}
+};
+
+/// One statement. Dst is the slot a statement defines or writes.
+struct HostStmt {
+  enum Kind {
+    Alloc,      ///< Dst = host buffer, every element Value (absent: zero)
+    AllocCopy,  ///< Dst = device buffer copied from host buffer Src
+    CopyToHost, ///< host buffer Dst <- device buffer Src
+    CopyToGpu,  ///< device buffer Dst <- host buffer Src
+    Launch,     ///< Callee<<<GridDim, BlockDim>>>(Bufs...)
+    Let,        ///< scalar Dst = Value
+    Assign,     ///< Dst[Index] = Value; Dst = Value when Index is absent
+    ForNat,     ///< for Dst in [Lo..Hi) { Body }
+    Call,       ///< Callee(Args...): buffers as Var, scalars by value
+    Block,      ///< { Body }
+  } K = Let;
+  unsigned Dst = 0, Src = 0;
+  std::optional<HostExpr> Index, Value;
+  std::string Callee; ///< Launch: the kernel; Call: the host function
+  /// Launch: index of the kernel in the vm's program (set by vm::compile);
+  /// Call: index of the callee among the module's host functions.
+  unsigned Target = 0;
+  Dim GridDim, BlockDim;           ///< Launch
+  std::vector<unsigned> Bufs;      ///< Launch: device-buffer arguments
+  std::vector<HostExpr> Args;      ///< Call
+  Nat Lo, Hi;                      ///< ForNat, simplified
+  std::optional<long long> LoValue, HiValue; ///< ForNat, when instantiated
+  std::vector<HostStmt> Body;      ///< ForNat / Block
+};
+
+/// One cpu.thread function. Vars holds the parameters first, then the
+/// locals in definition order.
+struct HostFn {
+  std::string Name;      ///< source name (`main` stays `main` here)
+  std::string Signature; ///< surface signature, printed as a doc comment
+  unsigned NumParams = 0;
+  std::vector<HostVar> Vars;
+  std::vector<HostStmt> Body;
+};
+
+//===----------------------------------------------------------------------===//
+// Building and printing
+//===----------------------------------------------------------------------===//
+
+struct HostBuildResult {
+  bool Ok = false;
+  HostFn Fn;
+  std::string Error; // set when !Ok
+};
+
+/// Builds the host IR of \p Fn, a cpu.thread function of \p M that passed
+/// the type checker.
+HostBuildResult buildHostFn(const Module &M, const FnDef &Fn);
+
+/// Which host substrate to print for. SimStream prints the asynchronous
 /// sim::Stream overload of the sim driver; SimGraph the capture/replay
-/// overload (the sim backend emits all three).
+/// overload (the sim backend prints all three).
 enum class HostTarget { Sim, SimStream, SimGraph, Cuda };
 
-/// Result of emitting one host function.
+/// Result of printing one host function.
 struct HostGenResult {
   bool Ok = false;
   std::string Code;  // one complete C++ function definition
   std::string Error; // set when !Ok
 };
+
+/// Prints \p Fn as a host driver for \p Target. \p FnSuffix is appended to
+/// the driver's, its callees' and its kernels' names. Fails only on the
+/// cuda function-scope rule.
+HostGenResult printHostFn(const HostFn &Fn, HostTarget Target,
+                          const std::string &FnSuffix);
+
+/// A human-readable listing of \p Fn: its frame slots and statement tree.
+std::string dumpHostFn(const HostFn &Fn);
 
 /// True when the module contains at least one cpu.thread function with a
 /// body (i.e. the program has a host side worth emitting).
@@ -77,11 +178,6 @@ bool hasHostFns(const Module &M);
 /// function keeps its name; \p FnSuffix is appended in both cases (the
 /// same suffix the kernel emitters use, so launches resolve).
 std::string hostFnEmitName(const FnDef &Fn, const std::string &FnSuffix);
-
-/// Emits \p Fn (a cpu.thread function of \p M, which must have passed the
-/// type checker) as a host driver for \p Target.
-HostGenResult emitHostFn(const Module &M, const FnDef &Fn, HostTarget Target,
-                         const std::string &FnSuffix);
 
 } // namespace hostgen
 } // namespace descend

@@ -780,6 +780,14 @@ struct TypeChecker::Impl {
                              L->str().c_str(), R->str().c_str()));
           return nullptr;
         }
+        // `%` has no floating-point meaning in any backend (C++ rejects
+        // it, the vm has no float modulo).
+        if (B->Op == BinOpKind::Mod && !isIntegerType(L)) {
+          Diags.error(DiagCode::MismatchedTypes, E.Range,
+                      strfmt("`%%` requires integer operands, found `%s`",
+                             L->str().c_str()));
+          return nullptr;
+        }
         return L;
       case BinOpKind::Eq:
       case BinOpKind::Ne:

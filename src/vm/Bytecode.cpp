@@ -4,9 +4,10 @@
 // Lowerer (exactly like the sim backend, so geometry, arena layout and
 // phase structure agree bit for bit with the generated headers), then
 // translates each phase body / loop bound from typed kernel IR into
-// register bytecode, and each cpu.thread function into the host-statement
-// IR. Everything a launch needs is resolved here; the interpreter never
-// sees a Nat or an AST node.
+// register bytecode. Each cpu.thread function keeps the host IR hostgen
+// builds for it, with its sizes instantiated and its launches resolved.
+// Everything a launch needs is resolved here; the interpreter never sees
+// a Nat or an AST node.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "codegen/Lowerer.h"
 #include "kir/KIR.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -552,11 +554,7 @@ private:
     case BinOp::Div:
       O = K == VK::I64 ? Op::DivI : (K == VK::F32 ? Op::DivF32 : Op::DivF);
       break;
-    case BinOp::Mod:
-      if (K != VK::I64) {
-        fail("floating-point modulo is not supported in kernel code");
-        return {};
-      }
+    case BinOp::Mod: // integers only: the type checker rejects float `%`
       O = Op::ModI;
       break;
     case BinOp::Eq:
@@ -844,599 +842,57 @@ bool compileKernel(const Module &M, const FnDef &Fn,
 }
 
 //===----------------------------------------------------------------------===//
-// Host-function compilation
+// Host functions: the vm's two steps over hostgen's IR
 //===----------------------------------------------------------------------===//
 
-/// The same promotion lattice CodeBuilder applies to kernel expressions,
-/// shared with the host compiler.
-VK promoteVK(VK A, VK B) {
-  if (A == VK::F64 || B == VK::F64)
-    return VK::F64;
-  if (A == VK::F32 || B == VK::F32)
-    return VK::F32;
-  return VK::I64;
+/// Fails unless buffer \p V's size is instantiated: the interpreter
+/// allocates and checks buffers by count and never evaluates a Nat.
+bool sized(const hostgen::HostVar &V, const char *What, std::string &Err) {
+  if (V.CountValue && *V.CountValue >= 0)
+    return true;
+  Err = std::string(What) + " `" + V.Count.str() +
+        "` is not instantiated (pass -D)";
+  return false;
 }
 
-/// Compiles the hostgen-accepted host fragment (see hostgen/HostGen.cpp —
-/// the generated C++ this must agree with) into HostStmt trees. Same
-/// acceptance rules, same diagnostics style; sizes must be instantiated
-/// because there is no later compiler to defer to.
-class HostCompiler {
-public:
-  HostCompiler(const Module &M, const FnDef &Fn,
-               const std::vector<VmKernel> &Kernels,
-               const std::map<std::string, unsigned> &HostIdx)
-      : M(M), Fn(Fn), Kernels(Kernels), HostIdx(HostIdx) {}
-
-  bool run(HostFnIR &Out, std::string &Err);
-
-private:
-  struct HVar {
-    HostFnIR::Param::Kind K = HostFnIR::Param::Scalar;
-    bool LoopVar = false;
-    ScalarKind Elem = ScalarKind::F64;
-    size_t Count = 0;
-    unsigned Slot = 0;
-  };
-
-  const Module &M;
-  const FnDef &Fn;
-  const std::vector<VmKernel> &Kernels;
-  const std::map<std::string, unsigned> &HostIdx;
-
-  HostFnIR R;
-  std::string Error;
-  std::vector<std::map<std::string, HVar>> Scopes;
-
-  bool fail(const std::string &Msg) {
-    if (Error.empty())
-      Error = Msg;
-    return false;
-  }
-
-  unsigned newSlot() { return R.NumSlots++; }
-
-  void bind(const std::string &Name, HVar V) { Scopes.back()[Name] = V; }
-
-  const HVar *lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-      if (auto Found = It->find(Name); Found != It->end())
-        return &Found->second;
-    return nullptr;
-  }
-
-  std::optional<size_t> natSize(const Nat &N, const char *What) {
-    auto V = N.simplified().evaluate({});
-    if (!V || *V < 0) {
-      fail(std::string(What) + " `" + N.simplified().str() +
-           "` is not instantiated (pass -D)");
-      return std::nullopt;
+/// Checks that \p Body's allocation sizes and loop bounds are
+/// instantiated, and resolves its launches to kernel indices.
+bool prepareHostStmts(std::vector<hostgen::HostStmt> &Body,
+                      const HostFnIR &F, const std::vector<VmKernel> &Kernels,
+                      std::string &Err) {
+  using hostgen::HostStmt;
+  for (HostStmt &S : Body) {
+    if (S.K == HostStmt::Alloc &&
+        !sized(F.Vars[S.Dst], "host array size", Err))
+      return false;
+    if (S.K == HostStmt::ForNat && (!S.LoValue || !S.HiValue)) {
+      Err = "for-nat bounds `[" + S.Lo.str() + ".." + S.Hi.str() +
+            "]` are not instantiated (pass -D)";
+      return false;
     }
-    return static_cast<size_t>(*V);
-  }
-
-  static std::string argVar(const Expr &E) {
-    const Expr *Inner = &E;
-    if (const auto *B = dyn_cast<BorrowExpr>(Inner))
-      Inner = B->Place.get();
-    if (const auto *P = dyn_cast<PlaceExpr>(Inner))
-      return P->rootVar();
-    return "";
-  }
-
-  std::unique_ptr<HostExpr> compileExpr(const Expr &E);
-  std::unique_ptr<HostExpr> compilePlaceRead(const PlaceExpr &P);
-  bool compilePlaceTarget(const PlaceExpr &P, unsigned &Slot,
-                          std::unique_ptr<HostExpr> &Idx, ScalarKind &Elem);
-
-  bool compileParams();
-  bool compileBlock(const BlockExpr &Blk, std::vector<HostStmt> &Out);
-  bool compileStmt(const Expr &E, std::vector<HostStmt> &Out);
-  bool compileLet(const LetExpr &L, std::vector<HostStmt> &Out);
-  bool compileAllocCall(const CallExpr &C, const std::string &Let,
-                        std::vector<HostStmt> &Out);
-  bool compileCall(const CallExpr &C, std::vector<HostStmt> &Out);
-  bool compileLaunch(const CallExpr &C, std::vector<HostStmt> &Out);
-  bool compileForNat(const ForNatExpr &F, std::vector<HostStmt> &Out);
-};
-
-bool HostCompiler::compileParams() {
-  if (Fn.RetTy && !DataType::equal(Fn.RetTy, makeUnit()))
-    return fail("host functions must return (), `" + Fn.Name + "` returns `" +
-                Fn.RetTy->str() + "`");
-  for (const FnParam &P : Fn.Params) {
-    HostFnIR::Param FP;
-    FP.Name = P.Name;
-    HVar V;
-    if (const auto *Ref = dyn_cast<RefType>(P.Ty.get())) {
-      std::vector<Nat> Dims;
-      ScalarKind Elem = ScalarKind::F64;
-      if (!codegen::arrayNest(Ref->Pointee, Dims, Elem))
-        return fail("unsupported host parameter type `" + P.Ty->str() + "`");
-      Nat Count = Nat::lit(1);
-      for (const Nat &D : Dims)
-        Count = Count * D;
-      auto N = natSize(Count, "host parameter size");
-      if (!N)
+    if (S.K == HostStmt::Launch) {
+      auto It = std::find_if(
+          Kernels.begin(), Kernels.end(),
+          [&](const VmKernel &K) { return K.Name == S.Callee; });
+      if (It == Kernels.end()) {
+        Err = "launch of unknown kernel `" + S.Callee + "`";
         return false;
-      FP.Elem = Elem;
-      FP.Count = *N;
-      if (Ref->Mem.Kind == MemoryKind::CpuMem) {
-        FP.K = HostFnIR::Param::HostArr;
-      } else if (Ref->Mem.Kind == MemoryKind::GpuGlobal) {
-        FP.K = HostFnIR::Param::DevArr;
-      } else {
-        return fail("unsupported host parameter memory `" + Ref->Mem.str() +
-                    "`");
       }
-      V.K = FP.K;
-      V.Elem = Elem;
-      V.Count = *N;
-    } else if (const auto *S = dyn_cast<ScalarType>(P.Ty.get())) {
-      FP.K = HostFnIR::Param::Scalar;
-      FP.Elem = S->Scalar;
-      V.K = HostFnIR::Param::Scalar;
-      V.Elem = S->Scalar;
-    } else {
-      return fail("unsupported host parameter type `" + P.Ty->str() + "`");
+      S.Target = static_cast<unsigned>(It - Kernels.begin());
     }
-    V.Slot = newSlot();
-    bind(P.Name, V);
-    R.Params.push_back(std::move(FP));
-  }
-  return true;
-}
-
-std::unique_ptr<HostExpr> HostCompiler::compilePlaceRead(const PlaceExpr &P) {
-  // Flatten root-to-leaf, exactly like hostgen's placeCpp.
-  std::vector<const PlaceExpr *> Chain;
-  for (const PlaceExpr *Cur = &P; Cur; Cur = basePlace(Cur))
-    Chain.push_back(Cur);
-  std::reverse(Chain.begin(), Chain.end());
-
-  const HVar *Root = nullptr;
-  std::unique_ptr<HostExpr> Idx;
-  for (const PlaceExpr *Step : Chain) {
-    switch (Step->kind()) {
-    case ExprKind::PlaceVar: {
-      const auto *V = cast<PlaceVar>(Step);
-      Root = lookup(V->Name);
-      if (!Root) {
-        fail("unknown host variable `" + V->Name + "`");
-        return nullptr;
-      }
-      break;
-    }
-    case ExprKind::PlaceDeref:
-      break; // buffers index directly; the deref is implicit
-    case ExprKind::PlaceIndex: {
-      if (Idx) {
-        fail("place `" + P.str() + "` indexes more than one dimension");
-        return nullptr;
-      }
-      Idx = compileExpr(*cast<PlaceIndex>(Step)->Index);
-      if (!Idx)
-        return nullptr;
-      break;
-    }
-    default:
-      fail("place `" + P.str() + "` is not addressable in host code");
-      return nullptr;
-    }
-  }
-  auto E = std::make_unique<HostExpr>();
-  if (Idx) {
-    if (Root->K != HostFnIR::Param::HostArr) {
-      fail("place `" + P.str() + "` indexes a non-host-memory buffer");
-      return nullptr;
-    }
-    E->K = HostExpr::Index;
-    E->Ty = Root->Elem;
-    E->SlotIdx = Root->Slot;
-    E->L = std::move(Idx);
-    return E;
-  }
-  if (Root->K != HostFnIR::Param::Scalar) {
-    fail("place `" + P.str() + "` reads a whole buffer as a scalar");
-    return nullptr;
-  }
-  E->K = HostExpr::Slot;
-  E->Ty = Root->LoopVar ? ScalarKind::I64 : Root->Elem;
-  E->SlotIdx = Root->Slot;
-  return E;
-}
-
-std::unique_ptr<HostExpr> HostCompiler::compileExpr(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Literal: {
-    const auto *L = cast<LiteralExpr>(&E);
-    auto X = std::make_unique<HostExpr>();
-    X->K = HostExpr::Lit;
-    X->Ty = L->Scalar;
-    switch (L->Scalar) {
-    case ScalarKind::F32:
-      X->LitV.F = static_cast<double>(static_cast<float>(L->FloatValue));
-      break;
-    case ScalarKind::F64:
-      X->LitV.F = L->FloatValue;
-      break;
-    case ScalarKind::Bool:
-      X->LitV.I = L->BoolValue ? 1 : 0;
-      break;
-    default:
-      X->LitV.I = L->IntValue;
-      break;
-    }
-    return X;
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    auto L = compileExpr(*B->Lhs);
-    auto R2 = compileExpr(*B->Rhs);
-    if (!L || !R2)
-      return nullptr;
-    auto X = std::make_unique<HostExpr>();
-    X->K = HostExpr::Binary;
-    X->BO = static_cast<int>(B->Op);
-    bool IsCmp = B->Op == BinOpKind::Eq || B->Op == BinOpKind::Ne ||
-                 B->Op == BinOpKind::Lt || B->Op == BinOpKind::Le ||
-                 B->Op == BinOpKind::Gt || B->Op == BinOpKind::Ge ||
-                 B->Op == BinOpKind::And || B->Op == BinOpKind::Or;
-    VK K = promoteVK(vkOf(L->Ty), vkOf(R2->Ty));
-    X->Ty = IsCmp ? ScalarKind::Bool
-                  : (K == VK::F64 ? ScalarKind::F64
-                                  : (K == VK::F32 ? ScalarKind::F32
-                                                  : ScalarKind::I64));
-    X->L = std::move(L);
-    X->R = std::move(R2);
-    return X;
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    auto S = compileExpr(*U->Sub);
-    if (!S)
-      return nullptr;
-    auto X = std::make_unique<HostExpr>();
-    X->K = HostExpr::Unary;
-    X->UO = static_cast<int>(U->Op);
-    X->Ty = U->Op == UnOpKind::Not ? ScalarKind::Bool : S->Ty;
-    X->L = std::move(S);
-    return X;
-  }
-  case ExprKind::PlaceVar:
-  case ExprKind::PlaceDeref:
-  case ExprKind::PlaceIndex:
-    return compilePlaceRead(*cast<PlaceExpr>(&E));
-  default:
-    fail("unsupported host expression: " + exprToString(E));
-    return nullptr;
-  }
-}
-
-bool HostCompiler::compilePlaceTarget(const PlaceExpr &P, unsigned &Slot,
-                                      std::unique_ptr<HostExpr> &Idx,
-                                      ScalarKind &Elem) {
-  std::vector<const PlaceExpr *> Chain;
-  for (const PlaceExpr *Cur = &P; Cur; Cur = basePlace(Cur))
-    Chain.push_back(Cur);
-  std::reverse(Chain.begin(), Chain.end());
-
-  const HVar *Root = nullptr;
-  for (const PlaceExpr *Step : Chain) {
-    switch (Step->kind()) {
-    case ExprKind::PlaceVar: {
-      const auto *V = cast<PlaceVar>(Step);
-      Root = lookup(V->Name);
-      if (!Root)
-        return fail("unknown host variable `" + V->Name + "`");
-      break;
-    }
-    case ExprKind::PlaceDeref:
-      break;
-    case ExprKind::PlaceIndex: {
-      if (Idx)
-        return fail("place `" + P.str() +
-                    "` indexes more than one dimension");
-      Idx = compileExpr(*cast<PlaceIndex>(Step)->Index);
-      if (!Idx)
-        return false;
-      break;
-    }
-    default:
-      return fail("place `" + P.str() + "` is not addressable in host code");
-    }
-  }
-  if (Idx) {
-    if (Root->K != HostFnIR::Param::HostArr)
-      return fail("assignment target `" + P.str() +
-                  "` is not a host-memory buffer");
-  } else {
-    if (Root->K != HostFnIR::Param::Scalar)
-      return fail("assignment target `" + P.str() + "` is not a scalar");
-  }
-  Slot = Root->Slot;
-  Elem = Root->LoopVar && !Idx ? ScalarKind::I64 : Root->Elem;
-  return true;
-}
-
-bool HostCompiler::compileLet(const LetExpr &L, std::vector<HostStmt> &Out) {
-  if (const auto *C = dyn_cast<CallExpr>(L.Init.get()))
-    if (C->Callee == "CpuHeap::new" || C->Callee == "GpuGlobal::alloc_copy")
-      return compileAllocCall(*C, L.Name, Out);
-  if (const auto *A = dyn_cast<AllocExpr>(L.Init.get())) {
-    // alloc::<cpu.mem, [T; n]>() — zero-initialized host heap array.
-    std::vector<Nat> Dims;
-    ScalarKind Elem = ScalarKind::F64;
-    if (A->Mem.Kind != MemoryKind::CpuMem ||
-        !codegen::arrayNest(A->AllocTy, Dims, Elem))
-      return fail("unsupported host allocation: " + exprToString(*L.Init));
-    Nat Count = Nat::lit(1);
-    for (const Nat &D : Dims)
-      Count = Count * D;
-    auto N = natSize(Count, "host array size");
-    if (!N)
+    if (!prepareHostStmts(S.Body, F, Kernels, Err))
       return false;
-    HostStmt S;
-    S.K = HostStmt::AllocHost;
-    S.Elem = Elem;
-    S.Count = *N;
-    S.Fill = std::make_unique<HostExpr>();
-    S.Fill->K = HostExpr::Lit;
-    S.Fill->Ty = Elem;
-    if (vkOf(Elem) == VK::I64)
-      S.Fill->LitV.I = 0;
-    else
-      S.Fill->LitV.F = 0.0;
-    HVar V;
-    V.K = HostFnIR::Param::HostArr;
-    V.Elem = Elem;
-    V.Count = *N;
-    V.Slot = newSlot();
-    S.Dst = V.Slot;
-    bind(L.Name, V);
-    Out.push_back(std::move(S));
-    return true;
   }
-
-  // Scalar let.
-  auto Init = compileExpr(*L.Init);
-  if (!Init)
-    return false;
-  ScalarKind Elem = ScalarKind::F64;
-  if (const auto *S = dyn_cast_if_present<ScalarType>(
-          (L.Annotation ? L.Annotation : L.Init->Ty).get()))
-    Elem = S->Scalar;
-  else if (const auto *Lit = dyn_cast<LiteralExpr>(L.Init.get()))
-    Elem = Lit->Scalar;
-  HostStmt S;
-  S.K = HostStmt::LetScalar;
-  S.Elem = Elem;
-  S.Fill = std::move(Init);
-  HVar V;
-  V.K = HostFnIR::Param::Scalar;
-  V.Elem = Elem;
-  V.Slot = newSlot();
-  S.Dst = V.Slot;
-  bind(L.Name, V);
-  Out.push_back(std::move(S));
   return true;
 }
 
-bool HostCompiler::compileAllocCall(const CallExpr &C, const std::string &Let,
-                                    std::vector<HostStmt> &Out) {
-  if (C.Callee == "CpuHeap::new") {
-    const auto *Init = dyn_cast<ArrayInitExpr>(
-        C.Args.empty() ? nullptr : C.Args[0].get());
-    if (!Init)
-      return fail("CpuHeap::new expects an array initializer `[v; n]`");
-    ScalarKind Elem = ScalarKind::F64;
-    if (const auto *S = dyn_cast_if_present<ScalarType>(Init->Elem->Ty.get()))
-      Elem = S->Scalar;
-    else if (const auto *Lit = dyn_cast<LiteralExpr>(Init->Elem.get()))
-      Elem = Lit->Scalar;
-    auto Fill = compileExpr(*Init->Elem);
-    auto N = natSize(Init->Count, "host array size");
-    if (!Fill || !N)
+bool prepareHostFn(HostFnIR &F, const std::vector<VmKernel> &Kernels,
+                   std::string &Err) {
+  for (unsigned I = 0; I != F.NumParams; ++I)
+    if (F.Vars[I].K != hostgen::HostVar::Scalar &&
+        !sized(F.Vars[I], "host parameter size", Err))
       return false;
-    HostStmt S;
-    S.K = HostStmt::AllocHost;
-    S.Elem = Elem;
-    S.Count = *N;
-    S.Fill = std::move(Fill);
-    HVar V;
-    V.K = HostFnIR::Param::HostArr;
-    V.Elem = Elem;
-    V.Count = *N;
-    V.Slot = newSlot();
-    S.Dst = V.Slot;
-    bind(Let, V);
-    Out.push_back(std::move(S));
-    return true;
-  }
-
-  // GpuGlobal::alloc_copy(&host_buf).
-  std::string Src = C.Args.empty() ? "" : argVar(*C.Args[0]);
-  const HVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-  if (!SrcVar || SrcVar->K != HostFnIR::Param::HostArr)
-    return fail("GpuGlobal::alloc_copy expects a reference to a host buffer "
-                "variable");
-  HostStmt S;
-  S.K = HostStmt::AllocCopy;
-  S.Src = SrcVar->Slot;
-  S.Elem = SrcVar->Elem;
-  S.Count = SrcVar->Count;
-  HVar V;
-  V.K = HostFnIR::Param::DevArr;
-  V.Elem = SrcVar->Elem;
-  V.Count = SrcVar->Count;
-  V.Slot = newSlot();
-  S.Dst = V.Slot;
-  bind(Let, V);
-  Out.push_back(std::move(S));
-  return true;
-}
-
-bool HostCompiler::compileLaunch(const CallExpr &C,
-                                 std::vector<HostStmt> &Out) {
-  HostStmt S;
-  S.K = HostStmt::Launch;
-  unsigned KI = 0;
-  for (; KI != Kernels.size(); ++KI)
-    if (Kernels[KI].Name == C.Callee)
-      break;
-  if (KI == Kernels.size())
-    return fail("launch of unknown kernel `" + C.Callee + "`");
-  S.KernelIdx = KI;
-  for (const ExprPtr &A : C.Args) {
-    std::string Name = argVar(*A);
-    const HVar *V = Name.empty() ? nullptr : lookup(Name);
-    if (!V)
-      return fail("kernel launch arguments must be buffer variable "
-                  "references");
-    if (V->K != HostFnIR::Param::DevArr)
-      return fail("kernel launch argument `" + Name +
-                  "` is not a device buffer");
-    S.ArgSlots.push_back(V->Slot);
-  }
-  Out.push_back(std::move(S));
-  return true;
-}
-
-bool HostCompiler::compileCall(const CallExpr &C, std::vector<HostStmt> &Out) {
-  if (C.IsLaunch)
-    return compileLaunch(C, Out);
-
-  if (C.Callee == "copy_mem_to_host" || C.Callee == "copy_to_gpu") {
-    bool ToHost = C.Callee == "copy_mem_to_host";
-    if (C.Args.size() != 2)
-      return fail("`" + C.Callee + "` expects two arguments");
-    std::string Dst = argVar(*C.Args[0]);
-    std::string Src = argVar(*C.Args[1]);
-    const HVar *DstVar = Dst.empty() ? nullptr : lookup(Dst);
-    const HVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-    if (!DstVar || !SrcVar)
-      return fail("`" + C.Callee + "` expects buffer variable references");
-    auto KindOk = [&](const HVar *V, bool WantHost) {
-      return V->K == (WantHost ? HostFnIR::Param::HostArr
-                               : HostFnIR::Param::DevArr);
-    };
-    if (!KindOk(DstVar, ToHost) || !KindOk(SrcVar, !ToHost))
-      return fail("`" + C.Callee + "`: arguments have the wrong memory "
-                  "spaces");
-    HostStmt S;
-    S.K = ToHost ? HostStmt::CopyToHost : HostStmt::CopyToGpu;
-    S.Dst = DstVar->Slot;
-    S.Src = SrcVar->Slot;
-    Out.push_back(std::move(S));
-    return true;
-  }
-
-  // Plain call of another host function.
-  if (const FnDef *Callee = M.findFn(C.Callee);
-      Callee && Callee->isCpuFn()) {
-    auto It = HostIdx.find(C.Callee);
-    if (It == HostIdx.end())
-      return fail("host call of `" + C.Callee + "` which has no body");
-    HostStmt S;
-    S.K = HostStmt::Call;
-    S.CalleeIdx = It->second;
-    for (const ExprPtr &A : C.Args) {
-      std::string Name = argVar(*A);
-      const HVar *V = Name.empty() ? nullptr : lookup(Name);
-      if (!V)
-        return fail("host call arguments must be variable references in the "
-                    "vm backend");
-      S.ArgSlots.push_back(V->Slot);
-    }
-    Out.push_back(std::move(S));
-    return true;
-  }
-  return fail("unsupported host call: " + C.Callee);
-}
-
-bool HostCompiler::compileForNat(const ForNatExpr &F,
-                                 std::vector<HostStmt> &Out) {
-  auto Lo = F.Lo.simplified().evaluate({});
-  auto Hi = F.Hi.simplified().evaluate({});
-  if (!Lo || !Hi)
-    return fail("for-nat bounds `[" + F.Lo.simplified().str() + ".." +
-                F.Hi.simplified().str() +
-                "]` are not instantiated (pass -D)");
-  HostStmt S;
-  S.K = HostStmt::ForNat;
-  S.Lo = *Lo;
-  S.Hi = *Hi;
-  Scopes.emplace_back();
-  HVar V;
-  V.K = HostFnIR::Param::Scalar;
-  V.LoopVar = true;
-  V.Elem = ScalarKind::I64;
-  V.Slot = newSlot();
-  S.Dst = V.Slot;
-  bind(F.Var, V);
-  bool Ok = F.Body->kind() == ExprKind::Block
-                ? compileBlock(*cast<BlockExpr>(F.Body.get()), S.Body)
-                : compileStmt(*F.Body, S.Body);
-  Scopes.pop_back();
-  if (!Ok)
-    return false;
-  Out.push_back(std::move(S));
-  return true;
-}
-
-bool HostCompiler::compileStmt(const Expr &E, std::vector<HostStmt> &Out) {
-  switch (E.kind()) {
-  case ExprKind::Let:
-    return compileLet(*cast<LetExpr>(&E), Out);
-  case ExprKind::Call:
-    return compileCall(*cast<CallExpr>(&E), Out);
-  case ExprKind::Assign: {
-    const auto *A = cast<AssignExpr>(&E);
-    HostStmt S;
-    S.K = HostStmt::Assign;
-    if (!compilePlaceTarget(*A->Lhs, S.Dst, S.Idx, S.Elem))
-      return false;
-    S.Fill = compileExpr(*A->Rhs);
-    if (!S.Fill)
-      return false;
-    Out.push_back(std::move(S));
-    return true;
-  }
-  case ExprKind::ForNat:
-    return compileForNat(*cast<ForNatExpr>(&E), Out);
-  case ExprKind::Block: {
-    Scopes.emplace_back();
-    bool Ok = compileBlock(*cast<BlockExpr>(&E), Out);
-    Scopes.pop_back();
-    return Ok;
-  }
-  default:
-    return fail("unsupported host statement: " + exprToString(E));
-  }
-}
-
-bool HostCompiler::compileBlock(const BlockExpr &Blk,
-                                std::vector<HostStmt> &Out) {
-  for (const ExprPtr &S : Blk.Stmts)
-    if (!compileStmt(*S, Out))
-      return false;
-  return true;
-}
-
-bool HostCompiler::run(HostFnIR &Out, std::string &Err) {
-  R.Name = Fn.Name;
-  Scopes.emplace_back();
-  bool Ok = compileParams();
-  if (Ok && Fn.Body)
-    Ok = compileBlock(*cast<BlockExpr>(Fn.Body.get()), R.Body);
-  Scopes.pop_back();
-  if (!Ok) {
-    Err = "while compiling host `" + Fn.Name + "`: " +
-          (Error.empty() ? "host compilation failed" : Error);
-    return false;
-  }
-  Out = std::move(R);
-  return true;
+  return prepareHostStmts(F.Body, F, Kernels, Err);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1519,69 +975,6 @@ void disasmNodes(std::ostringstream &OS, const std::vector<VmNode> &Nodes,
     }
     OS << Ind << "loop slot " << N.Slot << "\n";
     disasmNodes(OS, N.Children, Depth + 1, Phase);
-  }
-}
-
-const char *hostStmtName(HostStmt::Kind K) {
-  switch (K) {
-  case HostStmt::AllocHost:
-    return "alloc-host";
-  case HostStmt::AllocCopy:
-    return "alloc-copy";
-  case HostStmt::CopyToHost:
-    return "copy-to-host";
-  case HostStmt::CopyToGpu:
-    return "copy-to-gpu";
-  case HostStmt::Launch:
-    return "launch";
-  case HostStmt::LetScalar:
-    return "let-scalar";
-  case HostStmt::Assign:
-    return "assign";
-  case HostStmt::ForNat:
-    return "for-nat";
-  case HostStmt::Call:
-    return "call";
-  }
-  return "?";
-}
-
-void disasmHostStmts(std::ostringstream &OS, const std::vector<HostStmt> &B,
-                     unsigned Depth) {
-  std::string Ind(Depth * 2 + 2, ' ');
-  for (const HostStmt &S : B) {
-    OS << Ind << hostStmtName(S.K);
-    switch (S.K) {
-    case HostStmt::AllocHost:
-      OS << " slot " << S.Dst << " (" << S.Count << " x "
-         << scalarKindName(S.Elem) << ")";
-      break;
-    case HostStmt::AllocCopy:
-    case HostStmt::CopyToHost:
-    case HostStmt::CopyToGpu:
-      OS << " slot " << S.Dst << " <- slot " << S.Src;
-      break;
-    case HostStmt::Launch:
-      OS << " kernel[" << S.KernelIdx << "] args";
-      for (unsigned A : S.ArgSlots)
-        OS << " " << A;
-      break;
-    case HostStmt::LetScalar:
-    case HostStmt::Assign:
-      OS << " slot " << S.Dst;
-      break;
-    case HostStmt::ForNat:
-      OS << " slot " << S.Dst << " in [" << S.Lo << ".." << S.Hi << ")";
-      break;
-    case HostStmt::Call:
-      OS << " hostfn[" << S.CalleeIdx << "] args";
-      for (unsigned A : S.ArgSlots)
-        OS << " " << A;
-      break;
-    }
-    OS << "\n";
-    if (S.K == HostStmt::ForNat)
-      disasmHostStmts(OS, S.Body, Depth + 1);
   }
 }
 
@@ -1695,18 +1088,17 @@ CompileVmResult vm::compile(const Module &M, const kir::PassConfig &Passes) {
         return R;
       P->Kernels.push_back(std::move(K));
     }
-    std::map<std::string, unsigned> HostIdx;
-    for (const auto &FnPtr : M.Fns)
-      if (FnPtr->isCpuFn() && FnPtr->Body)
-        HostIdx[FnPtr->Name] = static_cast<unsigned>(HostIdx.size());
     for (const auto &FnPtr : M.Fns) {
       const FnDef &Fn = *FnPtr;
       if (!Fn.isCpuFn() || !Fn.Body)
         continue;
-      HostFnIR F;
-      if (!HostCompiler(M, Fn, P->Kernels, HostIdx).run(F, R.Error))
+      hostgen::HostBuildResult H = hostgen::buildHostFn(M, Fn);
+      std::string Err = H.Error;
+      if (!H.Ok || !prepareHostFn(H.Fn, P->Kernels, Err)) {
+        R.Error = "while compiling host `" + Fn.Name + "`: " + Err;
         return R;
-      P->HostFns.push_back(std::move(F));
+      }
+      P->HostFns.push_back(std::move(H.Fn));
     }
     R.Ok = true;
     R.Program = std::move(P);
@@ -1739,26 +1131,7 @@ std::string vm::disassemble(const CompiledProgram &P) {
     unsigned Phase = 0;
     disasmNodes(OS, K.Nodes, 0, Phase);
   }
-  for (const HostFnIR &F : P.HostFns) {
-    OS << "\nhost " << F.Name << " (" << F.NumSlots << " slots)\n";
-    for (size_t I = 0; I != F.Params.size(); ++I) {
-      OS << "  param[" << I << "] " << F.Params[I].Name << ": ";
-      switch (F.Params[I].K) {
-      case HostFnIR::Param::HostArr:
-        OS << "host [" << scalarKindName(F.Params[I].Elem) << "; "
-           << F.Params[I].Count << "]";
-        break;
-      case HostFnIR::Param::DevArr:
-        OS << "device [" << scalarKindName(F.Params[I].Elem) << "; "
-           << F.Params[I].Count << "]";
-        break;
-      case HostFnIR::Param::Scalar:
-        OS << scalarKindName(F.Params[I].Elem);
-        break;
-      }
-      OS << "\n";
-    }
-    disasmHostStmts(OS, F.Body, 0);
-  }
+  for (const HostFnIR &F : P.HostFns)
+    OS << "\n" << hostgen::dumpHostFn(F);
   return OS.str();
 }

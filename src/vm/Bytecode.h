@@ -5,12 +5,16 @@
 // compiler, vm::compile() translates every lowered kernel of a module
 // into a compact register-style bytecode — a flat instruction vector with
 // a constant pool per phase body, mirroring the phase-program tree
-// (codegen/PhaseIR.h) node for node — plus a small host-statement IR for
-// the module's cpu.thread functions. The result is a self-contained,
-// immutable CompiledProgram artifact: it holds no pointers into the
-// Module it was compiled from, so a compile service can cache and share
-// it across threads, and the interpreter (vm/Interp.h) can launch it on
-// any sim::GpuDevice with zero C++ compilation in the loop.
+// (codegen/PhaseIR.h) node for node. The module's cpu.thread functions
+// are not lowered here: hostgen builds their host IR (hostgen/HostGen.h),
+// the same IR the sim and cuda printers print, and vm::compile keeps it
+// after two vm-only steps — every size and loop bound must be
+// instantiated (there is no later compiler to defer to), and every launch
+// resolves to a kernel index. The result is a self-contained, immutable
+// CompiledProgram artifact: it holds no pointers into the Module it was
+// compiled from, so a compile service can cache and share it across
+// threads, and the interpreter (vm/Interp.h) can launch it on any
+// sim::GpuDevice with zero C++ compilation in the loop.
 //
 // Every Nat is resolved at compile time: literals fold into the constant
 // pool, coordinate variables (_bx/_tx/.../_lin) become Coord
@@ -25,6 +29,7 @@
 #define DESCEND_VM_BYTECODE_H
 
 #include "ast/Type.h" // ScalarKind
+#include "hostgen/HostGen.h" // the host IR
 #include "kir/Schedule.h" // kir::PassConfig
 #include "nat/Nat.h"
 #include "sim/Sim.h" // sim::Dim3
@@ -149,74 +154,19 @@ struct VmKernel {
   unsigned StraightPhases = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// Host-program IR
-//===----------------------------------------------------------------------===//
-
-/// A host-side scalar expression, compiled from the structural host
-/// fragment (hostgen's accepted language): literals, frame slots, host
-/// array indexing and arithmetic.
-struct HostExpr {
-  enum Kind { Lit, Slot, Index, Binary, Unary } K = Lit;
-  ScalarKind Ty = ScalarKind::F64; ///< result kind
-  Value LitV{};                    ///< Lit
-  unsigned SlotIdx = 0;            ///< Slot: scalar / loop var; Index: array
-  std::unique_ptr<HostExpr> L, R;  ///< Binary; Unary/Index use L
-  int BO = 0;                      ///< Binary: BinOpKind as int
-  int UO = 0;                      ///< Unary: UnOpKind as int
-};
-
-/// One statement of a compiled host function. Slot indices refer to the
-/// function's frame (parameters first, then locals in definition order).
-struct HostStmt {
-  enum Kind {
-    AllocHost,  ///< frame[Dst] = host array (Count x Elem, filled with Fill)
-    AllocCopy,  ///< frame[Dst] = device buffer copied from host frame[Src]
-    CopyToHost, ///< host frame[Dst] <- device frame[Src] (checked sizes)
-    CopyToGpu,  ///< device frame[Dst] <- host frame[Src]
-    Launch,     ///< launch Kernels[KernelIdx] with device buffers ArgSlots
-    LetScalar,  ///< frame[Dst] = eval(Fill)
-    Assign,     ///< frame[Dst][eval(Idx)] = eval(Fill); scalar slot if !Idx
-    ForNat,     ///< for frame[Dst] in [Lo..Hi) run Body
-    Call,       ///< HostFns[CalleeIdx](frame[ArgSlots]...)
-  } K = LetScalar;
-
-  unsigned Dst = 0, Src = 0;
-  ScalarKind Elem = ScalarKind::F64;
-  size_t Count = 0;              // AllocHost
-  std::unique_ptr<HostExpr> Fill; // AllocHost fill / LetScalar / Assign value
-  std::unique_ptr<HostExpr> Idx;  // Assign index (null: scalar target)
-  unsigned KernelIdx = 0;
-  std::vector<unsigned> ArgSlots; // Launch / Call
-  unsigned CalleeIdx = 0;         // Call
-  long long Lo = 0, Hi = 0;       // ForNat (bounds are instantiated nats)
-  std::vector<HostStmt> Body;     // ForNat
-};
-
-/// One compiled cpu.thread function.
-struct HostFnIR {
-  std::string Name; ///< source name (`main` stays `main` here)
-
-  struct Param {
-    enum Kind { HostArr, DevArr, Scalar } K = HostArr;
-    std::string Name;
-    ScalarKind Elem = ScalarKind::F64;
-    size_t Count = 0; ///< HostArr / DevArr element count
-  };
-  std::vector<Param> Params;
-
-  unsigned NumSlots = 0; ///< frame size (params occupy slots 0..N-1)
-  std::vector<HostStmt> Body;
-};
+/// A compiled cpu.thread function: hostgen's host IR, with every size and
+/// loop bound instantiated and every launch resolved to a kernel index
+/// (HostStmt::Target).
+using HostFnIR = hostgen::HostFn;
 
 //===----------------------------------------------------------------------===//
 // The compiled artifact
 //===----------------------------------------------------------------------===//
 
 /// The self-contained executable artifact of one module: every GPU kernel
-/// as bytecode, every host function as host IR. Immutable after compile;
-/// safe to share across threads (the compile service caches shared_ptrs
-/// to it).
+/// as bytecode, every host function as instantiated host IR. Immutable
+/// after compile; safe to share across threads (the compile service
+/// caches shared_ptrs to it).
 struct CompiledProgram {
   std::vector<VmKernel> Kernels;
   std::vector<HostFnIR> HostFns;
@@ -240,7 +190,7 @@ CompileVmResult compile(const Module &M, const kir::PassConfig &Passes = {});
 
 /// Human-readable listing of a compiled program (the `--emit=vm`
 /// artifact): per kernel the geometry, parameters and a disassembly of
-/// every phase body; per host function its statement tree.
+/// every phase body; per host function hostgen's listing of its IR.
 std::string disassemble(const CompiledProgram &P);
 
 /// Element size of a scalar kind in both the vm's buffers and the

@@ -15,9 +15,11 @@
 // order. Compiled-from-source kernels ride the same persistent worker
 // pool, phase barriers, loopVar slots, shared/arena memory and
 // race/bounds observability as the build-time-generated C++ — with zero
-// C++ compilation at runtime. runHostFn tree-walks a compiled
-// cpu.thread function (allocations, transfers, launches, scalar code)
-// on the calling thread.
+// C++ compilation at runtime. runHostFn interprets hostgen's host IR of a
+// cpu.thread function (allocations, transfers, launches, scalar code) on
+// the calling thread: the same IR the sim and cuda printers print, over a
+// slot-indexed frame, with every size, bound and launch target resolved
+// by vm::compile — no name lookup and no Nat evaluation per run.
 //
 // Error discipline: kernel runtime faults (division by zero, arena or
 // shared accesses outside the block's allocation, out-of-range global
@@ -139,6 +141,21 @@ RunStatus launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
 /// by value. Never throws.
 RunStatus runHostFn(sim::GpuDevice &Dev, const CompiledProgram &P,
                     const HostFnIR &Fn, std::vector<HostVal> Args);
+
+/// Arguments for a host `main`, bound by bindMainArgs.
+struct MainArgs {
+  std::vector<HostVal> Args;
+  /// The host-array arguments, in parameter order: they hold the
+  /// program's observable output after runHostFn.
+  std::vector<std::shared_ptr<HostArray>> Arrays;
+};
+
+/// Binds \p Main's parameters the way `descendc --run --args` does: the
+/// I-th parameter takes \p Fills[I] (default 1 for buffers, 0 for
+/// scalars). Host arrays are filled with it, device buffers are allocated
+/// zeroed on \p Dev, scalars take it as their value.
+MainArgs bindMainArgs(sim::GpuDevice &Dev, const HostFnIR &Main,
+                      const std::vector<double> &Fills);
 
 } // namespace vm
 } // namespace descend

@@ -530,4 +530,128 @@ fn main(pair: &uniq cpu.mem (f64, f64)) -[t: cpu.thread]-> () { }
       << S.renderDiagnostics();
 }
 
+//===----------------------------------------------------------------------===//
+// One verdict across backends
+//===----------------------------------------------------------------------===//
+
+/// What \p Backend makes of \p Src: empty when it compiles, else its first
+/// error. A backend failure drops the backend's own wrapper (`backend `x`
+/// failed: while ... host `f`: `) so buildHostFn's message compares
+/// across backends.
+std::string verdict(const std::string &Src, const std::string &Backend,
+                    const std::map<std::string, long long> &Defines) {
+  CompilerInvocation Inv;
+  Inv.BufferName = "row.descend";
+  Inv.BackendName = Backend;
+  Inv.Defines = Defines;
+  Session S(Inv);
+  if (S.run(Src).Ok)
+    return "";
+  const Diagnostic &D = S.diagnostics().all().front();
+  size_t Host = D.Message.find("host `");
+  size_t End = D.Message.find("`: ", Host);
+  if (D.Code != DiagCode::BackendFailed || End == std::string::npos)
+    return D.Message;
+  return D.Message.substr(End + 3);
+}
+
+struct ConformanceRow {
+  const char *Name;
+  const char *Source;
+  std::map<std::string, long long> Defines;
+  /// Null: sim, cuda and vm all accept. Else the message they reject with.
+  const char *Reject;
+  /// The one backend whose documented target rule rejects alone, or null
+  /// when all three share the verdict.
+  const char *OnlyIn;
+  /// When the vm accepts: the RESULT line `--run` prints.
+  const char *Result;
+};
+
+TEST(HostConformance, EveryBackendSharesOneVerdict) {
+  const char *GenericFill = R"(
+fn main<n: nat>(buf: &uniq cpu.mem [f64; n]) -[t: cpu.thread]-> () {
+  for i in [0..n] { (*buf)[i] = 2.0 }
+}
+)";
+  const ConformanceRow Rows[] = {
+      {"scalar host call argument", R"(
+fn fill(buf: &uniq cpu.mem [f64; 16], v: f64) -[t: cpu.thread]-> () {
+  for i in [0..16] { (*buf)[i] = v }
+}
+fn main(buf: &uniq cpu.mem [f64; 16]) -[t: cpu.thread]-> () {
+  fill(&uniq *buf, 2.5)
+}
+)",
+       {}, nullptr, nullptr, "RESULT buf n=16 sum=40 first=2.5 last=2.5\n"},
+      {"multi-dimensional host index", R"(
+fn main(a: &uniq cpu.mem [[f64; 4]; 4]) -[t: cpu.thread]-> () {
+  (*a)[1][2] = 7.0
+}
+)",
+       {}, "place `(*a)[1][2]` indexes more than one dimension", nullptr,
+       nullptr},
+      {"float modulo", R"(
+fn main(a: &uniq cpu.mem [f64; 4]) -[t: cpu.thread]-> () {
+  (*a)[0] = (*a)[1] % 2.0
+}
+)",
+       {}, "`%` requires integer operands, found `f64`", nullptr, nullptr},
+      {"tuple parameter", R"(
+fn main(pair: &uniq cpu.mem (f64, f64)) -[t: cpu.thread]-> () { }
+)",
+       {}, "unsupported host parameter type `&uniq cpu.mem (f64, f64)`",
+       nullptr, nullptr},
+      // cuda frees device buffers at function exit, so it alone needs
+      // them allocated at function scope.
+      {"nested-scope alloc_copy", R"(
+fn scale(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<1>, X<256>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      v.group::<256>[[block]][[thread]] =
+        v.group::<256>[[block]][[thread]] * 3.0
+    }
+  }
+}
+fn main(h: &uniq cpu.mem [f64; 256]) -[t: cpu.thread]-> () {
+  {
+    let d = GpuGlobal::alloc_copy(&*h);
+    scale::<<<X<1>, X<256>>>>(&uniq d);
+    copy_mem_to_host(&uniq *h, &d)
+  }
+}
+)",
+       {},
+       "device allocations must happen at host-function scope (needed for "
+       "cudaFree cleanup)",
+       "cuda", "RESULT h n=256 sum=768 first=3 last=3\n"},
+      // The vm evaluates sizes and bounds at compile time; the printers
+      // spell them symbolically.
+      {"no -D", GenericFill, {},
+       "host parameter size `n` is not instantiated (pass -D)", "vm",
+       nullptr},
+      {"with -D", GenericFill, {{"n", 16}}, nullptr, nullptr,
+       "RESULT buf n=16 sum=32 first=2 last=2\n"},
+  };
+  for (const ConformanceRow &Row : Rows) {
+    SCOPED_TRACE(Row.Name);
+    for (const char *Backend : {"sim", "cuda", "vm"}) {
+      const bool Rejects =
+          Row.Reject && (!Row.OnlyIn || std::string(Row.OnlyIn) == Backend);
+      EXPECT_EQ(verdict(Row.Source, Backend, Row.Defines),
+                Rejects ? Row.Reject : "")
+          << Backend;
+    }
+    if (!Row.Result)
+      continue;
+    CompilerInvocation Inv;
+    Inv.BufferName = "row.descend";
+    Inv.Defines = Row.Defines;
+    Session S(Inv);
+    ExecuteResult E = S.executeMain(Row.Source);
+    EXPECT_TRUE(E.Ok) << E.Error << S.renderDiagnostics();
+    EXPECT_EQ(E.Output, Row.Result);
+  }
+}
+
 } // namespace

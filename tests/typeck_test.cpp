@@ -702,6 +702,43 @@ fn host() -[t: cpu.thread]-> () {
   EXPECT_TRUE(R.Diags->contains(DiagCode::MismatchedTypes));
 }
 
+// `%` is integer-only: C++ rejects it on floats and the vm has no float
+// modulo, so the type checker refuses it once for host and kernel code.
+TEST(Typeck, FloatModuloRejectedInHostCode) {
+  auto R = checkProgram(R"(
+fn main(a: &uniq cpu.mem [f64; 4]) -[t: cpu.thread]-> () {
+  (*a)[0] = (*a)[1] % 2.0
+}
+)");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_TRUE(R.Diags->contains(DiagCode::MismatchedTypes))
+      << R.Diags->renderAll();
+}
+
+TEST(Typeck, FloatModuloRejectedInKernelCode) {
+  auto R = checkProgram(R"(
+fn k(v: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      v.group::<64>[[block]][[thread]] = v.group::<64>[[block]][[thread]] % 2.0
+    }
+  }
+}
+)");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_TRUE(R.Diags->contains(DiagCode::MismatchedTypes))
+      << R.Diags->renderAll();
+}
+
+TEST(Typeck, IntegerModuloAccepted) {
+  auto R = checkProgram(R"(
+fn host() -[t: cpu.thread]-> () {
+  let x = 7 % 2
+}
+)");
+  EXPECT_TRUE(R.Ok) << R.Diags->renderAll();
+}
+
 TEST(Typeck, SharedAllocOnCpuRejected) {
   auto R = checkProgram(R"(
 fn host() -[t: cpu.thread]-> () {
