@@ -86,15 +86,13 @@ GenResult CudaBackend::emit(const Module &M, const BackendOptions &Opts) const {
     if (!Fn.isCpuFn() || !Fn.Body)
       continue;
     hostgen::HostBuildResult IR = hostgen::buildHostFn(M, Fn);
-    hostgen::HostGenResult H =
-        IR.Ok ? hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Cuda,
-                                     Opts.FnSuffix)
-              : hostgen::HostGenResult{false, "", IR.Error};
-    if (!H.Ok) {
-      R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
+    if (!IR.Ok) {
+      R.Error = "while emitting host `" + Fn.Name + "`: " + IR.Error;
       return R;
     }
-    OS << H.Code << "\n";
+    OS << hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Cuda,
+                               Opts.FnSuffix)
+       << "\n";
   }
 
   R.Ok = true;

@@ -237,7 +237,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     for (hostgen::HostTarget HT :
          {hostgen::HostTarget::Sim, hostgen::HostTarget::SimStream,
           hostgen::HostTarget::SimGraph})
-      OS << "\n" << hostgen::printHostFn(IR.Fn, HT, FnSuffix).Code;
+      OS << "\n" << hostgen::printHostFn(IR.Fn, HT, FnSuffix);
   }
   OS << "\n} // namespace descend::gen\n";
   R.Ok = true;

@@ -61,7 +61,12 @@ private:
   const FnDef &Fn;
   HostFn F;
   std::string Error;
-  std::vector<std::map<std::string, unsigned>> Scopes;
+
+  struct Scope {
+    std::map<std::string, unsigned> Names;
+    std::vector<unsigned> DeviceBufs; ///< local device buffers, in order
+  };
+  std::vector<Scope> Scopes;
 
   bool fail(const std::string &Msg) {
     if (Error.empty())
@@ -72,14 +77,29 @@ private:
   unsigned define(const std::string &Name, HostVar V) {
     V.Name = Name;
     unsigned Slot = static_cast<unsigned>(F.Vars.size());
+    if (V.K == HostVar::DevBuf && !V.IsParam)
+      Scopes.back().DeviceBufs.push_back(Slot);
     F.Vars.push_back(std::move(V));
-    Scopes.back()[Name] = Slot;
+    Scopes.back().Names[Name] = Slot;
     return Slot;
+  }
+
+  /// Leaves the innermost scope, whose statements are \p Out: the device
+  /// buffers it defined die here, the last defined first.
+  void closeScope(std::vector<HostStmt> &Out) {
+    const std::vector<unsigned> &Bufs = Scopes.back().DeviceBufs;
+    for (auto It = Bufs.rbegin(); It != Bufs.rend(); ++It) {
+      HostStmt R;
+      R.K = HostStmt::Release;
+      R.Dst = *It;
+      Out.push_back(std::move(R));
+    }
+    Scopes.pop_back();
   }
 
   std::optional<unsigned> lookup(const std::string &Name) const {
     for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-      if (auto Found = It->find(Name); Found != It->end())
+      if (auto Found = It->Names.find(Name); Found != It->Names.end())
         return Found->second;
     return std::nullopt;
   }
@@ -151,6 +171,7 @@ HostBuildResult HostLowering::run() {
   bool Ok = params();
   if (Ok && Fn.Body)
     Ok = block(*cast<BlockExpr>(Fn.Body.get()), F.Body);
+  closeScope(F.Body);
   if (!Ok) {
     R.Error = Error.empty() ? "host lowering failed" : Error;
     return R;
@@ -368,7 +389,7 @@ bool HostLowering::stmt(const Expr &E, std::vector<HostStmt> &Out) {
     S.K = HostStmt::Block;
     Scopes.emplace_back();
     bool Ok = block(*cast<BlockExpr>(&E), S.Body);
-    Scopes.pop_back();
+    closeScope(S.Body);
     if (!Ok)
       return false;
     break;
@@ -500,7 +521,7 @@ bool HostLowering::forNat(const ForNatExpr &Loop, std::vector<HostStmt> &Out) {
   bool Ok = Loop.Body->kind() == ExprKind::Block
                 ? block(*cast<BlockExpr>(Loop.Body.get()), S.Body)
                 : stmt(*Loop.Body, S.Body);
-  Scopes.pop_back();
+  closeScope(S.Body);
   if (!Ok)
     return false;
   Out.push_back(std::move(S));
@@ -549,7 +570,7 @@ public:
         Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
         Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
 
-  HostGenResult run();
+  std::string run();
 
 private:
   const HostFn &F;
@@ -565,10 +586,7 @@ private:
   const std::string &FnSuffix;
 
   std::ostringstream OS;
-  std::string Error;
   unsigned Depth = 1;
-  /// How many loops and blocks enclose the statement being printed.
-  unsigned Nesting = 0;
 
   /// Stream mode: operations are enqueued but not yet joined; the next
   /// statement that touches host memory must synchronize first.
@@ -578,10 +596,6 @@ private:
   /// far. Loop printing snapshots this to detect bodies that touch host
   /// memory (see the ForNat back-edge join).
   unsigned HostTouches = 0;
-
-  /// Device buffers allocated at function scope, in allocation order
-  /// (cuda: released with cudaFree before returning).
-  std::vector<unsigned> DeviceBufs;
 
   /// Graph mode: the host-buffer parameters the capture rebinds, in
   /// first-use order; a variable's index here is its graph slot.
@@ -623,13 +637,14 @@ private:
   }
 
   void signature();
-  bool body(const std::vector<HostStmt> &Body);
-  bool stmt(const HostStmt &S);
-  bool allocCopy(const HostStmt &S);
+  void body(const std::vector<HostStmt> &Body);
+  void stmt(const HostStmt &S);
+  void allocCopy(const HostStmt &S);
   void copy(const HostStmt &S);
   void launch(const HostStmt &S);
   void call(const HostStmt &S);
-  bool forNat(const HostStmt &S);
+  void forNat(const HostStmt &S);
+  void release(const HostStmt &S);
 
   // Graph mode ---------------------------------------------------------
 
@@ -645,9 +660,9 @@ private:
   bool capturable(const HostStmt &S, std::set<unsigned> &Locals) const;
   bool mentions(const HostStmt &S, const std::set<unsigned> &Vars) const;
   bool mentions(const HostExpr &E, const std::set<unsigned> &Vars) const;
-  size_t capturePrefix() const;
+  size_t capturePrefix(std::set<unsigned> &Locals) const;
   void captureStmt(const HostStmt &S);
-  bool graphBody(size_t Prefix);
+  void graphBody(size_t Prefix, const std::set<unsigned> &Locals);
 };
 
 void Printer::signature() {
@@ -688,14 +703,12 @@ void Printer::signature() {
   }
 }
 
-bool Printer::body(const std::vector<HostStmt> &Body) {
+void Printer::body(const std::vector<HostStmt> &Body) {
   for (const HostStmt &S : Body)
-    if (!stmt(S))
-      return false;
-  return true;
+    stmt(S);
 }
 
-bool Printer::stmt(const HostStmt &S) {
+void Printer::stmt(const HostStmt &S) {
   switch (S.K) {
   case HostStmt::Alloc: {
     const HostVar &V = var(S.Dst);
@@ -708,51 +721,46 @@ bool Printer::stmt(const HostStmt &S) {
     else
       OS << CT << "{}";
     OS << ");\n";
-    return true;
+    return;
   }
   case HostStmt::AllocCopy:
     return allocCopy(S);
   case HostStmt::CopyToHost:
   case HostStmt::CopyToGpu:
-    copy(S);
-    return true;
+    return copy(S);
   case HostStmt::Launch:
-    launch(S);
-    return true;
+    return launch(S);
   case HostStmt::Let:
     syncIfPending(); // the initializer may read host buffers
     indent();
     OS << cppScalarType(var(S.Dst).Elem) << " " << name(S.Dst) << " = "
        << exprStr(F, *S.Value) << ";\n";
-    return true;
+    return;
   case HostStmt::Assign:
     syncIfPending(); // assignment may read/write host buffers
     indent();
     OS << targetStr(F, S) << " = " << exprStr(F, *S.Value) << ";\n";
-    return true;
+    return;
   case HostStmt::ForNat:
     syncIfPending(); // the loop body may read host buffers
     return forNat(S);
   case HostStmt::Call:
-    call(S);
-    return true;
-  case HostStmt::Block: {
+    return call(S);
+  case HostStmt::Block:
     indent();
     OS << "{\n";
     ++Depth;
-    ++Nesting;
-    bool Ok = body(S.Body);
-    --Nesting;
+    body(S.Body);
     --Depth;
     indent();
     OS << "}\n";
-    return Ok;
+    return;
+  case HostStmt::Release:
+    return release(S);
   }
-  }
-  return true;
 }
 
-bool Printer::allocCopy(const HostStmt &S) {
+void Printer::allocCopy(const HostStmt &S) {
   const std::string &Dst = name(S.Dst), &Src = name(S.Src);
   if (isSim()) {
     indent();
@@ -764,14 +772,7 @@ bool Printer::allocCopy(const HostStmt &S) {
       OS << "auto " << Dst << " = descend::rt::allocCopy(_dev, " << Src
          << ");\n";
     }
-    return true;
-  }
-  // The cuda driver frees every device buffer before returning, which
-  // only covers allocations that are live at function scope.
-  if (Nesting) {
-    Error = "device allocations must happen at host-function scope "
-            "(needed for cudaFree cleanup)";
-    return false;
+    return;
   }
   const char *CT = cppScalarType(var(S.Src).Elem);
   const std::string N = var(S.Src).Count.str();
@@ -782,8 +783,19 @@ bool Printer::allocCopy(const HostStmt &S) {
   indent();
   OS << "cudaMemcpy(" << Dst << ", " << hostRaw(S.Src) << ", sizeof(" << CT
      << ") * (" << N << "), cudaMemcpyHostToDevice);\n";
-  DeviceBufs.push_back(S.Dst);
-  return true;
+}
+
+/// The end of a device buffer's scope: cudaFree, an immediate rt::free,
+/// or a stream-ordered rt::freeAsync. A pending free borrows nothing from
+/// the frame and host code never waits for it, so it needs no join.
+void Printer::release(const HostStmt &S) {
+  indent();
+  if (!isSim())
+    OS << "cudaFree(" << name(S.Dst) << ");\n";
+  else if (Stream)
+    OS << "descend::rt::freeAsync(_stream, " << name(S.Dst) << ");\n";
+  else
+    OS << "descend::rt::free(_dev, " << name(S.Dst) << ");\n";
 }
 
 void Printer::copy(const HostStmt &S) {
@@ -874,28 +886,25 @@ void Printer::call(const HostStmt &S) {
   PendingAsync = false;
 }
 
-bool Printer::forNat(const HostStmt &S) {
+void Printer::forNat(const HostStmt &S) {
   const std::string &V = name(S.Dst);
   indent();
   OS << "for (long long " << V << " = " << S.Lo.str() << "; " << V
      << " != " << S.Hi.str() << "; ++" << V << ") {\n";
   ++Depth;
-  ++Nesting;
   const unsigned TouchesBefore = HostTouches;
-  bool Ok = body(S.Body);
+  body(S.Body);
   // Stream mode back edge: a body that both touches host memory and
   // leaves operations pending would race with its own next iteration
   // (the per-statement sync points were printed against the *first*
   // iteration's pending state). Join at the end of each iteration. A
   // body with no host-touch points safely carries its pending operations
   // across the back edge — the stream keeps them in order.
-  if (Ok && Stream && PendingAsync && HostTouches != TouchesBefore)
+  if (Stream && PendingAsync && HostTouches != TouchesBefore)
     join();
-  --Nesting;
   --Depth;
   indent();
   OS << "}\n";
-  return Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -941,6 +950,10 @@ bool Printer::capturable(const HostStmt &S,
 /// reaches into a capture-produced device buffer.
 bool Printer::mentions(const HostStmt &S,
                        const std::set<unsigned> &Vars) const {
+  // A capture-local's release is no use: graphBody prints it inside the
+  // capture block, which hands the buffer to the graph.
+  if (S.K == HostStmt::Release)
+    return false;
   // Dst is a use unless the statement defines it.
   const bool Copy = S.K == HostStmt::CopyToHost || S.K == HostStmt::CopyToGpu;
   const bool UsesSrc = Copy || S.K == HostStmt::AllocCopy;
@@ -973,12 +986,12 @@ bool Printer::mentions(const HostExpr &E,
 }
 
 /// Length of the maximal capturable leading run of the body's top-level
-/// statements, or 0 when the program can't use capture at all (including
-/// when a post-prefix statement reaches into a capture-local: those live
-/// inside the first-call capture block and replay frozen, so any later
-/// mention would change meaning — fall back entirely).
-size_t Printer::capturePrefix() const {
-  std::set<unsigned> Locals;
+/// statements, with the capture-locals it defines in \p Locals; 0 when the
+/// program can't use capture at all (including when a post-prefix
+/// statement reaches into a capture-local: those live inside the
+/// first-call capture block and replay frozen, so any later mention would
+/// change meaning — fall back entirely).
+size_t Printer::capturePrefix(std::set<unsigned> &Locals) const {
   size_t Prefix = 0;
   while (Prefix != F.Body.size() && capturable(F.Body[Prefix], Locals))
     ++Prefix;
@@ -1014,8 +1027,13 @@ void Printer::captureStmt(const HostStmt &S) {
 /// The graph overload's body: capture the prefix once (first call),
 /// rebind the host-buffer slots to this call's parameters, replay the
 /// whole prefix as one stream operation, then print the non-captured tail
-/// in plain stream form.
-bool Printer::graphBody(size_t Prefix) {
+/// in plain stream form. The capture-locals \p Locals are declared in the
+/// capture block, so their releases print there, under capture: the
+/// graph takes the buffers over and frees them when it dies.
+void Printer::graphBody(size_t Prefix, const std::set<unsigned> &Locals) {
+  auto CaptureRelease = [&](const HostStmt &S) {
+    return S.K == HostStmt::Release && Locals.count(S.Dst);
+  };
   indent();
   OS << "if (!_graph.instantiated()) {\n";
   ++Depth;
@@ -1023,6 +1041,9 @@ bool Printer::graphBody(size_t Prefix) {
   OS << "_stream.beginCapture();\n";
   for (size_t I = 0; I != Prefix; ++I)
     captureStmt(F.Body[I]);
+  for (size_t I = Prefix; I != F.Body.size(); ++I)
+    if (CaptureRelease(F.Body[I]))
+      release(F.Body[I]);
   indent();
   OS << "_graph = _stream.endCapture().instantiate();\n";
   --Depth;
@@ -1037,39 +1058,30 @@ bool Printer::graphBody(size_t Prefix) {
   OS << "_graph.launch(_stream);\n";
   PendingAsync = true; // the replay is one pending stream operation
   for (size_t I = Prefix; I != F.Body.size(); ++I)
-    if (!stmt(F.Body[I]))
-      return false;
-  return true;
+    if (!CaptureRelease(F.Body[I]))
+      stmt(F.Body[I]);
 }
 
-HostGenResult Printer::run() {
-  HostGenResult R;
+std::string Printer::run() {
   signature();
-  const size_t Prefix = Graph ? capturePrefix() : 0;
+  std::set<unsigned> Locals;
+  const size_t Prefix = Graph ? capturePrefix(Locals) : 0;
   if (Graph && Prefix == 0) {
     // Shape doesn't fit capture: the graph overload degrades to the plain
-    // stream body (printing is total, never a compile failure).
+    // stream body.
     indent();
     OS << "(void)_graph;\n";
   }
-  bool Ok = Prefix > 0 ? graphBody(Prefix) : body(F.Body);
-  if (!Ok) {
-    R.Error = Error;
-    return R;
-  }
-  if (T == HostTarget::Cuda)
-    for (unsigned Buf : DeviceBufs) {
-      indent();
-      OS << "cudaFree(" << name(Buf) << ");\n";
-    }
+  if (Prefix > 0)
+    graphBody(Prefix, Locals);
+  else
+    body(F.Body);
   // Stream drivers join before returning: enqueued operations may borrow
   // this frame's locals, and the caller observes the same state as after
   // the synchronous driver.
   syncIfPending();
   OS << "}\n";
-  R.Ok = true;
-  R.Code = OS.str();
-  return R;
+  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1123,6 +1135,9 @@ void dumpStmts(std::ostringstream &OS, const HostFn &F,
     case HostStmt::Block:
       OS << "block";
       break;
+    case HostStmt::Release:
+      OS << "release " << Name(S.Dst);
+      break;
     }
     OS << "\n";
     dumpStmts(OS, F, S.Body, Depth + 1);
@@ -1140,8 +1155,8 @@ HostBuildResult hostgen::buildHostFn(const Module &M, const FnDef &Fn) {
   return HostLowering(M, Fn).run();
 }
 
-HostGenResult hostgen::printHostFn(const HostFn &Fn, HostTarget Target,
-                                   const std::string &FnSuffix) {
+std::string hostgen::printHostFn(const HostFn &Fn, HostTarget Target,
+                                 const std::string &FnSuffix) {
   return Printer(Fn, Target, FnSuffix).run();
 }
 

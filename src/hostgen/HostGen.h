@@ -15,14 +15,20 @@
 //                calls, launches, for-nat loops, host calls, scalar
 //                arithmetic and one-dimensional host-array indexing). What
 //                it rejects, every backend rejects with the same message.
+//                It also states where each device buffer dies: a Release
+//                statement closes every scope (function body, block,
+//                for-nat body) for each device buffer the scope defined,
+//                in reverse definition order. Parameters are borrowed and
+//                never released.
 //   printHostFn  prints the IR as C++ for one target:
 //     sim        against runtime/HostRuntime.h + sim/Sim.h —
 //                rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
-//                transfers, and direct calls of the generated simulator
-//                kernels in the same header.
+//                transfers, direct calls of the generated simulator
+//                kernels in the same header, and rt::free releases.
 //     simStream  the asynchronous overload of the same driver, taking a
 //                sim::Stream instead of a device: transfers enqueue through
-//                rt::*Async, launches enqueue as stream operations, and a
+//                rt::*Async, launches enqueue as stream operations,
+//                releases free in stream order (rt::freeAsync), and a
 //                stream synchronize is inserted before any statement that
 //                touches host memory (and before returning), so results
 //                are bit-identical to the synchronous driver while
@@ -34,21 +40,22 @@
 //                launch graph on the first call and *replayed* as one
 //                stream operation on every call, with the parameter
 //                buffers rebound per call (GraphExec::bind); any trailing
-//                host statements emit in stream form. Programs whose shape
-//                doesn't fit fall back to the plain stream body.
+//                host statements emit in stream form. The buffers the
+//                capture allocates are released under capture, which
+//                hands them to the graph: they live as long as the
+//                GraphExec. Programs whose shape doesn't fit fall back to
+//                the plain stream body.
 //     cuda       CUDA runtime API host code — std::vector staging,
 //                cudaMalloc / cudaMemcpy with statically computed byte
-//                counts, real kernel<<<grid, block>>> launches and
-//                cudaFree cleanup.
+//                counts, real kernel<<<grid, block>>> launches and a
+//                cudaFree at each release.
 //
 // The vm backend keeps the same IR in its compiled program and interprets
 // it (vm/Bytecode.h, vm/Interp.h); `--emit=vm` lists it with dumpHostFn.
 //
-// Two rules belong to one target and stay there:
-//   * cuda: device allocations only at function scope, so the cudaFree
-//     cleanup before returning covers every buffer (printHostFn);
-//   * vm: every size and loop bound must be instantiated (`-D`), because
-//     no later compiler evaluates them (vm::compile).
+// One rule belongs to one target and stays there: the vm needs every
+// size and loop bound instantiated (`-D`), because no later compiler
+// evaluates them (vm::compile).
 //
 // A host function named `main` is emitted under the name `run` (plus the
 // invocation's function suffix), which is the entry point tests and
@@ -110,6 +117,7 @@ struct HostStmt {
     ForNat,     ///< for Dst in [Lo..Hi) { Body }
     Call,       ///< Callee(Args...): buffers as Var, scalars by value
     Block,      ///< { Body }
+    Release,    ///< device buffer Dst dies: the end of its scope
   } K = Let;
   unsigned Dst = 0, Src = 0;
   std::optional<HostExpr> Index, Value;
@@ -154,18 +162,12 @@ HostBuildResult buildHostFn(const Module &M, const FnDef &Fn);
 /// overload (the sim backend prints all three).
 enum class HostTarget { Sim, SimStream, SimGraph, Cuda };
 
-/// Result of printing one host function.
-struct HostGenResult {
-  bool Ok = false;
-  std::string Code;  // one complete C++ function definition
-  std::string Error; // set when !Ok
-};
-
-/// Prints \p Fn as a host driver for \p Target. \p FnSuffix is appended to
-/// the driver's, its callees' and its kernels' names. Fails only on the
-/// cuda function-scope rule.
-HostGenResult printHostFn(const HostFn &Fn, HostTarget Target,
-                          const std::string &FnSuffix);
+/// Prints \p Fn as a host driver for \p Target: one complete C++
+/// function definition. \p FnSuffix is appended to the driver's, its
+/// callees' and its kernels' names. Printing is total: every IR
+/// buildHostFn produces prints for every target.
+std::string printHostFn(const HostFn &Fn, HostTarget Target,
+                        const std::string &FnSuffix);
 
 /// A human-readable listing of \p Fn: its frame slots and statement tree.
 std::string dumpHostFn(const HostFn &Fn);

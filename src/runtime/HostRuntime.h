@@ -8,6 +8,13 @@
 // graph-capture form recording rebindable transfer nodes (what the
 // generated graph-mode drivers call).
 //
+// Device buffers die where their Descend scope ends: the generated
+// drivers call rt::free (sync) or rt::freeAsync (stream order; under
+// capture the graph takes the buffer over) at each release statement.
+// Every copy checks that its device handle is still live, so a freed
+// handle is an rt::Error with code InvalidValue rather than a
+// use-after-free (best effort: buffer-id generations wrap).
+//
 // In Descend these mistakes are compile-time errors; this runtime is the
 // substrate equivalent for *handwritten* host code (and for demonstrating,
 // in the examples, what the type system prevents).
@@ -60,6 +67,29 @@ inline std::string sizeMismatch(const char *Op, const char *DstName,
          " elements, source `" + (SrcName ? SrcName : "?") + "` holds " +
          std::to_string(SrcCount);
 }
+
+/// Throws InvalidValue unless \p Buf was allocated on \p Dev: ids are
+/// per device, so another device's id could name a live buffer here.
+template <typename T>
+void requireOwner(const sim::GpuDevice::Buffer<T> &Buf,
+                  const sim::GpuDevice &Dev, const char *Op) {
+  if (Buf.device() != &Dev)
+    throw Error(sim::ErrorCode::InvalidValue,
+                std::string(Op) + ": buffer id " + std::to_string(Buf.id()) +
+                    " was not allocated on this device");
+}
+
+/// Throws InvalidValue unless \p Buf is a live allocation of its device.
+template <typename T>
+void requireLive(const sim::GpuDevice::Buffer<T> &Buf, const char *Op,
+                 const char *Name) {
+  if (Buf.device() && Buf.device()->isLive(Buf.id())) [[likely]]
+    return;
+  throw Error(sim::ErrorCode::InvalidValue,
+              std::string(Op) + ": device buffer `" + (Name ? Name : "?") +
+                  "` (id " + std::to_string(Buf.id()) +
+                  ") was freed or never allocated");
+}
 } // namespace detail
 
 /// CpuHeap::new — host heap allocation (the paper's `[T; n] @ cpu.mem`).
@@ -96,6 +126,7 @@ sim::GpuDevice::Buffer<T> allocCopy(sim::GpuDevice &Dev,
 template <typename T>
 void copyToHost(HostBuffer<T> &Dst, const sim::GpuDevice::Buffer<T> &Src,
                 const char *DstName = nullptr, const char *SrcName = nullptr) {
+  detail::requireLive(Src, "copy_mem_to_host", SrcName);
   if (Dst.size() != Src.size())
     throw Error(sim::ErrorCode::CopyFailed,
                 detail::sizeMismatch("copy_mem_to_host", DstName, Dst.size(),
@@ -106,6 +137,7 @@ void copyToHost(HostBuffer<T> &Dst, const sim::GpuDevice::Buffer<T> &Src,
 template <typename T>
 void copyToGpu(sim::GpuDevice::Buffer<T> &Dst, const HostBuffer<T> &Src,
                const char *DstName = nullptr, const char *SrcName = nullptr) {
+  detail::requireLive(Dst, "copy_to_gpu", DstName);
   if (Dst.size() != Src.size())
     throw Error(sim::ErrorCode::CopyFailed,
                 detail::sizeMismatch("copy_to_gpu", DstName, Dst.size(),
@@ -143,6 +175,7 @@ void copyToHostAsync(sim::Stream &S, HostBuffer<T> &Dst,
                      const sim::GpuDevice::Buffer<T> &Src,
                      const char *DstName = nullptr,
                      const char *SrcName = nullptr) {
+  detail::requireLive(Src, "copy_mem_to_host", SrcName);
   if (Dst.size() != Src.size())
     throw Error(sim::ErrorCode::CopyFailed,
                 detail::sizeMismatch("copy_mem_to_host", DstName, Dst.size(),
@@ -160,6 +193,7 @@ template <typename T>
 void copyToGpuAsync(sim::Stream &S, sim::GpuDevice::Buffer<T> &Dst,
                     const HostBuffer<T> &Src, const char *DstName = nullptr,
                     const char *SrcName = nullptr) {
+  detail::requireLive(Dst, "copy_to_gpu", DstName);
   if (Dst.size() != Src.size())
     throw Error(sim::ErrorCode::CopyFailed,
                 detail::sizeMismatch("copy_to_gpu", DstName, Dst.size(),
@@ -171,6 +205,23 @@ void copyToGpuAsync(sim::Stream &S, sim::GpuDevice::Buffer<T> &Dst,
     obs::Span CopySpan("stream", "copyToGpu");
     std::memcpy(D, So, Bytes);
   });
+}
+
+/// GpuGlobal buffer release at scope end (cudaFree): the memory returns
+/// to the device's free list now.
+template <typename T>
+void free(sim::GpuDevice &Dev, const sim::GpuDevice::Buffer<T> &Buf) {
+  detail::requireOwner(Buf, Dev, "free");
+  Dev.free(Buf.id());
+}
+
+/// The stream-ordered release (cudaFreeAsync): the memory returns once
+/// everything enqueued before it has run; under capture the captured
+/// graph takes the buffer over (see sim::Stream::free).
+template <typename T>
+void freeAsync(sim::Stream &S, const sim::GpuDevice::Buffer<T> &Buf) {
+  detail::requireOwner(Buf, S.device(), "freeAsync");
+  S.free(Buf.id());
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,6 +259,7 @@ template <typename T>
 void copyToHostCapture(sim::Stream &S, unsigned Slot,
                        const sim::GpuDevice::Buffer<T> &Src,
                        const char *Name = nullptr) {
+  detail::requireLive(Src, "copy_mem_to_host", nullptr);
   const size_t Bytes = Src.size() * sizeof(T);
   S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
   const T *So = Src.data();
@@ -223,6 +275,7 @@ template <typename T>
 void copyToGpuCapture(sim::Stream &S, unsigned Slot,
                       sim::GpuDevice::Buffer<T> &Dst,
                       const char *Name = nullptr) {
+  detail::requireLive(Dst, "copy_to_gpu", nullptr);
   const size_t Bytes = Dst.size() * sizeof(T);
   S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
   T *D = Dst.data();

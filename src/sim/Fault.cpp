@@ -34,6 +34,8 @@ const char *errorCodeName(ErrorCode E) {
     return "event_dropped";
   case ErrorCode::StreamPoisoned:
     return "stream_poisoned";
+  case ErrorCode::InvalidValue:
+    return "invalid_value";
   }
   return "unknown";
 }

@@ -59,16 +59,21 @@ namespace sim {
 //===----------------------------------------------------------------------===//
 
 /// Device-level error classification, modeled on cudaError_t's sticky
-/// subset: once a device records one of these (other than Ok) every
-/// subsequent query returns it until GpuDevice::reset().
+/// subset: once a device records one of these (other than Ok and
+/// InvalidValue) every subsequent query returns it until
+/// GpuDevice::reset().
 enum class ErrorCode : uint8_t {
   Ok = 0,
-  KernelTrap,    ///< a kernel body trapped (OOB access, div by zero, ...)
-  KernelTimeout, ///< the watchdog cancelled a runaway launch
-  AllocFailed,   ///< device allocation failed (real or injected)
-  CopyFailed,    ///< a host<->device copy failed after enqueue
-  EventDropped,  ///< an event signal was dropped (injected seam)
-  StreamPoisoned ///< operation refused because the stream already failed
+  KernelTrap,     ///< a kernel body trapped (OOB access, div by zero, ...)
+  KernelTimeout,  ///< the watchdog cancelled a runaway launch
+  AllocFailed,    ///< device allocation failed (real or injected)
+  CopyFailed,     ///< a host<->device copy failed after enqueue
+  EventDropped,   ///< an event signal was dropped (injected seam)
+  StreamPoisoned, ///< operation refused because the stream already failed
+  /// A freed or unknown device-buffer id reached free, a copy or a vm
+  /// launch. Thrown or returned, never recorded: like
+  /// cudaErrorInvalidValue it does not poison the device.
+  InvalidValue
 };
 
 /// Stable lowercase name of an error code ("kernel_trap", ...). Used in

@@ -7,12 +7,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
 
 using namespace descend::sim;
 
@@ -70,6 +79,7 @@ void detail::WorkerPool::removeFromQueue(const std::shared_ptr<Job> &J) {
   auto It = std::find(Queue.begin(), Queue.end(), J);
   if (It != Queue.end())
     Queue.erase(It);
+  Queued.store(Queue.size(), std::memory_order_relaxed);
 }
 
 /// Claims one run of items from \p J and executes it. Returns false when
@@ -94,9 +104,37 @@ bool detail::WorkerPool::claimAndRun(Job &J) {
   return true;
 }
 
+void detail::WorkerPool::pollForWork() const {
+  // Spin first: in a back-to-back loop the next operation usually comes
+  // within microseconds, and the worker that just finished, whose caches
+  // hold that loop's data, reacts first. Then yield the core between
+  // checks — the pool has as many workers as cores, plus the submitting
+  // thread.
+  const auto Start = std::chrono::steady_clock::now();
+  for (;;) {
+    if (Queued.load(std::memory_order_relaxed) != 0)
+      return;
+    const auto Idle = std::chrono::steady_clock::now() - Start;
+    if (Idle >= IdlePoll)
+      return;
+#if defined(__x86_64__) || defined(__i386__)
+    if (Idle < IdleSpin) {
+      __builtin_ia32_pause();
+      continue;
+    }
+#endif
+    std::this_thread::yield();
+  }
+}
+
 void detail::WorkerPool::workerLoop(unsigned Ordinal) {
   std::unique_lock<std::mutex> L(M);
   while (true) {
+    if (Queue.empty() && !Stopping) {
+      L.unlock();
+      pollForWork(); // the wait below then usually returns at once
+      L.lock();
+    }
     WorkCV.wait(L, [&] { return Stopping || !Queue.empty(); });
     if (Queue.empty()) {
       if (Stopping)
@@ -132,6 +170,7 @@ void detail::WorkerPool::parallelFor(
   {
     std::lock_guard<std::mutex> G(M);
     Queue.push_back(J);
+    Queued.store(Queue.size(), std::memory_order_relaxed);
   }
   // Wake at most one worker per claimable chunk beyond the caller's own.
   const unsigned Chunks = (NumItems + J->Chunk - 1) / J->Chunk;
@@ -161,6 +200,7 @@ void detail::WorkerPool::submit(std::function<void()> Task) {
   {
     std::lock_guard<std::mutex> G(M);
     Queue.push_back(J);
+    Queued.store(Queue.size(), std::memory_order_relaxed);
   }
   WorkCV.notify_one();
 }
@@ -393,11 +433,140 @@ void GpuDevice::deviceSynchronize() {
                               0; });
 }
 
+//===----------------------------------------------------------------------===//
+// Global memory
+//===----------------------------------------------------------------------===//
+
+namespace {
+constexpr unsigned MinBlockClass = 4; // 16-byte blocks
+constexpr unsigned SlotMask = (1u << detail::BufferSlotBits) - 1;
+constexpr unsigned GenMask =
+    (detail::FirstSharedBufferId >> detail::BufferSlotBits) - 1;
+} // namespace
+
+detail::DeviceMemory::~DeviceMemory() {
+  auto Release = [](std::byte *Block, unsigned Class) {
+    ASAN_UNPOISON_MEMORY_REGION(Block, size_t{1} << Class);
+    delete[] Block;
+  };
+  for (const Slot &S : Slots)
+    if (S.Mem)
+      Release(S.Mem, S.Class);
+  for (unsigned Class = 0; Class != std::size(FreeBlocks); ++Class)
+    for (std::byte *Block : FreeBlocks[Class])
+      Release(Block, Class);
+}
+
+std::byte *detail::DeviceMemory::alloc(size_t Bytes, unsigned &IdOut) {
+  if (Bytes > size_t{1} << (std::size(FreeBlocks) - 2))
+    throw std::bad_alloc(); // beyond the largest class, as new[] would
+  const unsigned Class =
+      Bytes <= (size_t{1} << MinBlockClass)
+          ? MinBlockClass
+          : static_cast<unsigned>(std::bit_width(Bytes - 1));
+  const size_t BlockBytes = size_t{1} << Class;
+  std::byte *Block = nullptr;
+  {
+    std::lock_guard<std::mutex> G(M);
+    if (!FreeBlocks[Class].empty()) {
+      Block = FreeBlocks[Class].back();
+      FreeBlocks[Class].pop_back();
+    }
+  }
+  const bool Reused = Block != nullptr;
+  // Zeroing runs outside the lock; the block is ours alone by now. The
+  // class slack past the requested bytes stays poisoned under ASan.
+  if (Reused) {
+    ASAN_UNPOISON_MEMORY_REGION(Block, Bytes);
+  } else {
+    Block = new std::byte[BlockBytes];
+    ASAN_POISON_MEMORY_REGION(Block + Bytes, BlockBytes - Bytes);
+  }
+  std::memset(Block, 0, Bytes);
+
+  std::lock_guard<std::mutex> G(M);
+  if (!Reused)
+    Stats.ReservedBytes += BlockBytes;
+  unsigned Index;
+  if (!FreeSlots.empty()) {
+    Index = FreeSlots.back();
+    FreeSlots.pop_back();
+    Slots[Index - 1].Gen = (Slots[Index - 1].Gen + 1) & GenMask;
+  } else if (Slots.size() < SlotMask) {
+    Slots.emplace_back();
+    Index = static_cast<unsigned>(Slots.size());
+  } else {
+    // More live buffers than ids: out of memory, as far as ids go.
+    ASAN_POISON_MEMORY_REGION(Block, BlockBytes);
+    FreeBlocks[Class].push_back(Block);
+    throw std::bad_alloc();
+  }
+  ++(Reused ? Stats.ReusedAllocs : Stats.FreshAllocs);
+  ++Stats.LiveBuffers;
+  Stats.LiveBytes += Bytes;
+  Slot &S = Slots[Index - 1];
+  S.Mem = Block;
+  S.Bytes = Bytes;
+  S.Class = Class;
+  S.Live = true;
+  IdOut = Index | S.Gen << BufferSlotBits;
+  return Block;
+}
+
+detail::DeviceMemory::Slot &detail::DeviceMemory::slotOf(unsigned Id,
+                                                         const char *What) {
+  const unsigned Index = Id & SlotMask;
+  if (Index == 0 || Index > Slots.size())
+    throw DeviceError(ErrorCode::InvalidValue,
+                      descend::strfmt("%s: buffer id %u was never allocated "
+                                      "on this device",
+                                      What, Id));
+  Slot &S = Slots[Index - 1];
+  if (Id >> BufferSlotBits != S.Gen || !S.Live)
+    throw DeviceError(ErrorCode::InvalidValue,
+                      descend::strfmt("%s: buffer id %u was already freed",
+                                      What, Id));
+  return S;
+}
+
+void detail::DeviceMemory::retire(unsigned Id, const char *What) {
+  std::lock_guard<std::mutex> G(M);
+  slotOf(Id, What).Live = false;
+}
+
+void detail::DeviceMemory::reclaim(unsigned Id) {
+  const unsigned Index = Id & SlotMask;
+  std::lock_guard<std::mutex> G(M);
+  Slot &S = Slots[Index - 1];
+  assert(S.Mem && !S.Live && S.Gen == Id >> BufferSlotBits &&
+         "reclaim of a buffer that was not retired");
+  // Poisoned before it is visible to another allocation.
+  ASAN_POISON_MEMORY_REGION(S.Mem, size_t{1} << S.Class);
+  FreeBlocks[S.Class].push_back(S.Mem);
+  --Stats.LiveBuffers;
+  Stats.LiveBytes -= S.Bytes;
+  S.Mem = nullptr;
+  FreeSlots.push_back(Index);
+}
+
+bool detail::DeviceMemory::live(unsigned Id) const {
+  const unsigned Index = Id & SlotMask;
+  std::lock_guard<std::mutex> G(M);
+  return Index != 0 && Index <= Slots.size() &&
+         Slots[Index - 1].Gen == Id >> BufferSlotBits && Slots[Index - 1].Live;
+}
+
+MemoryStats detail::DeviceMemory::stats() const {
+  std::lock_guard<std::mutex> G(M);
+  return Stats;
+}
+
 std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut) {
   // Fault injection: `alloc:N` fails the N-th device allocation — the
-  // deterministic stand-in for device-memory exhaustion. The failure is
-  // sticky (CUDA: an allocation failure poisons the context) and
-  // surfaces as a structured DeviceError.
+  // deterministic stand-in for device-memory exhaustion — whether or not
+  // a free block would have served it. The failure is sticky (CUDA: an
+  // allocation failure poisons the context) and surfaces as a structured
+  // DeviceError.
   FaultInjector &FI = FaultInjector::global();
   if (FI.armed() && FI.shouldFailAlloc()) [[unlikely]] {
     const std::string Msg = descend::strfmt(
@@ -406,20 +575,17 @@ std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut) {
     setDeviceError(ErrorCode::AllocFailed, Msg);
     throw DeviceError(ErrorCode::AllocFailed, Msg);
   }
-  auto Mem = std::make_unique<std::byte[]>(Bytes);
-  std::memset(Mem.get(), 0, Bytes);
-  // Several host threads may serve requests against one device (each
-  // with its own stream); allocation is off the launch hot path, so a
-  // mutex keeps the bookkeeping safe. Handed-out pointers are stable —
-  // the vector owns unique_ptrs, not the arrays themselves.
-  std::lock_guard<std::mutex> G(AllocM);
-  Allocations.push_back(std::move(Mem));
-  AllocationSizes.push_back(Bytes);
-  IdOut = Allocations.size(); // ids start at 1
-  assert(IdOut < detail::FirstSharedBufferId &&
-         "global buffer ids overran the reserved shared-memory id range");
-  return Allocations.back().get();
+  return Mem->alloc(Bytes, IdOut);
 }
+
+void GpuDevice::free(unsigned Id) {
+  Mem->retire(Id, "GpuDevice::free");
+  Mem->reclaim(Id);
+}
+
+bool GpuDevice::isLive(unsigned Id) const { return Mem->live(Id); }
+
+MemoryStats GpuDevice::memoryStats() const { return Mem->stats(); }
 
 void GpuDevice::logAccess(const BlockCtx &B, unsigned BufferId, size_t Offset,
                           bool Write) {
@@ -856,6 +1022,11 @@ void Event::synchronize() const {
 // Launch graphs
 //===----------------------------------------------------------------------===//
 
+Graph::Data::~Data() {
+  for (unsigned Id : Owned)
+    Mem->reclaim(Id);
+}
+
 GraphExec Graph::instantiate() const {
   if (!D)
     throw std::logic_error("Graph::instantiate: empty graph handle");
@@ -965,6 +1136,14 @@ void Stream::runOpObservingErrors(const std::function<void()> &Op) {
   }
 }
 
+Stream::~Stream() {
+  synchronize();
+  // A capture that never ended still owns what was freed under it; its
+  // nodes died unreplayed, so nothing can touch those buffers any more.
+  for (unsigned Id : CapOwned)
+    Dev->memoryState()->reclaim(Id);
+}
+
 void Stream::enqueue(std::function<void()> Op) {
   failFastIfPoisoned("enqueue");
   // Capture records instead of executing — also on sequential devices,
@@ -974,6 +1153,23 @@ void Stream::enqueue(std::function<void()> Op) {
         [Fn = std::move(Op)](const GraphExec &) { Fn(); });
     return;
   }
+  submitOp(std::move(Op));
+}
+
+void Stream::free(unsigned Id) {
+  detail::DeviceMemory *Mem = Dev->memoryState().get();
+  Mem->retire(Id, "Stream::free");
+  if (InCapture) {
+    CapOwned.push_back(Id);
+    return;
+  }
+  // No fail-fast: a poisoned stream still drains the operations it
+  // accepted, and the memory comes back after them. The device outlives
+  // every stream operation, so the raw pointer stays valid.
+  submitOp([Mem, Id] { Mem->reclaim(Id); });
+}
+
+void Stream::submitOp(std::function<void()> Op) {
   // Sequential devices (including race detection, which forces one
   // worker) execute immediately: deterministic, in order, on the calling
   // thread — the behaviour the race-detector fixtures pin down.
@@ -1151,22 +1347,24 @@ bool Stream::query() {
 }
 
 void Stream::synchronize() {
-  // Stream operations are typically a few microseconds; spin briefly on
-  // the atomic Running flag before sleeping so short tails — a graph
-  // replay, a single launch — skip the futex sleep/wake round trip.
-  // Completion is confirmed under M, which the pump held when it cleared
-  // the flag, so the op's side effects happen-before we return.
-  for (int Spin = 0; Spin != 16384; ++Spin) {
+  // Stream operations are typically a few microseconds; poll the atomic
+  // Running flag for up to a millisecond before sleeping so short tails
+  // — a graph replay, a single launch — skip the futex sleep/wake round
+  // trip. The poll yields: the pool worker running the operation may
+  // share this core. Completion is confirmed under M, which the pump
+  // held when it cleared the flag, so the op's side effects
+  // happen-before we return.
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  for (;;) {
     if (!Running.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> G(M);
       if (Ops.empty() && !Running)
         return;
     }
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
+    if (std::chrono::steady_clock::now() >= Deadline)
+      break;
     std::this_thread::yield();
-#endif
   }
   std::unique_lock<std::mutex> L(M);
   CV.wait(L, [&] { return Ops.empty() && !Running; });
@@ -1189,9 +1387,18 @@ Graph Stream::endCapture() {
   D->Nodes = std::move(CapNodes);
   D->SlotBytes = std::move(CapSlots);
   D->SlotNames = std::move(CapSlotNames);
+  D->Owned = std::move(CapOwned);
+  if (!D->Owned.empty()) {
+    // The graph may die, and free, at once; work enqueued before the
+    // capture began may still be using those buffers. Capture enqueued
+    // nothing, so this waits for exactly that work.
+    synchronize();
+    D->Mem = Dev->memoryState();
+  }
   CapNodes.clear();
   CapSlots.clear();
   CapSlotNames.clear();
+  CapOwned.clear();
   return Graph(std::move(D));
 }
 

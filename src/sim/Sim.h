@@ -39,6 +39,14 @@
 //    buffers per request (GraphExec::bind) and replayed as ONE stream
 //    operation — the per-op enqueue cost of a serving loop collapses to
 //    a single enqueue per request.
+//  * Global memory (detail::DeviceMemory) is reused: GpuDevice::free
+//    (cudaFree) returns a buffer to a free list per power-of-two size
+//    class that the next allocation of that class takes first;
+//    Stream::free (cudaFreeAsync) does so in stream order; a free under
+//    capture hands the buffer to the captured graph, which frees it when
+//    its last Graph/GraphExec dies. A buffer id carries its slot's
+//    generation, so a freed id is an InvalidValue error rather than a
+//    use-after-free (best effort: generations wrap, see BufferSlotBits).
 //
 // Observability (both off by default; the hot path pays one predicted
 // branch):
@@ -110,6 +118,18 @@ struct BoundsReport {
   std::string str() const;
 };
 
+/// Global-memory counters (GpuDevice::memoryStats). A buffer is live from
+/// its allocation until its memory is back on a free list: at a
+/// synchronous free, when a stream-ordered free executes, or when the
+/// graph that owns it dies.
+struct MemoryStats {
+  uint64_t LiveBuffers = 0;
+  uint64_t LiveBytes = 0;     ///< requested bytes of the live buffers
+  uint64_t ReservedBytes = 0; ///< size-class bytes held, live or free
+  uint64_t FreshAllocs = 0;   ///< allocations served by new memory
+  uint64_t ReusedAllocs = 0;  ///< allocations served from a free list
+};
+
 namespace detail {
 struct Access {
   unsigned BufferId;
@@ -121,10 +141,67 @@ struct Access {
 };
 
 /// First logical buffer id of the per-block shared-memory range. Global
-/// buffer ids grow upward from 1 and GpuDevice::allocRaw asserts they
-/// never reach this base, so shared and global accesses can never alias
-/// in the race detector's log, no matter how long the device lives.
+/// buffer ids stay below it (slot and generation bits, see
+/// DeviceMemory), so shared and global accesses can never alias in the
+/// race detector's log, no matter how long the device lives.
 constexpr unsigned FirstSharedBufferId = 0x80000000u;
+
+/// A global buffer id is `slot | generation << BufferSlotBits`, below
+/// FirstSharedBufferId. Slots count from 1 and a slot's first generation
+/// is 0, so while nothing is freed the ids are 1, 2, 3, ...; reusing a
+/// freed slot bumps its generation, which makes every id of the earlier
+/// incarnation stale. Generations wrap (11 bits), so stale-id detection
+/// is best effort: an id 2048 incarnations old names its slot's buffer
+/// again. (CUDA detects no stale pointer at all.)
+constexpr unsigned BufferSlotBits = 20;
+
+/// The global memory of one device: buffer slots with generations, and
+/// one free list of blocks per power-of-two size class. A buffer's
+/// memory is a whole class block; allocation takes a block of its class
+/// from the free list first and re-zeroes only the requested bytes.
+/// Freeing is two steps, so a stream-ordered or graph-owned free can
+/// split them: retire() ends the id's validity at once, reclaim() puts
+/// the block back on its free list once nothing can touch it any more.
+/// Thread-safe. Shared (by shared_ptr) with the graphs that own buffers,
+/// so a graph that outlives its device still frees into live
+/// bookkeeping.
+class DeviceMemory {
+public:
+  DeviceMemory() = default;
+  ~DeviceMemory();
+  DeviceMemory(const DeviceMemory &) = delete;
+  DeviceMemory &operator=(const DeviceMemory &) = delete;
+
+  /// A zeroed buffer of \p Bytes. Throws std::bad_alloc beyond the
+  /// largest class or when every slot holds a live buffer.
+  std::byte *alloc(size_t Bytes, unsigned &IdOut);
+  /// Invalidates live buffer \p Id; its memory stays reserved until
+  /// reclaim(Id). Throws DeviceError(InvalidValue), naming \p What, when
+  /// \p Id is unknown or no longer live.
+  void retire(unsigned Id, const char *What);
+  /// Returns retired buffer \p Id's block to its class free list.
+  void reclaim(unsigned Id);
+  bool live(unsigned Id) const;
+  MemoryStats stats() const;
+
+private:
+  struct Slot {
+    std::byte *Mem = nullptr; ///< null while the slot is unused
+    size_t Bytes = 0;         ///< requested size
+    unsigned Class = 0;       ///< log2 of the block size
+    unsigned Gen = 0;
+    bool Live = false; ///< false once retired
+  };
+  /// The slot \p Id names in its current incarnation; throws
+  /// InvalidValue otherwise.
+  Slot &slotOf(unsigned Id, const char *What);
+
+  mutable std::mutex M;
+  std::vector<Slot> Slots;          // slot N at index N - 1
+  std::vector<unsigned> FreeSlots;  // unused slots
+  std::vector<std::byte *> FreeBlocks[64]; // by class
+  MemoryStats Stats;
+};
 
 /// The calling thread's cached scratch arena, grown to at least \p Bytes.
 /// One arena per OS thread, reused across launches: block execution pays
@@ -186,7 +263,12 @@ struct LaunchControl {
 
 /// A persistent pool of worker threads parked on a condition variable.
 /// Owned by a GpuDevice, created lazily at the first parallel launch and
-/// torn down with the device (or when setWorkers resizes it).
+/// torn down with the device (or when setWorkers resizes it). A worker
+/// that runs out of work polls the queue for IdlePoll — spinning for the
+/// first IdleSpin, then yielding between checks — before it parks, so
+/// back-to-back small operations (a graph replay per request) start
+/// without a condition-variable wake-up, which can cost more than the
+/// operation itself.
 ///
 /// Work comes in two shapes: parallelFor distributes the blocks of one
 /// launch (the calling thread participates, so small grids finish without
@@ -197,6 +279,9 @@ struct LaunchControl {
 /// one per block.
 class WorkerPool {
 public:
+  static constexpr std::chrono::microseconds IdlePoll{50};
+  static constexpr std::chrono::microseconds IdleSpin{4};
+
   explicit WorkerPool(unsigned ThreadCount);
   ~WorkerPool();
   WorkerPool(const WorkerPool &) = delete;
@@ -220,12 +305,15 @@ private:
   /// \p Ordinal is the worker's 1-based index — the `delay:worker=K`
   /// fault-injection clause keys on it.
   void workerLoop(unsigned Ordinal);
+  /// Returns once a job is queued or IdlePoll has passed.
+  void pollForWork() const;
   bool claimAndRun(Job &J);
   void removeFromQueue(const std::shared_ptr<Job> &J);
 
   std::mutex M;
   std::condition_variable WorkCV;
   std::deque<std::shared_ptr<Job>> Queue; // jobs with unclaimed items
+  std::atomic<size_t> Queued{0}; // Queue.size(), written under M
   bool Stopping = false;
   std::vector<std::thread> Workers;
 };
@@ -419,6 +507,21 @@ public:
   void logBounds(unsigned BufferId, size_t Offset, size_t Size);
   std::byte *allocRaw(size_t Bytes, unsigned &IdOut);
 
+  // Global memory ------------------------------------------------------
+
+  /// Returns buffer \p Id's memory to the free list now (cudaFree). The
+  /// caller guarantees no launch or stream operation still uses it; use
+  /// Stream::free otherwise. Throws DeviceError(InvalidValue) for an
+  /// unknown or already-freed id, without poisoning the device.
+  void free(unsigned Id);
+  /// True while \p Id names an allocated buffer that was not freed.
+  bool isLive(unsigned Id) const;
+  MemoryStats memoryStats() const;
+  /// Internal: the memory bookkeeping streams and graphs free into.
+  const std::shared_ptr<detail::DeviceMemory> &memoryState() const {
+    return Mem;
+  }
+
 private:
   bool RaceDetection = false;
   bool BoundsChecking = false;
@@ -450,10 +553,9 @@ private:
   std::mutex SyncM;
   std::condition_variable SyncCV;
   std::mutex BoundsM; // bounds logging may run from parallel blocks
-  std::mutex AllocM;  // host threads may allocate concurrently
 
-  std::vector<std::unique_ptr<std::byte[]>> Allocations;
-  std::vector<size_t> AllocationSizes;
+  std::shared_ptr<detail::DeviceMemory> Mem =
+      std::make_shared<detail::DeviceMemory>();
   std::vector<detail::Access> AccessLog;
   std::vector<BoundsReport> BoundsViolations;
 };
@@ -465,6 +567,8 @@ public:
 
   size_t size() const { return Count; }
   unsigned id() const { return Id; }
+  /// The owning device; null for a default-constructed handle.
+  GpuDevice *device() const { return Dev; }
 
   /// Host-side unchecked access (initialization and verification).
   T *data() { return Data; }
@@ -734,6 +838,11 @@ private:
     /// Host-variable names the capture declared per slot (may be empty
     /// for handwritten captures); bind/launch diagnostics use them.
     std::map<unsigned, std::string> SlotNames;
+    /// Buffers freed under capture: the graph owns them and frees them
+    /// when its last Graph/GraphExec handle dies.
+    std::shared_ptr<detail::DeviceMemory> Mem;
+    std::vector<unsigned> Owned;
+    ~Data();
   };
   explicit Graph(std::shared_ptr<const Data> D) : D(std::move(D)) {}
   std::shared_ptr<const Data> D;
@@ -809,7 +918,7 @@ private:
 class Stream {
 public:
   explicit Stream(GpuDevice &Dev) : Dev(&Dev) {}
-  ~Stream() { synchronize(); }
+  ~Stream();
   Stream(const Stream &) = delete;
   Stream &operator=(const Stream &) = delete;
 
@@ -824,6 +933,15 @@ public:
 
   /// Enqueues a phase-program launch (the stream-side launchProgram).
   void launch(Dim3 Grid, Dim3 Block, size_t SharedBytes, PhaseProgram Prog);
+
+  /// Stream-ordered free (cudaFreeAsync): \p Id is invalid from this call
+  /// on, and its memory returns to the free list once every operation
+  /// enqueued before it has executed — also on a poisoned stream, which
+  /// still drains what it accepted. While capturing, the buffer's
+  /// ownership moves to the captured graph instead and nothing is
+  /// recorded, so replays never free it. Throws DeviceError(InvalidValue)
+  /// for an unknown or already-freed id.
+  void free(unsigned Id);
 
   /// Records \p E: the event completes once everything enqueued on this
   /// stream so far has executed (cudaEventRecord). Re-recording re-arms
@@ -867,7 +985,9 @@ public:
   void beginCapture();
 
   /// Ends capture mode and returns the immutable captured graph.
-  /// Throws without a matching beginCapture().
+  /// Throws without a matching beginCapture(). When buffers were freed
+  /// under the capture, first waits for the work enqueued before it
+  /// began: the graph frees them as soon as it dies.
   Graph endCapture();
 
   /// True between beginCapture() and endCapture().
@@ -887,6 +1007,10 @@ public:
 
 private:
   void pump(); // drains Ops in order; runs on a pool worker
+
+  /// Runs \p Op inline on a sequential device, else queues it behind
+  /// everything enqueued so far.
+  void submitOp(std::function<void()> Op);
 
   /// Throws the stream's original DeviceError when poisoned; the
   /// fail-fast guard at the top of every mutating entry point.
@@ -925,6 +1049,7 @@ private:
   std::vector<std::function<void(const GraphExec &)>> CapNodes;
   std::map<unsigned, size_t> CapSlots;
   std::map<unsigned, std::string> CapSlotNames;
+  std::vector<unsigned> CapOwned; // buffers freed under capture
 };
 
 /// Launches a straight-line phase-structured kernel: each Phase must be

@@ -1133,6 +1133,14 @@ void execHostStmts(HostEnv &E, const HostFnIR &Fn,
     case HostStmt::Block:
       execHostStmts(E, Fn, S.Body, Frame, Depth);
       break;
+    case HostStmt::Release: {
+      if (Frame[S.Dst].K != HostVal::Dev)
+        hostFail("release of a non-device frame slot");
+      const unsigned Id = Frame[S.Dst].DevB.Id;
+      Frame[S.Dst] = HostVal(); // the slot holds no buffer past its scope
+      E.Dev.free(Id);
+      break;
+    }
     }
   }
 }
@@ -1174,7 +1182,17 @@ void execHostFn(HostEnv &E, const HostFnIR &Fn, std::vector<HostVal> Args,
   std::vector<HostVal> Frame(Fn.Vars.size());
   for (size_t I = 0; I != Args.size(); ++I)
     Frame[I] = std::move(Args[I]);
-  execHostStmts(E, Fn, Fn.Body, Frame, Depth);
+  try {
+    execHostStmts(E, Fn, Fn.Body, Frame, Depth);
+  } catch (...) {
+    // A failure skips the release statements of every scope it leaves.
+    // A local slot holds at most one buffer (its release empties it), so
+    // the frame's device slots are exactly what is still live.
+    for (size_t I = Fn.NumParams; I != Frame.size(); ++I)
+      if (Frame[I].K == HostVal::Dev)
+        E.Dev.free(Frame[I].DevB.Id);
+    throw;
+  }
 }
 
 } // namespace
@@ -1237,6 +1255,17 @@ RunStatus vm::launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
                          K.Params[I].Name + "` must be " +
                          std::to_string(K.Params[I].Count) + " x " +
                          scalarKindName(K.Params[I].Elem)};
+  // A freed buffer is refused like a bad argument (InvalidValue does not
+  // poison the device). One check per argument per launch; the
+  // per-element path stays unchecked.
+  for (size_t I = 0; I != Args.size(); ++I)
+    if (!Dev.isLive(Args[I].Id))
+      return {false, std::string(sim::errorCodeName(
+                         sim::ErrorCode::InvalidValue)) +
+                         ": kernel `" + K.Name + "` argument `" +
+                         K.Params[I].Name + "`: device buffer id " +
+                         std::to_string(Args[I].Id) +
+                         " was freed or never allocated"};
 
   if (RunStatus V = validateKernel(K); !V.Ok)
     return V;

@@ -19,7 +19,10 @@
 // cpu.thread function (allocations, transfers, launches, scalar code) on
 // the calling thread: the same IR the sim and cuda printers print, over a
 // slot-indexed frame, with every size, bound and launch target resolved
-// by vm::compile — no name lookup and no Nat evaluation per run.
+// by vm::compile — no name lookup and no Nat evaluation per run. Each
+// release statement frees its device buffer (GpuDevice::free), so a
+// device serving many requests reuses the same memory; a failure partway
+// frees the failing frames' live device buffers on its way out.
 //
 // Error discipline: kernel runtime faults (division by zero, arena or
 // shared accesses outside the block's allocation, out-of-range global
@@ -54,7 +57,7 @@ struct DevBuf {
   ScalarKind Elem = ScalarKind::F64;
   std::byte *Data = nullptr;
   size_t Count = 0;
-  unsigned Id = 0; ///< race/bounds logging id (allocRaw)
+  unsigned Id = 0; ///< buffer id (allocRaw): race/bounds logs, liveness
 };
 
 /// Allocates a zero-initialized device buffer (GpuDevice::alloc, minus
@@ -122,9 +125,10 @@ RunStatus validateKernel(const VmKernel &K);
 /// Synchronous (like the generated sim launches); honors the device's
 /// race-detection and bounds-checking modes. Argument arity, element
 /// kinds and counts are validated against the kernel's parameter schema,
-/// and the bytecode itself through validateKernel. Fails fast (without
-/// launching) while the device carries a sticky error; a kernel trap
-/// poisons the device in turn. Of several faulting threads the trap names
+/// a freed buffer is refused with an invalid_value error that leaves the
+/// device healthy, and the bytecode is checked through validateKernel.
+/// Fails fast (without launching) while the device carries a sticky
+/// error; a kernel trap poisons the device in turn. Of several faulting threads the trap names
 /// the first the executor reaches: at G = 1 the lowest faulting thread,
 /// else the lowest lane faulting at the earliest faulting instruction of
 /// the lockstep schedule. When the device watchdog configures a

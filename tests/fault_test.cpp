@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 using namespace descend;
@@ -349,6 +350,176 @@ TEST(Watchdog, VmStepBudgetTrapsInfiniteLoop) {
   // ...and reset() restores a working device.
   Dev.reset();
   EXPECT_TRUE(vm::launchKernel(Dev, Trivial, {}).Ok);
+}
+
+//===----------------------------------------------------------------------===//
+// Device memory on the failure paths
+//===----------------------------------------------------------------------===//
+
+const char *const ScaleKernel = R"(
+fn scale(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<1>, X<256>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      v.group::<256>[[block]][[thread]] =
+        v.group::<256>[[block]][[thread]] * 3.0
+    }
+  }
+}
+)";
+
+std::shared_ptr<const vm::CompiledProgram>
+compileVm(const std::string &Source) {
+  service::CompileService Service(8);
+  service::CompileRequest Req;
+  Req.Backend = "vm";
+  Req.Source = Source;
+  service::CompileReply Rep = Service.compile(Req);
+  EXPECT_TRUE(Rep.Ok) << Rep.Diagnostics;
+  return Rep.Program;
+}
+
+TEST(StaleHandles, VmLaunchOfFreedBufferIsInvalidValueNotSticky) {
+  auto P = compileVm(ScaleKernel);
+  ASSERT_TRUE(P);
+  const vm::VmKernel &K = *P->findKernel("scale");
+  GpuDevice Dev;
+  vm::DevBuf D = vm::allocDev(Dev, ScalarKind::F64, 256);
+  Dev.free(D.Id);
+  vm::RunStatus St = vm::launchKernel(Dev, K, {D});
+  EXPECT_FALSE(St.Ok);
+  EXPECT_NE(St.Error.find("invalid_value: kernel `scale` argument `v`: "
+                          "device buffer id 1 was freed"),
+            std::string::npos)
+      << St.Error;
+  // Refused before launching, and not sticky: the next launch runs.
+  EXPECT_FALSE(Dev.poisoned());
+  EXPECT_EQ(Dev.getLastError(), ErrorCode::Ok);
+  vm::DevBuf Live = vm::allocDev(Dev, ScalarKind::F64, 256);
+  EXPECT_NE(Live.Id, D.Id) << "the reused slot carries a new generation";
+  EXPECT_TRUE(vm::launchKernel(Dev, K, {Live}).Ok);
+  try {
+    Dev.free(D.Id);
+    FAIL() << "double free must throw";
+  } catch (const DeviceError &E) {
+    EXPECT_EQ(E.code(), ErrorCode::InvalidValue);
+  }
+  EXPECT_FALSE(Dev.poisoned());
+}
+
+TEST(StickyError, AllocInjectionFiresEvenWhenAFreeBlockWouldServe) {
+  // The alloc:N seam sits before the free-list probe: a reused block is
+  // still "the N-th allocation".
+  FaultGuard G;
+  GpuDevice Dev;
+  auto First = Dev.alloc<double>(16);
+  double *Block = First.data();
+  Dev.free(First.id());
+  G.arm("alloc:1");
+  EXPECT_THROW(Dev.alloc<double>(16), DeviceError);
+  EXPECT_EQ(Dev.getLastError(), ErrorCode::AllocFailed);
+  MemoryStats S = Dev.memoryStats();
+  EXPECT_EQ(S.ReusedAllocs, 0u);
+  EXPECT_EQ(S.LiveBuffers, 0u);
+  EXPECT_EQ(S.ReservedBytes, 128u) << "the free block stays reserved";
+  Dev.reset();
+  auto Again = Dev.alloc<double>(16);
+  EXPECT_EQ(Again.data(), Block);
+  EXPECT_EQ(Dev.memoryStats().ReusedAllocs, 1u);
+}
+
+/// `inner` fails in host code when z is 0; with z = 1 both launches run.
+std::string failingHostProgram() {
+  return std::string(ScaleKernel) + R"(
+fn inner(h: &uniq cpu.mem [f64; 256], z: i64) -[t: cpu.thread]-> () {
+  let e = GpuGlobal::alloc_copy(&*h);
+  scale::<<<X<1>, X<256>>>>(&uniq e);
+  let q = z / z;
+  copy_mem_to_host(&uniq *h, &e)
+}
+fn main(h: &uniq cpu.mem [f64; 256], z: i64) -[t: cpu.thread]-> () {
+  let d = GpuGlobal::alloc_copy(&*h);
+  {
+    let f = GpuGlobal::alloc_copy(&*h);
+    inner(&uniq *h, z);
+    copy_mem_to_host(&uniq *h, &f)
+  };
+  scale::<<<X<1>, X<256>>>>(&uniq d);
+  copy_mem_to_host(&uniq *h, &d)
+}
+)";
+}
+
+/// Runs main of \p P with h filled with ones and z = \p Z.
+vm::RunStatus runMain(GpuDevice &Dev, const vm::CompiledProgram &P,
+                      double Z) {
+  const vm::HostFnIR &Main = *P.findHostFn("main");
+  vm::MainArgs A = vm::bindMainArgs(Dev, Main, {1.0, Z});
+  return vm::runHostFn(Dev, P, Main, A.Args);
+}
+
+TEST(FailurePaths, RunHostFnFreesEveryFrameOnHostFailure) {
+  auto P = compileVm(failingHostProgram());
+  ASSERT_TRUE(P);
+  GpuDevice Dev;
+  const MemoryStats Start = Dev.memoryStats();
+  ASSERT_TRUE(runMain(Dev, *P, 1.0).Ok);
+  EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
+
+  // Division by zero in `inner`, with d, f (caller) and e (callee) live.
+  vm::RunStatus St = runMain(Dev, *P, 0.0);
+  EXPECT_FALSE(St.Ok);
+  EXPECT_NE(St.Error.find("integer division by zero"), std::string::npos)
+      << St.Error;
+  EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
+  EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
+  EXPECT_FALSE(Dev.poisoned());
+}
+
+TEST(FailurePaths, RunHostFnFreesEveryFrameOnTrappedLaunch) {
+  auto P = compileVm(failingHostProgram());
+  ASSERT_TRUE(P);
+  // Launch 1 traps in `inner`, launch 2 in `main` after the call.
+  for (const char *Plan : {"trap:launch=1", "trap:launch=2"}) {
+    SCOPED_TRACE(Plan);
+    FaultGuard G;
+    GpuDevice Dev;
+    const MemoryStats Start = Dev.memoryStats();
+    G.arm(Plan);
+    vm::RunStatus St = runMain(Dev, *P, 1.0);
+    EXPECT_FALSE(St.Ok);
+    EXPECT_NE(St.Error.find("kernel_trap"), std::string::npos) << St.Error;
+    EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
+    EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
+  }
+}
+
+TEST(FailurePaths, AllocCopyInALoopReusesOneBlock) {
+  auto P = compileVm(std::string(ScaleKernel) + R"(
+fn main(h: &uniq cpu.mem [f64; 256]) -[t: cpu.thread]-> () {
+  for i in [0..64] {
+    let d = GpuGlobal::alloc_copy(&*h);
+    scale::<<<X<1>, X<256>>>>(&uniq d);
+    copy_mem_to_host(&uniq *h, &d)
+  }
+}
+)");
+  ASSERT_TRUE(P);
+  GpuDevice Dev;
+  const MemoryStats Start = Dev.memoryStats();
+  const vm::HostFnIR &Main = *P->findHostFn("main");
+  vm::MainArgs A = vm::bindMainArgs(Dev, Main, {1.0});
+  ASSERT_TRUE(vm::runHostFn(Dev, *P, Main, A.Args).Ok);
+  double Want = 1.0;
+  for (int I = 0; I != 64; ++I)
+    Want *= 3.0;
+  double Got;
+  std::memcpy(&Got, A.Arrays[0]->Bytes.data(), sizeof(double));
+  EXPECT_EQ(Got, Want);
+  const MemoryStats End = Dev.memoryStats();
+  EXPECT_EQ(End.LiveBytes, Start.LiveBytes);
+  EXPECT_EQ(End.ReservedBytes, 256u * sizeof(double)) << "one class block";
+  EXPECT_EQ(End.FreshAllocs, 1u);
+  EXPECT_EQ(End.ReusedAllocs, 63u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -372,6 +372,96 @@ fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
       << GraphPart;
 }
 
+TEST(HostGenGraph, CaptureLocalsAreReleasedUnderCapture) {
+  // The capture-locals die at the end of the capture block, where a free
+  // hands them to the graph; the per-call tail must not free them again.
+  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
+  ASSERT_TRUE(O.Ok) << O.Rendered;
+  std::string GraphPart =
+      O.Artifact.substr(O.Artifact.find("descend::sim::GraphExec &_graph"));
+  size_t Copy = GraphPart.find("copyToHostCapture(_stream, 1, d_out");
+  size_t FreeOut = GraphPart.find("descend::rt::freeAsync(_stream, d_out);");
+  size_t FreeIn = GraphPart.find("descend::rt::freeAsync(_stream, d_in);");
+  size_t End = GraphPart.find("_graph = _stream.endCapture().instantiate();");
+  ASSERT_NE(FreeOut, std::string::npos) << GraphPart;
+  ASSERT_NE(FreeIn, std::string::npos) << GraphPart;
+  EXPECT_LT(Copy, FreeOut) << GraphPart;
+  EXPECT_LT(FreeOut, FreeIn) << "last defined, first released\n" << GraphPart;
+  EXPECT_LT(FreeIn, End) << GraphPart;
+  EXPECT_EQ(GraphPart.find("freeAsync", End), std::string::npos) << GraphPart;
+}
+
+//===----------------------------------------------------------------------===//
+// Release statements
+//===----------------------------------------------------------------------===//
+
+TEST(HostGenRelease, EveryScopeReleasesItsDeviceBuffersInReverseOrder) {
+  const char *Src = R"(
+fn scale(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<1>, X<256>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      v.group::<256>[[block]][[thread]] =
+        v.group::<256>[[block]][[thread]] * 3.0
+    }
+  }
+}
+fn main(h: &uniq cpu.mem [f64; 256], p: &uniq gpu.global [f64; 256])
+-[t: cpu.thread]-> () {
+  let a = GpuGlobal::alloc_copy(&*h);
+  let b = GpuGlobal::alloc_copy(&*h);
+  {
+    let c = GpuGlobal::alloc_copy(&*h);
+    scale::<<<X<1>, X<256>>>>(&uniq c)
+  };
+  for i in [0..2] {
+    let d = GpuGlobal::alloc_copy(&*h);
+    scale::<<<X<1>, X<256>>>>(&uniq d)
+  }
+}
+)";
+  CompilerInvocation Inv;
+  Inv.BufferName = "scopes.descend";
+  Inv.RunUntil = Stage::Typecheck;
+  Session S(Inv);
+  ASSERT_TRUE(S.run(Src).Ok) << S.renderDiagnostics();
+  hostgen::HostBuildResult IR =
+      hostgen::buildHostFn(*S.module(), *S.module()->findFn("main"));
+  ASSERT_TRUE(IR.Ok) << IR.Error;
+  std::string Dump = hostgen::dumpHostFn(IR.Fn);
+  // The parameter `p` is borrowed and never released.
+  EXPECT_NE(Dump.find("  alloc-copy a <- h\n"
+                      "  alloc-copy b <- h\n"
+                      "  block\n"
+                      "    alloc-copy c <- h\n"
+                      "    launch scale(c)\n"
+                      "    release c\n"
+                      "  for-nat i in [0..2)\n"
+                      "    alloc-copy d <- h\n"
+                      "    launch scale(d)\n"
+                      "    release d\n"
+                      "  release b\n"
+                      "  release a\n"),
+            std::string::npos)
+      << Dump;
+  EXPECT_EQ(Dump.find("release p"), std::string::npos) << Dump;
+
+  // The cuda printer frees each buffer where its scope ends.
+  std::string Cuda = hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Cuda, "");
+  EXPECT_NE(Cuda.find("    scale<<<dim3(1, 1, 1), dim3(256, 1, 1)>>>(c);\n"
+                      "    cudaDeviceSynchronize();\n"
+                      "    cudaFree(c);\n"
+                      "  }\n"),
+            std::string::npos)
+      << Cuda;
+  EXPECT_NE(Cuda.find("  cudaFree(b);\n  cudaFree(a);\n}\n"),
+            std::string::npos)
+      << Cuda;
+  std::string Sim = hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Sim, "");
+  EXPECT_NE(Sim.find("    descend::rt::free(_dev, d);\n  }\n"),
+            std::string::npos)
+      << Sim;
+}
+
 //===----------------------------------------------------------------------===//
 // The cuda host golden
 //===----------------------------------------------------------------------===//
@@ -602,8 +692,7 @@ fn main(pair: &uniq cpu.mem (f64, f64)) -[t: cpu.thread]-> () { }
 )",
        {}, "unsupported host parameter type `&uniq cpu.mem (f64, f64)`",
        nullptr, nullptr},
-      // cuda frees device buffers at function exit, so it alone needs
-      // them allocated at function scope.
+      // Every backend frees a device buffer where its scope ends.
       {"nested-scope alloc_copy", R"(
 fn scale(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<1>, X<256>>]-> () {
   sched(X) block in grid {
@@ -621,10 +710,7 @@ fn main(h: &uniq cpu.mem [f64; 256]) -[t: cpu.thread]-> () {
   }
 }
 )",
-       {},
-       "device allocations must happen at host-function scope (needed for "
-       "cudaFree cleanup)",
-       "cuda", "RESULT h n=256 sum=768 first=3 last=3\n"},
+       {}, nullptr, nullptr, "RESULT h n=256 sum=768 first=3 last=3\n"},
       // The vm evaluates sizes and bounds at compile time; the printers
       // spell them symbolically.
       {"no -D", GenericFill, {},

@@ -2,8 +2,9 @@
 //
 // Dedicated tests for runtime/HostRuntime.h: the checked CPU<->GPU
 // transfer and launch-configuration API that handwritten host code uses
-// (and that the hostgen-generated sim drivers call into). The checks here
-// are the *runtime* mirror of what the type checker proves statically for
+// (and that the hostgen-generated sim drivers call into), and the
+// release helpers with their stale-handle errors. The checks here are the
+// *runtime* mirror of what the type checker proves statically for
 // .descend host programs.
 //
 //===----------------------------------------------------------------------===//
@@ -144,6 +145,74 @@ TEST(HostRuntime, TransfersComposeIntoAWorkingPipeline) {
   rt::copyToHost(Host, Buf);
   double Sum = std::accumulate(Host.data(), Host.data() + Host.size(), 0.0);
   EXPECT_EQ(Sum, 256.0);
+}
+
+/// Expects \p Fn to throw an rt::Error with code InvalidValue whose text
+/// contains \p Needle.
+template <typename Fn> void expectInvalidValue(Fn F, const char *Needle) {
+  try {
+    F();
+    ADD_FAILURE() << "expected an invalid_value rt::Error";
+  } catch (const rt::Error &E) {
+    EXPECT_EQ(E.code(), sim::ErrorCode::InvalidValue);
+    EXPECT_NE(std::string(E.what()).find(Needle), std::string::npos)
+        << E.what();
+  }
+}
+
+TEST(HostRuntime, FreedHandleIsAnInvalidValueError) {
+  sim::GpuDevice Dev;
+  rt::HostBuffer<double> Host(64, 1.0);
+  auto Buf = rt::allocCopy(Dev, Host);
+  rt::free(Dev, Buf);
+
+  // Every copy refuses the stale handle, by name when it has one...
+  expectInvalidValue([&] { rt::copyToHost(Host, Buf, "h", "d"); },
+                     "copy_mem_to_host: device buffer `d` (id 1) was freed");
+  expectInvalidValue([&] { rt::copyToGpu(Buf, Host, "d", "h"); },
+                     "copy_to_gpu: device buffer `d` (id 1) was freed");
+  sim::Stream S(Dev);
+  expectInvalidValue([&] { rt::copyToHostAsync(S, Host, Buf); },
+                     "device buffer `?` (id 1)");
+  expectInvalidValue([&] { rt::copyToGpuAsync(S, Buf, Host); },
+                     "device buffer `?` (id 1)");
+  // ...and a second free of it is an error, synchronous or stream-ordered.
+  expectInvalidValue([&] { rt::free(Dev, Buf); },
+                     "buffer id 1 was already freed");
+  expectInvalidValue([&] { rt::freeAsync(S, Buf); },
+                     "buffer id 1 was already freed");
+  expectInvalidValue([&] { Dev.free(12345); }, "was never allocated");
+  expectInvalidValue([&] { Dev.free(0); }, "was never allocated");
+
+  // InvalidValue is not sticky: the device and the stream stay healthy.
+  EXPECT_FALSE(Dev.poisoned());
+  EXPECT_EQ(Dev.getLastError(), sim::ErrorCode::Ok);
+  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
+  auto Fresh = rt::allocCopy(Dev, Host);
+  rt::copyToHost(Host, Fresh);
+  EXPECT_EQ(Host[63], 1.0);
+}
+
+TEST(HostRuntime, FreeOnAnotherDeviceIsRefused) {
+  // Ids are per device: buffer 1 of Dev must not free buffer 1 of Other.
+  sim::GpuDevice Dev, Other;
+  auto Mine = Dev.alloc<double>(8);
+  auto Theirs = Other.alloc<double>(8);
+  ASSERT_EQ(Mine.id(), Theirs.id());
+  expectInvalidValue([&] { rt::free(Other, Mine); },
+                     "free: buffer id 1 was not allocated on this device");
+  sim::Stream S(Other);
+  expectInvalidValue([&] { rt::freeAsync(S, Mine); },
+                     "freeAsync: buffer id 1 was not allocated on this device");
+  EXPECT_TRUE(Other.isLive(Theirs.id()));
+  EXPECT_TRUE(Dev.isLive(Mine.id()));
+}
+
+TEST(HostRuntime, DefaultHandleIsNoDeviceBuffer) {
+  rt::HostBuffer<double> Host(0, 0.0);
+  sim::GpuDevice::Buffer<double> None;
+  expectInvalidValue([&] { rt::copyToHost(Host, None); },
+                     "was freed or never allocated");
 }
 
 } // namespace
