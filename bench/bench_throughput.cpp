@@ -11,12 +11,15 @@
 //     four sim::Streams. The pool/spawn ratio is the regression-gated
 //     speedup (tools/bench_baseline.json: throughput_min_speedup).
 //  2. Worker-count scaling sweep on a medium kernel.
-//  3. A mixed serving loop alternating the *generated* quickstart and
-//     reduction host drivers (sync, stream, and graph-replay overloads),
-//     approximating a service handling small independent requests. The
-//     graph mode captures each driver once and replays the instantiated
-//     graph per request; the replay/re-enqueue ratio is gated
-//     (tools/bench_baseline.json: graph_min_replay_speedup).
+//  3. A mixed serving loop alternating the quickstart and reduction host
+//     drivers, approximating a service handling small independent
+//     requests: the *generated* driver called directly and run on a
+//     stream as its next operation (rt::runOnStream), and the same
+//     drivers written by hand against rt::*Async, one stream operation
+//     per transfer and launch. Capturing one handwritten request pair into a
+//     graph and replaying it is gated against re-enqueueing the same
+//     operations per request (tools/bench_baseline.json:
+//     graph_min_replay_speedup).
 //
 // Output lines are machine-parseable key=value rows prefixed with
 // THROUGHPUT; tools/run_benches.sh turns them into BENCH_throughput.json.
@@ -209,7 +212,47 @@ void workerSweep() {
 /// machine would otherwise dominate a single 512-request sample.
 constexpr int ServingRounds = 3;
 
-double servingLoop(bool Streamed, int Requests) {
+/// The serving drivers written by hand against the public rt::*Async
+/// API: one stream operation per transfer and launch, a join before the
+/// host reads results, and stream-ordered frees. Both sides of the
+/// replay gate are made of these calls: servingLoop's re-enqueue mode
+/// issues them per request, servingLoopPipeline captures one request
+/// pair (seven operations) and replays it.
+void quickstartAsync(sim::Stream &S, rt::HostBuffer<double> &Vec) {
+  GpuDevice &Dev = S.device();
+  auto D = rt::allocCopyAsync(S, Vec);
+  S.enqueue([&Dev, D] { descend::gen::scale_vec_serve(Dev, D); });
+  rt::copyToHostAsync(S, Vec, D, "host_vec", "d_vec");
+  rt::freeAsync(S, D);
+  S.synchronize();
+  rt::checkDevice(Dev, "stream synchronize");
+}
+
+void reductionAsync(sim::Stream &S, rt::HostBuffer<double> &Data,
+                    rt::HostBuffer<double> &Partials,
+                    rt::HostBuffer<double> &Total) {
+  GpuDevice &Dev = S.device();
+  auto In = rt::allocCopyAsync(S, Data);
+  auto Out = rt::allocCopyAsync(S, Partials);
+  S.enqueue([&Dev, In, Out] { descend::gen::reduce_rserve(Dev, In, Out); });
+  rt::copyToHostAsync(S, Partials, Out, "partials", "d_out");
+  S.synchronize();
+  rt::checkDevice(Dev, "stream synchronize");
+  Total[0] = 0.0;
+  for (size_t I = 0; I != Partials.size(); ++I)
+    Total[0] = Total[0] + Partials[I];
+  rt::freeAsync(S, Out);
+  rt::freeAsync(S, In);
+}
+
+/// How servingLoop serves a request.
+enum class Serve {
+  GeneratedSync,     ///< the generated driver, called directly
+  GeneratedOnStream, ///< the generated driver through rt::runOnStream
+  Reenqueue,         ///< the handwritten drivers, one operation per step
+};
+
+double servingLoop(Serve How, int Requests) {
   const size_t NQ = 256; // one block per request: serving-sized
   GpuDevice Dev;
   Dev.setWorkers(BenchWorkers);
@@ -219,76 +262,51 @@ double servingLoop(bool Streamed, int Requests) {
   double BestMs = 0;
   for (int Round = 0; Round != ServingRounds; ++Round) {
     auto T0 = std::chrono::steady_clock::now();
-    if (Streamed) {
-      sim::Stream S(Dev);
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
-          descend::gen::run_serve(S, QVec);
-        else
-          descend::gen::run_rserve(S, RData, RPartials, RTotal);
-      }
-    } else {
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
+    sim::Stream S(Dev);
+    for (int R = 0; R != Requests; ++R) {
+      const bool Quick = R % 2 == 0;
+      switch (How) {
+      case Serve::GeneratedSync:
+        if (Quick)
           descend::gen::run_serve(Dev, QVec);
         else
           descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
+        break;
+      case Serve::GeneratedOnStream:
+        if (Quick)
+          rt::runOnStream(S, descend::gen::run_serve, QVec);
+        else
+          rt::runOnStream(S, descend::gen::run_rserve, RData, RPartials,
+                          RTotal);
+        break;
+      case Serve::Reenqueue:
+        if (Quick)
+          quickstartAsync(S, QVec);
+        else
+          reductionAsync(S, RData, RPartials, RTotal);
+        break;
       }
     }
     double Ms = msSince(T0);
     if (Round == 0 || Ms < BestMs)
       BestMs = Ms;
   }
-  report("serving", Streamed ? "generated_stream" : "generated_sync",
+  report("serving",
+         How == Serve::GeneratedSync       ? "generated_sync"
+         : How == Serve::GeneratedOnStream ? "generated_on_stream"
+                                           : "stream_reenqueue",
          Requests, BestMs);
   return Requests / (BestMs / 1000.0);
 }
 
-/// The same mixed serving loop over the graph-mode driver overloads: the
-/// first quickstart/reduction request captures its driver into a
-/// persistent GraphExec; every later request rebinds the host buffers and
-/// replays the instantiated graph with a single enqueue (no per-request
-/// device allocation, no per-op enqueue traffic). Prints the graph shape
-/// alongside the rate so run_benches.sh can stamp ops-per-graph and the
-/// replay count into BENCH_throughput.json.
-double servingLoopGraph(int Requests) {
-  const size_t NQ = 256; // one block per request: serving-sized
-  GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
-  sim::Stream S(Dev);
-  sim::GraphExec GQ, GR; // captured on the first request of each kind
-
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int R = 0; R != Requests; ++R) {
-      if (R % 2 == 0)
-        descend::gen::run_serve(S, GQ, QVec);
-      else
-        descend::gen::run_rserve(S, GR, RData, RPartials, RTotal);
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", "generated_graph", Requests, BestMs);
-  std::printf("THROUGHPUT graph_shape ops_quickstart=%zu ops_reduction=%zu "
-              "replays=%d\n",
-              GQ.opCount(), GR.opCount(), Requests * ServingRounds);
-  return Requests / (BestMs / 1000.0);
-}
-
 /// Whole-pipeline capture — the cudaStreamBeginCapture idiom: record one
-/// full mixed request (quickstart scale + reduction, both generated
-/// *stream* drivers) into a single graph, then serve every later request
+/// full mixed request (quickstart scale + reduction, both handwritten
+/// stream drivers) into a single graph, then serve every later request
 /// pair by replaying it with ONE enqueue and ONE join. This is the
-/// serving shape graphs exist for: the per-iteration re-enqueue baseline
-/// pays ~7 enqueues, 3 device allocations and 2 stream joins for the
-/// same work. The reduction driver's sequential CPU finish is host code,
-/// not device work, so it re-runs on the host per replay.
+/// serving shape graphs exist for: the re-enqueue baseline pays 7
+/// enqueues, 3 device allocations and 2 stream joins for the same work.
+/// The reduction's sequential CPU finish is host code, not device work,
+/// so it runs on the host after each replay.
 double servingLoopPipeline(int Requests) {
   const size_t NQ = 256;
   GpuDevice Dev;
@@ -298,9 +316,9 @@ double servingLoopPipeline(int Requests) {
 
   sim::Stream S(Dev);
   S.beginCapture();
-  descend::gen::run_serve(S, QVec); // enqueues record as graph nodes
-  descend::gen::run_rserve(S, RData, RPartials, RTotal);
-  sim::GraphExec G = S.endCapture().instantiate();
+  quickstartAsync(S, QVec); // enqueues record as graph nodes
+  reductionAsync(S, RData, RPartials, RTotal);
+  sim::Graph G = S.endCapture();
 
   const int Pairs = Requests / 2;
   double BestMs = 0;
@@ -423,9 +441,9 @@ int main() {
   workerSweep();
 
   const int Requests = 512;
-  servingLoop(/*Streamed=*/false, Requests);
-  double ServeStreamRate = servingLoop(/*Streamed=*/true, Requests);
-  servingLoopGraph(Requests);
+  servingLoop(Serve::GeneratedSync, Requests);
+  servingLoop(Serve::GeneratedOnStream, Requests);
+  double ServeStreamRate = servingLoop(Serve::Reenqueue, Requests);
   double ServeGraphRate = servingLoopPipeline(Requests);
 
   compileServiceBench();

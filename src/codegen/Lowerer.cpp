@@ -33,6 +33,25 @@ bool descend::codegen::arrayNest(const TypeRef &T, std::vector<Nat> &Dims,
   }
 }
 
+bool descend::codegen::launchExtents(const FnDef &Fn, const Dim &D,
+                                     std::array<unsigned, 3> &Out,
+                                     std::string &Err) {
+  const Axis Axes[3] = {Axis::X, Axis::Y, Axis::Z};
+  for (unsigned I = 0; I != 3; ++I) {
+    Out[I] = 1;
+    if (!D.hasAxis(Axes[I]))
+      continue;
+    auto E = D.extent(Axes[I]).simplified().evaluate({});
+    if (!E) {
+      Err = "launch dimension `" + D.extent(Axes[I]).str() + "` of `" +
+            Fn.Name + "` is not instantiated (pass -D)";
+      return false;
+    }
+    Out[I] = static_cast<unsigned>(*E);
+  }
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Scopes and small helpers
 //===----------------------------------------------------------------------===//

@@ -38,6 +38,7 @@
 #include "kir/Schedule.h"
 #include "views/View.h"
 
+#include <array>
 #include <map>
 #include <optional>
 #include <string>
@@ -66,6 +67,12 @@ inline bool containsPow(const Nat &N) { return kir::containsPow(N); }
 /// Extracts the array-nest dimensions and element scalar type of a kernel
 /// parameter / allocation type.
 bool arrayNest(const TypeRef &T, std::vector<Nat> &Dims, ScalarKind &Elem);
+
+/// The {x, y, z} extents of launch dimension \p D of kernel \p Fn (an
+/// absent axis is 1). Fails, naming the extent, when one is not
+/// instantiated: the sim and vm backends both need concrete launches.
+bool launchExtents(const FnDef &Fn, const Dim &D,
+                   std::array<unsigned, 3> &Out, std::string &Err);
 
 /// A lowering-time symbol.
 struct Sym {

@@ -146,20 +146,16 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
       return R;
     }
 
-    auto GridOf = [](const Dim &D) {
-      auto Get = [&](Axis A) -> unsigned {
-        if (!D.hasAxis(A))
-          return 1;
-        auto V = D.extent(A).evaluate({});
-        return V ? static_cast<unsigned>(*V) : 1;
-      };
-      return strfmt("descend::sim::Dim3{%u, %u, %u}", Get(Axis::X),
-                    Get(Axis::Y), Get(Axis::Z));
+    std::array<unsigned, 3> Grid, Block;
+    if (!launchExtents(Fn, Fn.Exec.GridDim, Grid, R.Error) ||
+        !launchExtents(Fn, Fn.Exec.BlockDim, Block, R.Error))
+      return R;
+    auto Dim3Of = [](const std::array<unsigned, 3> &E) {
+      return strfmt("descend::sim::Dim3{%u, %u, %u}", E[0], E[1], E[2]);
     };
+    const std::string GridText = Dim3Of(Grid), BlockText = Dim3Of(Block);
 
-    unsigned Threads = 1;
-    if (auto T = Fn.Exec.BlockDim.total().evaluate({}))
-      Threads = *T;
+    const unsigned Threads = Block[0] * Block[1] * Block[2];
     size_t SharedTotal = (L.SharedBytes + 7) & ~size_t(7);
     size_t ArenaBytes = SharedTotal + L.LocalBytesPerThread * Threads;
 
@@ -183,8 +179,8 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     std::string PrintErr;
     if (L.Program.maxLoopDepth() == 0) {
       // Straight-line program: variadic launchPhases, direct phase calls.
-      OS << "  descend::sim::launchPhases(_dev, " << GridOf(Fn.Exec.GridDim)
-         << ", " << GridOf(Fn.Exec.BlockDim) << ", " << ArenaBytes;
+      OS << "  descend::sim::launchPhases(_dev, " << GridText << ", "
+         << BlockText << ", " << ArenaBytes;
       std::vector<LoopBinding> None;
       for (const PhaseNode &N : L.Program.Nodes) {
         OS << ",\n    [&](BlockCtx &_b, ThreadCtx &_t) {\n";
@@ -208,22 +204,16 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
       R.Error = "while printing `" + Fn.Name + "`: " + PrintErr;
       return R;
     }
-    OS << "  descend::sim::launchProgram(_dev, " << GridOf(Fn.Exec.GridDim)
-       << ", " << GridOf(Fn.Exec.BlockDim) << ", " << ArenaBytes
-       << ", _prog);\n}\n";
+    OS << "  descend::sim::launchProgram(_dev, " << GridText << ", "
+       << BlockText << ", " << ArenaBytes << ", _prog);\n}\n";
   }
 
   // Host functions (Sections 3.4/3.5): emitted below the kernels they
   // launch, so the generated driver resolves the kernel calls directly in
   // this header. `main` is emitted as `run` — the entry point the tests
-  // and examples drive. Each driver comes in three overloads: the
-  // synchronous one over a GpuDevice (the default, bit-identical
-  // semantics), the asynchronous one over a sim::Stream, whose transfers
-  // and launches enqueue in order and join only where host memory is read
-  // (and before returning), and the graph-mode one over a sim::Stream +
-  // sim::GraphExec, which captures the driver's device-op prefix on the
-  // first call and replays it (rebound to the call's buffers) as one
-  // stream operation afterwards.
+  // and examples drive. Each host function is printed once, as the
+  // synchronous driver over a GpuDevice; a caller runs it on a stream,
+  // or records it into a graph, through rt::runOnStream.
   for (const auto &FnPtr : M.Fns) {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
@@ -233,11 +223,8 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
       R.Error = "while emitting host `" + Fn.Name + "`: " + IR.Error;
       return R;
     }
-    // Built once, printed three times; only the cuda printer can fail.
-    for (hostgen::HostTarget HT :
-         {hostgen::HostTarget::Sim, hostgen::HostTarget::SimStream,
-          hostgen::HostTarget::SimGraph})
-      OS << "\n" << hostgen::printHostFn(IR.Fn, HT, FnSuffix);
+    OS << "\n"
+       << hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Sim, FnSuffix);
   }
   OS << "\n} // namespace descend::gen\n";
   R.Ok = true;

@@ -4,9 +4,7 @@
 
 #include "codegen/Lowerer.h" // cppScalarType, floatLiteral, arrayNest, containsPow
 
-#include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 
 using namespace descend;
@@ -566,40 +564,17 @@ std::string targetStr(const HostFn &F, const HostStmt &S) {
 class Printer {
 public:
   Printer(const HostFn &F, HostTarget T, const std::string &FnSuffix)
-      : F(F), T(T),
-        Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
-        Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
+      : F(F), T(T), FnSuffix(FnSuffix) {}
 
   std::string run();
 
 private:
   const HostFn &F;
   HostTarget T;
-  /// Printing an asynchronous sim::Stream-taking overload: device
-  /// operations enqueue, host-touching statements synchronize first.
-  /// (The graph overload reuses all of this machinery for its
-  /// non-captured tail.)
-  bool Stream;
-  /// Printing the graph-mode overload: capture the leading device-op run
-  /// on the first call, replay + rebind afterwards.
-  bool Graph;
   const std::string &FnSuffix;
 
   std::ostringstream OS;
   unsigned Depth = 1;
-
-  /// Stream mode: operations are enqueued but not yet joined; the next
-  /// statement that touches host memory must synchronize first.
-  bool PendingAsync = false;
-
-  /// Stream mode: how many host-memory-touch points have been printed so
-  /// far. Loop printing snapshots this to detect bodies that touch host
-  /// memory (see the ForNat back-edge join).
-  unsigned HostTouches = 0;
-
-  /// Graph mode: the host-buffer parameters the capture rebinds, in
-  /// first-use order; a variable's index here is its graph slot.
-  std::vector<unsigned> Rebound;
 
   bool isSim() const { return T != HostTarget::Cuda; }
   const HostVar &var(unsigned Slot) const { return F.Vars[Slot]; }
@@ -617,25 +592,6 @@ private:
       OS << "  ";
   }
 
-  /// Stream mode: joins the stream before a host-memory-touching
-  /// statement (no-op otherwise). Every join is followed by a
-  /// rt::checkDevice so a sticky device error surfaces as a structured
-  /// rt::Error at the join instead of the driver returning half-done.
-  void syncIfPending() {
-    if (!Stream)
-      return;
-    ++HostTouches;
-    if (PendingAsync)
-      join();
-  }
-  void join() {
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
-
   void signature();
   void body(const std::vector<HostStmt> &Body);
   void stmt(const HostStmt &S);
@@ -645,42 +601,19 @@ private:
   void call(const HostStmt &S);
   void forNat(const HostStmt &S);
   void release(const HostStmt &S);
-
-  // Graph mode ---------------------------------------------------------
-
-  /// Graph slot of host-buffer parameter \p Var, assigned in first-use
-  /// order during capture printing (also the bind printing order).
-  unsigned graphSlot(unsigned Var) {
-    auto It = std::find(Rebound.begin(), Rebound.end(), Var);
-    if (It == Rebound.end())
-      It = Rebound.insert(It, Var);
-    return static_cast<unsigned>(It - Rebound.begin());
-  }
-
-  bool capturable(const HostStmt &S, std::set<unsigned> &Locals) const;
-  bool mentions(const HostStmt &S, const std::set<unsigned> &Vars) const;
-  bool mentions(const HostExpr &E, const std::set<unsigned> &Vars) const;
-  size_t capturePrefix(std::set<unsigned> &Locals) const;
-  void captureStmt(const HostStmt &S);
-  void graphBody(size_t Prefix, const std::set<unsigned> &Locals);
 };
 
 void Printer::signature() {
   OS << "/// " << F.Signature << "\n";
   OS << (isSim() ? "inline void " : "void ") << emitName(F.Name, FnSuffix)
      << "(";
-  if (Stream) {
-    OS << "descend::sim::Stream &_stream";
-    if (Graph)
-      OS << ",\n    descend::sim::GraphExec &_graph";
-  } else if (isSim()) {
+  if (isSim())
     OS << "descend::sim::GpuDevice &_dev";
-  }
   for (unsigned I = 0; I != F.NumParams; ++I) {
     const HostVar &V = F.Vars[I];
     const char *CT = cppScalarType(V.Elem);
     if (I || isSim())
-      OS << ",\n    "; // after the device/stream argument
+      OS << ",\n    "; // after the device argument
     if (V.K == HostVar::Scalar)
       OS << CT << " " << V.Name;
     else if (!isSim())
@@ -693,13 +626,19 @@ void Printer::signature() {
       OS << "descend::sim::GpuDevice::Buffer<" << CT << "> " << V.Name;
   }
   OS << ") {\n";
-  if (Stream) {
-    // Enqueued launches capture the device by reference; the frame stays
-    // alive because stream drivers synchronize before returning.
+  if (!isSim())
+    return;
+  // The sim driver takes its buffers from C++ callers, which the type
+  // checker never saw: check every instantiated size at entry, before
+  // anything is allocated, with the text the vm rejects the same call
+  // with.
+  for (unsigned I = 0; I != F.NumParams; ++I) {
+    const HostVar &V = F.Vars[I];
+    if (!isBuffer(V) || !V.CountValue)
+      continue;
     indent();
-    OS << "descend::sim::GpuDevice &_dev = _stream.device();\n";
-    indent();
-    OS << "(void)_dev;\n";
+    OS << "descend::rt::checkArg(" << V.Name << ", " << *V.CountValue
+       << ", \"" << paramMismatch(F, I) << "\");\n";
   }
 }
 
@@ -731,18 +670,15 @@ void Printer::stmt(const HostStmt &S) {
   case HostStmt::Launch:
     return launch(S);
   case HostStmt::Let:
-    syncIfPending(); // the initializer may read host buffers
     indent();
     OS << cppScalarType(var(S.Dst).Elem) << " " << name(S.Dst) << " = "
        << exprStr(F, *S.Value) << ";\n";
     return;
   case HostStmt::Assign:
-    syncIfPending(); // assignment may read/write host buffers
     indent();
     OS << targetStr(F, S) << " = " << exprStr(F, *S.Value) << ";\n";
     return;
   case HostStmt::ForNat:
-    syncIfPending(); // the loop body may read host buffers
     return forNat(S);
   case HostStmt::Call:
     return call(S);
@@ -760,18 +696,14 @@ void Printer::stmt(const HostStmt &S) {
   }
 }
 
+/// The sim driver holds each device local as an rt::DeviceLocal, which
+/// frees it at the end of its scope, also when the driver throws.
 void Printer::allocCopy(const HostStmt &S) {
   const std::string &Dst = name(S.Dst), &Src = name(S.Src);
   if (isSim()) {
     indent();
-    if (Stream) {
-      OS << "auto " << Dst << " = descend::rt::allocCopyAsync(_stream, "
-         << Src << ");\n";
-      PendingAsync = true;
-    } else {
-      OS << "auto " << Dst << " = descend::rt::allocCopy(_dev, " << Src
-         << ");\n";
-    }
+    OS << "descend::rt::DeviceLocal " << Dst << "(descend::rt::allocCopy(_dev, "
+       << Src << "));\n";
     return;
   }
   const char *CT = cppScalarType(var(S.Src).Elem);
@@ -785,17 +717,14 @@ void Printer::allocCopy(const HostStmt &S) {
      << ") * (" << N << "), cudaMemcpyHostToDevice);\n";
 }
 
-/// The end of a device buffer's scope: cudaFree, an immediate rt::free,
-/// or a stream-ordered rt::freeAsync. A pending free borrows nothing from
-/// the frame and host code never waits for it, so it needs no join.
+/// The end of a device buffer's scope: cudaFree. The sim driver prints
+/// nothing, because its rt::DeviceLocal dies with the C++ scope, which
+/// ends right after the Descend scope's releases.
 void Printer::release(const HostStmt &S) {
+  if (isSim())
+    return;
   indent();
-  if (!isSim())
-    OS << "cudaFree(" << name(S.Dst) << ");\n";
-  else if (Stream)
-    OS << "descend::rt::freeAsync(_stream, " << name(S.Dst) << ");\n";
-  else
-    OS << "descend::rt::free(_dev, " << name(S.Dst) << ");\n";
+  OS << "cudaFree(" << name(S.Dst) << ");\n";
 }
 
 void Printer::copy(const HostStmt &S) {
@@ -805,11 +734,8 @@ void Printer::copy(const HostStmt &S) {
   if (isSim()) {
     // Pass the host-program variable names through so a size-mismatch
     // rt::Error names the offending buffers, not just the counts.
-    OS << (ToHost ? "descend::rt::copyToHost" : "descend::rt::copyToGpu")
-       << (Stream ? "Async(_stream, " : "(") << Dst << ", " << Src << ", \""
-       << Dst << "\", \"" << Src << "\");\n";
-    if (Stream)
-      PendingAsync = true;
+    OS << (ToHost ? "descend::rt::copyToHost(" : "descend::rt::copyToGpu(")
+       << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src << "\");\n";
     return;
   }
   const HostVar &HostSide = var(ToHost ? S.Dst : S.Src);
@@ -845,16 +771,7 @@ void Printer::launch(const HostStmt &S) {
   }
   // The generated simulator kernel lives in the same emitted namespace;
   // its signature already encodes the (statically checked) launch
-  // configuration. Stream mode enqueues the same call as a stream
-  // operation (buffer handles captured by value, the device by reference
-  // — the frame outlives the operation because stream drivers synchronize
-  // before returning).
-  if (Stream) {
-    OS << "_stream.enqueue([=, &_dev] { " << S.Callee << FnSuffix << "(_dev"
-       << Args << "); });\n";
-    PendingAsync = true;
-    return;
-  }
+  // configuration.
   OS << S.Callee << FnSuffix << "(_dev" << Args << ");\n";
   // Synchronous launches complete before returning; surface a sticky
   // device error (trap, timeout) here as a structured rt::Error instead
@@ -863,17 +780,11 @@ void Printer::launch(const HostStmt &S) {
   OS << "descend::rt::checkDevice(_dev, \"launch " << S.Callee << "\");\n";
 }
 
-/// A call of another host function. Stream mode threads the stream
-/// through, joining the caller's pending operations first (the callee may
-/// touch host memory in its first statement without a sync of its own); a
-/// callee with pending operations joins them before returning, so the
-/// caller resumes with a quiet stream either way.
 void Printer::call(const HostStmt &S) {
-  syncIfPending();
   indent();
   OS << emitName(S.Callee, FnSuffix) << "(";
   if (isSim())
-    OS << (Stream ? "_stream" : "_dev") << (S.Args.empty() ? "" : ", ");
+    OS << "_dev" << (S.Args.empty() ? "" : ", ");
   for (size_t I = 0; I != S.Args.size(); ++I) {
     const HostExpr &A = S.Args[I];
     // Cuda locals are std::vectors but host parameters are raw pointers;
@@ -883,7 +794,6 @@ void Printer::call(const HostStmt &S) {
     OS << (I ? ", " : "") << (Decay ? hostRaw(A.Slot) : exprStr(F, A));
   }
   OS << ");\n";
-  PendingAsync = false;
 }
 
 void Printer::forNat(const HostStmt &S) {
@@ -892,194 +802,15 @@ void Printer::forNat(const HostStmt &S) {
   OS << "for (long long " << V << " = " << S.Lo.str() << "; " << V
      << " != " << S.Hi.str() << "; ++" << V << ") {\n";
   ++Depth;
-  const unsigned TouchesBefore = HostTouches;
   body(S.Body);
-  // Stream mode back edge: a body that both touches host memory and
-  // leaves operations pending would race with its own next iteration
-  // (the per-statement sync points were printed against the *first*
-  // iteration's pending state). Join at the end of each iteration. A
-  // body with no host-touch points safely carries its pending operations
-  // across the back edge — the stream keeps them in order.
-  if (Stream && PendingAsync && HostTouches != TouchesBefore)
-    join();
   --Depth;
   indent();
   OS << "}\n";
-}
-
-//===----------------------------------------------------------------------===//
-// Graph mode: capture-prefix analysis and printing
-//===----------------------------------------------------------------------===//
-
-/// Is \p S a top-level statement the graph overload can capture? The
-/// capturable shapes are exactly the device-op run a serving loop repeats
-/// per request:
-///   * `let d = GpuGlobal::alloc_copy(&h)` with `h` a host-buffer
-///     *parameter* (the rebindable per-request data); `d` becomes a
-///     capture-local,
-///   * `copy_mem_to_host` / `copy_to_gpu` between a host-buffer parameter
-///     and a capture-local device buffer,
-///   * launches whose arguments are all capture-locals (a device-buffer
-///     parameter would replay the first call's buffer forever).
-bool Printer::capturable(const HostStmt &S,
-                         std::set<unsigned> &Locals) const {
-  auto HostParam = [&](unsigned V) {
-    return var(V).K == HostVar::HostBuf && var(V).IsParam;
-  };
-  auto Local = [&](unsigned V) { return Locals.count(V) != 0; };
-  switch (S.K) {
-  case HostStmt::AllocCopy:
-    if (!HostParam(S.Src))
-      return false;
-    Locals.insert(S.Dst);
-    return true;
-  case HostStmt::Launch:
-    return !S.Bufs.empty() &&
-           std::all_of(S.Bufs.begin(), S.Bufs.end(), Local);
-  case HostStmt::CopyToHost:
-    return HostParam(S.Dst) && Local(S.Src);
-  case HostStmt::CopyToGpu:
-    return HostParam(S.Src) && Local(S.Dst);
-  default:
-    return false;
-  }
-}
-
-/// True when \p S (or anything nested in it) uses one of \p Vars.
-/// Conservative: used to reject graph capture when post-capture host code
-/// reaches into a capture-produced device buffer.
-bool Printer::mentions(const HostStmt &S,
-                       const std::set<unsigned> &Vars) const {
-  // A capture-local's release is no use: graphBody prints it inside the
-  // capture block, which hands the buffer to the graph.
-  if (S.K == HostStmt::Release)
-    return false;
-  // Dst is a use unless the statement defines it.
-  const bool Copy = S.K == HostStmt::CopyToHost || S.K == HostStmt::CopyToGpu;
-  const bool UsesSrc = Copy || S.K == HostStmt::AllocCopy;
-  const bool UsesDst = Copy || S.K == HostStmt::Assign;
-  if ((UsesSrc && Vars.count(S.Src)) || (UsesDst && Vars.count(S.Dst)))
-    return true;
-  for (unsigned B : S.Bufs)
-    if (Vars.count(B))
-      return true;
-  for (const auto *E : {&S.Index, &S.Value})
-    if (*E && mentions(**E, Vars))
-      return true;
-  for (const HostExpr &A : S.Args)
-    if (mentions(A, Vars))
-      return true;
-  for (const HostStmt &B : S.Body)
-    if (mentions(B, Vars))
-      return true;
-  return false;
-}
-
-bool Printer::mentions(const HostExpr &E,
-                       const std::set<unsigned> &Vars) const {
-  if ((E.K == HostExpr::Var || E.K == HostExpr::Index) && Vars.count(E.Slot))
-    return true;
-  for (const HostExpr &Op : E.Ops)
-    if (mentions(Op, Vars))
-      return true;
-  return false;
-}
-
-/// Length of the maximal capturable leading run of the body's top-level
-/// statements, with the capture-locals it defines in \p Locals; 0 when the
-/// program can't use capture at all (including when a post-prefix
-/// statement reaches into a capture-local: those live inside the
-/// first-call capture block and replay frozen, so any later mention would
-/// change meaning — fall back entirely).
-size_t Printer::capturePrefix(std::set<unsigned> &Locals) const {
-  size_t Prefix = 0;
-  while (Prefix != F.Body.size() && capturable(F.Body[Prefix], Locals))
-    ++Prefix;
-  if (Prefix == 0)
-    return 0;
-  for (size_t I = Prefix; I != F.Body.size(); ++I)
-    if (mentions(F.Body[I], Locals))
-      return 0;
-  return Prefix;
-}
-
-/// Prints one capturable prefix statement in capture form: transfers go
-/// through the rt::*Capture helpers (slot-based, rebindable at replay);
-/// launches print exactly the stream-mode enqueue — enqueue-during-capture
-/// records the closure as a graph node.
-void Printer::captureStmt(const HostStmt &S) {
-  if (S.K == HostStmt::Launch)
-    return launch(S);
-  const std::string &Dst = name(S.Dst), &Src = name(S.Src);
-  indent();
-  if (S.K == HostStmt::AllocCopy)
-    OS << "auto " << Dst << " = descend::rt::allocCopyCapture<"
-       << cppScalarType(var(S.Src).Elem) << ">(_stream, " << graphSlot(S.Src)
-       << ", " << Src << ".size(), \"" << Src << "\");\n";
-  else if (S.K == HostStmt::CopyToHost)
-    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(S.Dst)
-       << ", " << Src << ", \"" << Dst << "\");\n";
-  else
-    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(S.Src)
-       << ", " << Dst << ", \"" << Src << "\");\n";
-}
-
-/// The graph overload's body: capture the prefix once (first call),
-/// rebind the host-buffer slots to this call's parameters, replay the
-/// whole prefix as one stream operation, then print the non-captured tail
-/// in plain stream form. The capture-locals \p Locals are declared in the
-/// capture block, so their releases print there, under capture: the
-/// graph takes the buffers over and frees them when it dies.
-void Printer::graphBody(size_t Prefix, const std::set<unsigned> &Locals) {
-  auto CaptureRelease = [&](const HostStmt &S) {
-    return S.K == HostStmt::Release && Locals.count(S.Dst);
-  };
-  indent();
-  OS << "if (!_graph.instantiated()) {\n";
-  ++Depth;
-  indent();
-  OS << "_stream.beginCapture();\n";
-  for (size_t I = 0; I != Prefix; ++I)
-    captureStmt(F.Body[I]);
-  for (size_t I = Prefix; I != F.Body.size(); ++I)
-    if (CaptureRelease(F.Body[I]))
-      release(F.Body[I]);
-  indent();
-  OS << "_graph = _stream.endCapture().instantiate();\n";
-  --Depth;
-  indent();
-  OS << "}\n";
-  for (unsigned Slot = 0; Slot != Rebound.size(); ++Slot) {
-    indent();
-    OS << "_graph.bind(" << Slot << ", " << name(Rebound[Slot]) << ", \""
-       << name(Rebound[Slot]) << "\");\n";
-  }
-  indent();
-  OS << "_graph.launch(_stream);\n";
-  PendingAsync = true; // the replay is one pending stream operation
-  for (size_t I = Prefix; I != F.Body.size(); ++I)
-    if (!CaptureRelease(F.Body[I]))
-      stmt(F.Body[I]);
 }
 
 std::string Printer::run() {
   signature();
-  std::set<unsigned> Locals;
-  const size_t Prefix = Graph ? capturePrefix(Locals) : 0;
-  if (Graph && Prefix == 0) {
-    // Shape doesn't fit capture: the graph overload degrades to the plain
-    // stream body.
-    indent();
-    OS << "(void)_graph;\n";
-  }
-  if (Prefix > 0)
-    graphBody(Prefix, Locals);
-  else
-    body(F.Body);
-  // Stream drivers join before returning: enqueued operations may borrow
-  // this frame's locals, and the caller observes the same state as after
-  // the synchronous driver.
-  syncIfPending();
+  body(F.Body);
   OS << "}\n";
   return OS.str();
 }
@@ -1175,6 +906,17 @@ std::string hostgen::dumpHostFn(const HostFn &Fn) {
   }
   dumpStmts(OS, Fn, Fn.Body, 0);
   return OS.str();
+}
+
+std::string hostgen::paramMismatch(const HostFn &Fn, unsigned I) {
+  const HostVar &P = Fn.Vars[I];
+  std::string Msg =
+      "argument " + std::to_string(I) + " of host `" + Fn.Name + "` must be ";
+  if (!isBuffer(P))
+    return Msg + "a scalar";
+  Msg += P.K == HostVar::HostBuf ? "a host array of " : "a device buffer of ";
+  return Msg + std::to_string(P.CountValue.value_or(0)) + " x " +
+         scalarKindName(P.Elem);
 }
 
 bool hostgen::hasHostFns(const Module &M) {

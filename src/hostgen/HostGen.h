@@ -21,30 +21,18 @@
 //                in reverse definition order. Parameters are borrowed and
 //                never released.
 //   printHostFn  prints the IR as C++ for one target:
-//     sim        against runtime/HostRuntime.h + sim/Sim.h —
-//                rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
-//                transfers, direct calls of the generated simulator
-//                kernels in the same header, and rt::free releases.
-//     simStream  the asynchronous overload of the same driver, taking a
-//                sim::Stream instead of a device: transfers enqueue through
-//                rt::*Async, launches enqueue as stream operations,
-//                releases free in stream order (rt::freeAsync), and a
-//                stream synchronize is inserted before any statement that
-//                touches host memory (and before returning), so results
-//                are bit-identical to the synchronous driver while
-//                consecutive device operations pipeline with a single join.
-//     simGraph   the graph-mode overload (sim::Stream + sim::GraphExec):
-//                the driver's leading run of device operations — transfers
-//                touching only host-buffer *parameters* plus launches over
-//                the buffers those transfers produced — is captured into a
-//                launch graph on the first call and *replayed* as one
-//                stream operation on every call, with the parameter
-//                buffers rebound per call (GraphExec::bind); any trailing
-//                host statements emit in stream form. The buffers the
-//                capture allocates are released under capture, which
-//                hands them to the graph: they live as long as the
-//                GraphExec. Programs whose shape doesn't fit fall back to
-//                the plain stream body.
+//     sim        one synchronous driver over a sim::GpuDevice, against
+//                runtime/HostRuntime.h + sim/Sim.h: an entry check of
+//                every instantiated buffer-parameter size (the vm's
+//                text), rt::HostBuffer allocations, device locals held as
+//                rt::DeviceLocal, rt::allocCopy / rt::copyToHost
+//                transfers and direct calls of the generated simulator
+//                kernels in the same header. It prints no release: each
+//                scope prints as a C++ scope whose releases come last, so
+//                a DeviceLocal's destructor frees at the release, and on
+//                unwind when the driver throws. A caller that wants the
+//                driver on a stream runs it through rt::runOnStream, or
+//                records it into a graph that way.
 //     cuda       CUDA runtime API host code — std::vector staging,
 //                cudaMalloc / cudaMemcpy with statically computed byte
 //                counts, real kernel<<<grid, block>>> launches and a
@@ -157,10 +145,8 @@ struct HostBuildResult {
 /// the type checker.
 HostBuildResult buildHostFn(const Module &M, const FnDef &Fn);
 
-/// Which host substrate to print for. SimStream prints the asynchronous
-/// sim::Stream overload of the sim driver; SimGraph the capture/replay
-/// overload (the sim backend prints all three).
-enum class HostTarget { Sim, SimStream, SimGraph, Cuda };
+/// Which host substrate to print for.
+enum class HostTarget { Sim, Cuda };
 
 /// Prints \p Fn as a host driver for \p Target: one complete C++
 /// function definition. \p FnSuffix is appended to the driver's, its
@@ -171,6 +157,11 @@ std::string printHostFn(const HostFn &Fn, HostTarget Target,
 
 /// A human-readable listing of \p Fn: its frame slots and statement tree.
 std::string dumpHostFn(const HostFn &Fn);
+
+/// Why argument \p I of \p Fn does not fit its parameter, e.g.
+/// "argument 0 of host `main` must be a host array of 2048 x f64": the
+/// text the vm and the generated sim drivers reject an argument with.
+std::string paramMismatch(const HostFn &Fn, unsigned I);
 
 /// True when the module contains at least one cpu.thread function with a
 /// body (i.e. the program has a host side worth emitting).

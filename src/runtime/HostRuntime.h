@@ -3,14 +3,14 @@
 // Part of the Descend reproduction. The host API of Section 3.4/3.5 as a
 // C++ library over the simulator: heap allocation, CPU<->GPU transfer with
 // direction checking and kernel-launch configuration checking — each in a
-// synchronous form, an asynchronous form over sim::Stream (the
-// cudaMemcpyAsync analogue the generated stream drivers call), and a
-// graph-capture form recording rebindable transfer nodes (what the
-// generated graph-mode drivers call).
+// synchronous form (what the generated drivers call) and an asynchronous
+// form over sim::Stream (the cudaMemcpyAsync analogue for handwritten
+// stream code). rt::runOnStream runs a whole generated driver on a stream
+// as its next operation, or records it as one node of a user capture.
 //
-// Device buffers die where their Descend scope ends: the generated
-// drivers call rt::free (sync) or rt::freeAsync (stream order; under
-// capture the graph takes the buffer over) at each release statement.
+// Device buffers die where their Descend scope ends: a generated driver
+// holds each device local as an rt::DeviceLocal, which frees it when its
+// C++ scope (the Descend scope) ends, also when the driver throws.
 // Every copy checks that its device handle is still live, so a freed
 // handle is an rt::Error with code InvalidValue rather than a
 // use-after-free (best effort: buffer-id generations wrap).
@@ -29,8 +29,11 @@
 #include "sim/Sim.h"
 
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace descend::rt {
@@ -215,6 +218,47 @@ void free(sim::GpuDevice &Dev, const sim::GpuDevice::Buffer<T> &Buf) {
   Dev.free(Buf.id());
 }
 
+/// A generated driver's device-buffer local: the handle plus the duty to
+/// free it. The sim printer prints every Descend scope (function body,
+/// block, for-nat body) as a C++ scope, and a scope's releases come last,
+/// the last defined first: C++ destruction order. So the destructor frees
+/// the buffer where its Descend scope ends, and on the way out when the
+/// driver throws first.
+template <typename T> class DeviceLocal : public sim::GpuDevice::Buffer<T> {
+public:
+  explicit DeviceLocal(sim::GpuDevice::Buffer<T> Buf)
+      : sim::GpuDevice::Buffer<T>(Buf) {}
+  DeviceLocal(const DeviceLocal &) = delete;
+  DeviceLocal &operator=(const DeviceLocal &) = delete;
+  /// Nothing else frees a driver's local (parameters are never released),
+  /// so the id is live and free() does not throw.
+  ~DeviceLocal() { this->device()->free(this->id()); }
+};
+
+/// The entry check a generated driver prints for each buffer parameter
+/// whose size is instantiated: throws a non-sticky InvalidValue carrying
+/// \p What (the vm's text for the same call) unless \p Buf holds
+/// \p Count elements.
+template <typename T>
+void checkArg(const HostBuffer<T> &Buf, size_t Count, const char *What) {
+  if (Buf.size() != Count) [[unlikely]]
+    throw Error(sim::ErrorCode::InvalidValue, What);
+}
+
+/// The same for a device-buffer parameter, which must also be live: a
+/// freed handle keeps its size, and a launch on it would write into
+/// whatever allocation reused its block. One lookup per call.
+template <typename T>
+void checkArg(const sim::GpuDevice::Buffer<T> &Buf, size_t Count,
+              const char *What) {
+  if (Buf.size() != Count) [[unlikely]]
+    throw Error(sim::ErrorCode::InvalidValue, What);
+  if (!Buf.device() || !Buf.device()->isLive(Buf.id())) [[unlikely]]
+    throw Error(sim::ErrorCode::InvalidValue,
+                std::string(What) + "; id " + std::to_string(Buf.id()) +
+                    " was freed or never allocated");
+}
+
 /// The stream-ordered release (cudaFreeAsync): the memory returns once
 /// everything enqueued before it has run; under capture the captured
 /// graph takes the buffer over (see sim::Stream::free).
@@ -225,64 +269,53 @@ void freeAsync(sim::Stream &S, const sim::GpuDevice::Buffer<T> &Buf) {
 }
 
 //===----------------------------------------------------------------------===//
-// Graph-capture variants — what the generated graph-mode drivers call
-// between Stream::beginCapture()/endCapture(). Device allocation still
-// happens eagerly, ONCE, at capture time (the buffer is reused by every
-// replay); the transfer records a graph node that reads its *host*
-// pointer from the GraphExec's slot table at replay time, so one
-// captured graph serves many requests' buffers via GraphExec::bind.
-// Sizes are pinned at capture: bind() rejects buffers of a different
-// byte size, preserving the eager-validation contract.
+// Generated drivers on a stream
 //===----------------------------------------------------------------------===//
 
-/// GpuGlobal::alloc_copy under capture: allocates the device buffer now,
-/// declares host slot \p Slot (named \p Name for diagnostics) and
-/// records the populating H2D copy.
-template <typename T>
-sim::GpuDevice::Buffer<T> allocCopyCapture(sim::Stream &S, unsigned Slot,
-                                           size_t Count,
-                                           const char *Name = nullptr) {
-  auto Buf = S.device().alloc<T>(Count);
-  const size_t Bytes = Count * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  T *Dst = Buf.data();
-  S.captureNode([Dst, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "allocCopyReplay");
-    std::memcpy(Dst, G.slotPtr(Slot), Bytes);
-  });
-  return Buf;
-}
+namespace detail {
+template <typename T> struct IsHostBuffer : std::false_type {};
+template <typename T> struct IsHostBuffer<HostBuffer<T>> : std::true_type {};
 
-/// copy_mem_to_host under capture: records a D2H copy into whatever host
-/// memory is bound to \p Slot at replay time.
-template <typename T>
-void copyToHostCapture(sim::Stream &S, unsigned Slot,
-                       const sim::GpuDevice::Buffer<T> &Src,
-                       const char *Name = nullptr) {
-  detail::requireLive(Src, "copy_mem_to_host", nullptr);
-  const size_t Bytes = Src.size() * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  const T *So = Src.data();
-  S.captureNode([So, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "copyToHostReplay");
-    std::memcpy(G.slotPtr(Slot), So, Bytes);
-  });
-}
+/// How a captured driver call holds one argument: the caller's host
+/// buffers by reference, everything else (scalars, device-buffer
+/// handles) by value.
+template <typename A, typename V = std::remove_cvref_t<A>>
+using Held =
+    std::conditional_t<IsHostBuffer<V>::value,
+                       std::reference_wrapper<std::remove_reference_t<A>>, V>;
+} // namespace detail
 
-/// copy_to_gpu under capture: records an H2D copy from whatever host
-/// memory is bound to \p Slot at replay time.
-template <typename T>
-void copyToGpuCapture(sim::Stream &S, unsigned Slot,
-                      sim::GpuDevice::Buffer<T> &Dst,
-                      const char *Name = nullptr) {
-  detail::requireLive(Dst, "copy_to_gpu", nullptr);
-  const size_t Bytes = Dst.size() * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  T *D = Dst.data();
-  S.captureNode([D, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "copyToGpuReplay");
-    std::memcpy(D, G.slotPtr(Slot), Bytes);
-  });
+/// Runs \p Driver(S.device(), Args...) — a generated host driver, or
+/// anything callable like one — on stream \p S as its next operation,
+/// on the calling thread (Stream::runInline): after everything enqueued
+/// on \p S before it, and finished when the call returns. What the
+/// driver throws reaches the caller unchanged (same rt::Error, code and
+/// text); nothing throws into the pool. A device error the driver hit
+/// poisons \p S like any stream operation's; a non-sticky one
+/// (InvalidValue, CopyFailed) leaves it healthy.
+///
+/// Under capture, records one node instead and returns: every replay
+/// re-runs the whole driver, host code included, against the same host
+/// buffers, so those must be lvalues (a static_assert rejects a temporary
+/// in either mode); scalars and device-buffer handles are held by value.
+/// A replay whose driver throws poisons the replaying stream (see
+/// Graph::launch).
+template <typename Fn, typename... Args>
+void runOnStream(sim::Stream &S, Fn &&Driver, Args &&...A) {
+  static_assert(((!detail::IsHostBuffer<std::remove_cvref_t<Args>>::value ||
+                  std::is_lvalue_reference_v<Args>) &&
+                 ...),
+                "runOnStream: pass host buffers as lvalues; a captured call "
+                "keeps a reference to them for every replay");
+  sim::GpuDevice &Dev = S.device();
+  if (S.capturing()) {
+    S.enqueue([&Dev, Call = std::decay_t<Fn>(std::forward<Fn>(Driver)),
+               Held = std::tuple<detail::Held<Args>...>(A...)] {
+      std::apply([&](const auto &...X) { Call(Dev, X...); }, Held);
+    });
+    return;
+  }
+  S.runInline([&] { Driver(Dev, A...); });
 }
 
 /// Checks a launch configuration against the element count a kernel

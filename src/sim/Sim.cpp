@@ -1027,64 +1027,25 @@ Graph::Data::~Data() {
     Mem->reclaim(Id);
 }
 
-GraphExec Graph::instantiate() const {
+void Graph::launch(Stream &S) const {
   if (!D)
-    throw std::logic_error("Graph::instantiate: empty graph handle");
-  GraphExec E;
-  E.D = D;
-  return E;
-}
-
-const char *GraphExec::slotNameOr(unsigned Slot, const char *Fallback) const {
-  auto It = D->SlotNames.find(Slot);
-  return It != D->SlotNames.end() && !It->second.empty() ? It->second.c_str()
-                                                         : Fallback;
-}
-
-void GraphExec::bind(unsigned Slot, void *Ptr, size_t Bytes,
-                     const char *Name) {
-  if (!D)
-    throw std::logic_error("GraphExec::bind: graph not instantiated");
-  const char *Bind = Name ? Name : "?";
-  auto It = D->SlotBytes.find(Slot);
-  if (It == D->SlotBytes.end())
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u: not declared by the capture (binding `%s`)", Slot,
-        Bind));
-  if (It->second != Bytes)
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u (`%s`): bound %zu bytes from `%s`, captured %zu",
-        Slot, slotNameOr(Slot, "?"), Bytes, Bind, It->second));
-  Bound[Slot] = Ptr;
-}
-
-void *GraphExec::slotPtr(unsigned Slot) const {
-  auto It = Bound.find(Slot);
-  assert(It != Bound.end() && "graph slot unbound (launch() validates)");
-  return It->second;
-}
-
-void GraphExec::launch(Stream &S) const {
-  if (!D)
-    throw std::logic_error("GraphExec::launch: graph not instantiated");
-  for (const auto &SB : D->SlotBytes)
-    if (!Bound.count(SB.first))
-      throw std::logic_error(descend::strfmt(
-          "GraphExec::launch: slot %u (`%s`) is unbound — bind() every "
-          "declared slot before launching",
-          SB.first, slotNameOr(SB.first, "?")));
+    throw std::logic_error("Graph::launch: empty graph handle");
   // The whole captured sequence replays as ONE stream operation: a
   // serving loop pays a single enqueue per request instead of one per
-  // transfer/launch. `this` must outlive the replay (generated drivers
-  // synchronize before returning).
-  const GraphExec *Self = this;
-  S.enqueue([Self] {
+  // transfer/launch.
+  S.enqueue([Nodes = D, St = &S] {
     std::string SpanArgs;
     if (obs::TraceCollector::global().enabled()) [[unlikely]]
-      SpanArgs = descend::strfmt("{\"ops\":%zu}", Self->D->Nodes.size());
+      SpanArgs = descend::strfmt("{\"ops\":%zu}", Nodes->Nodes.size());
     obs::Span ReplaySpan("stream", "graphReplay", std::move(SpanArgs));
-    for (const std::function<void(const GraphExec &)> &Node : Self->D->Nodes)
-      Node(*Self);
+    try {
+      for (const std::function<void()> &Node : Nodes->Nodes)
+        Node();
+    } catch (const DeviceError &E) {
+      St->poison(E.code(), E.what());
+    } catch (const std::exception &E) {
+      St->poison(ErrorCode::InvalidValue, E.what());
+    }
   });
 }
 
@@ -1127,13 +1088,30 @@ void Stream::runOpObservingErrors(const std::function<void()> &Op) {
   // poisons per deterministic injected fault, and a healthy sibling
   // stream with nothing in flight stays healthy.
   const uint64_t Seq0 = Dev->errorSeq();
-  Op();
-  if (Dev->errorSeq() != Seq0) [[unlikely]] {
-    std::string Msg;
-    const ErrorCode Code = Dev->getLastError(&Msg);
-    if (Code != ErrorCode::Ok)
-      poison(Code, Msg);
+  try {
+    Op();
+  } catch (...) {
+    poisonOnErrorSince(Seq0);
+    throw;
   }
+  poisonOnErrorSince(Seq0);
+}
+
+void Stream::poisonOnErrorSince(uint64_t Seq0) {
+  if (Dev->errorSeq() == Seq0) [[likely]]
+    return;
+  std::string Msg;
+  const ErrorCode Code = Dev->getLastError(&Msg);
+  if (Code != ErrorCode::Ok)
+    poison(Code, Msg);
+}
+
+void Stream::runInline(const std::function<void()> &Op) {
+  if (InCapture)
+    throw std::logic_error("Stream::runInline: capturing");
+  synchronize();
+  failFastIfPoisoned("runInline");
+  runOpObservingErrors(Op);
 }
 
 Stream::~Stream() {
@@ -1149,8 +1127,7 @@ void Stream::enqueue(std::function<void()> Op) {
   // Capture records instead of executing — also on sequential devices,
   // so a captured graph is identical no matter the worker count.
   if (InCapture) {
-    CapNodes.push_back(
-        [Fn = std::move(Op)](const GraphExec &) { Fn(); });
+    CapNodes.push_back(std::move(Op));
     return;
   }
   submitOp(std::move(Op));
@@ -1265,7 +1242,7 @@ void Stream::record(Event &E) {
     // The generation is minted when the node *runs*: each replay re-arms
     // the event afresh. Recording at capture time would leave the event
     // permanently "pending" between capture and first replay.
-    captureNode([St](const GraphExec &) { detail::signalEventNow(St); });
+    CapNodes.push_back([St] { detail::signalEventNow(St); });
     return;
   }
   uint64_t Gen;
@@ -1304,7 +1281,7 @@ void Stream::wait(Event &E) {
     // Replay-time blocking wait: the replaying pump worker waits on the
     // event CV. (Captured graphs replay as one node sequence; a parked
     // resumption point inside the sequence has nothing to resume into.)
-    captureNode([St](const GraphExec &) {
+    CapNodes.push_back([St] {
       std::unique_lock<std::mutex> L(St->M);
       const uint64_t Target = St->Recorded;
       St->CV.wait(L, [&] { return St->Completed >= Target; });
@@ -1375,8 +1352,6 @@ void Stream::beginCapture() {
     throw std::logic_error("Stream::beginCapture: already capturing");
   InCapture = true;
   CapNodes.clear();
-  CapSlots.clear();
-  CapSlotNames.clear();
 }
 
 Graph Stream::endCapture() {
@@ -1385,8 +1360,6 @@ Graph Stream::endCapture() {
   InCapture = false;
   auto D = std::make_shared<Graph::Data>();
   D->Nodes = std::move(CapNodes);
-  D->SlotBytes = std::move(CapSlots);
-  D->SlotNames = std::move(CapSlotNames);
   D->Owned = std::move(CapOwned);
   if (!D->Owned.empty()) {
     // The graph may die, and free, at once; work enqueued before the
@@ -1396,31 +1369,6 @@ Graph Stream::endCapture() {
     D->Mem = Dev->memoryState();
   }
   CapNodes.clear();
-  CapSlots.clear();
-  CapSlotNames.clear();
   CapOwned.clear();
   return Graph(std::move(D));
-}
-
-void Stream::captureNode(std::function<void(const GraphExec &)> Fn) {
-  if (!InCapture)
-    throw std::logic_error("Stream::captureNode: not capturing");
-  CapNodes.push_back(std::move(Fn));
-}
-
-void Stream::declareCaptureSlot(unsigned Slot, size_t Bytes,
-                                const std::string &Name) {
-  if (!InCapture)
-    throw std::logic_error("Stream::declareCaptureSlot: not capturing");
-  if (!Name.empty())
-    CapSlotNames.emplace(Slot, Name); // first declaration names the slot
-  auto It = CapSlots.find(Slot);
-  if (It == CapSlots.end()) {
-    CapSlots[Slot] = Bytes;
-    return;
-  }
-  if (It->second != Bytes)
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u: declared %zu bytes, previously %zu", Slot, Bytes,
-        It->second));
 }

@@ -33,18 +33,17 @@
 //    Stream::wait orders a stream after that snapshot without draining
 //    the device. A waiting stream *parks* (its pump re-arms from the
 //    event's completion callback) instead of blocking a pool worker.
-//  * Launch graphs (Graph / GraphExec, the cudaGraph analogue): a
-//    stream's transfer/launch/event sequence recorded once between
-//    beginCapture()/endCapture(), instantiated, rebound to fresh host
-//    buffers per request (GraphExec::bind) and replayed as ONE stream
-//    operation — the per-op enqueue cost of a serving loop collapses to
-//    a single enqueue per request.
+//  * Launch graphs (class Graph, the cudaGraph analogue): a stream's
+//    transfer/launch/event sequence recorded once between
+//    beginCapture()/endCapture() and replayed as ONE stream operation
+//    (Graph::launch) — the per-op enqueue cost of a serving loop
+//    collapses to a single enqueue per request.
 //  * Global memory (detail::DeviceMemory) is reused: GpuDevice::free
 //    (cudaFree) returns a buffer to a free list per power-of-two size
 //    class that the next allocation of that class takes first;
 //    Stream::free (cudaFreeAsync) does so in stream order; a free under
 //    capture hands the buffer to the captured graph, which frees it when
-//    its last Graph/GraphExec dies. A buffer id carries its slot's
+//    its last handle and replay are gone. A buffer id carries its slot's
 //    generation, so a freed id is an InvalidValue error rather than a
 //    use-after-free (best effort: generations wrap, see BufferSlotBits).
 //
@@ -82,7 +81,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -788,7 +786,6 @@ void launchProgram(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
                    const PhaseProgram &Prog);
 
 class Stream;
-class GraphExec;
 
 /// The cudaEvent_t analogue: a reusable marker streams record and wait
 /// on. Copying an Event copies the handle, not the state — all copies
@@ -813,89 +810,33 @@ private:
 
 /// An immutable captured operation sequence (the cudaGraph analogue):
 /// the transfers, launches and event edges a stream recorded between
-/// beginCapture() and endCapture(), plus the host-buffer slots the
-/// capture declared (slot -> byte size). instantiate() yields the
-/// executable form.
+/// beginCapture() and endCapture(). Copies share the captured nodes.
 class Graph {
 public:
   Graph() = default;
 
   /// Number of captured operations (0 for an empty/default graph).
   size_t opCount() const { return D ? D->Nodes.size() : 0; }
-  /// Number of declared host-buffer slots.
-  size_t slotCount() const { return D ? D->SlotBytes.size() : 0; }
 
-  /// The executable form: shares this graph's immutable nodes and adds a
-  /// mutable slot-pointer table (bind). Throws on an empty graph handle.
-  GraphExec instantiate() const;
+  /// Replays the captured sequence on \p S as a single enqueued
+  /// operation; the replay keeps the nodes alive, so the Graph handle
+  /// may die before it runs. A node that throws ends the replay and
+  /// poisons \p S with its error (nothing throws into the pool). Throws
+  /// on an empty graph handle.
+  void launch(Stream &S) const;
 
 private:
   friend class Stream;
-  friend class GraphExec;
   struct Data {
-    std::vector<std::function<void(const GraphExec &)>> Nodes;
-    std::map<unsigned, size_t> SlotBytes;
-    /// Host-variable names the capture declared per slot (may be empty
-    /// for handwritten captures); bind/launch diagnostics use them.
-    std::map<unsigned, std::string> SlotNames;
+    std::vector<std::function<void()>> Nodes;
     /// Buffers freed under capture: the graph owns them and frees them
-    /// when its last Graph/GraphExec handle dies.
+    /// when its last handle and its last replay are gone.
     std::shared_ptr<detail::DeviceMemory> Mem;
     std::vector<unsigned> Owned;
     ~Data();
   };
   explicit Graph(std::shared_ptr<const Data> D) : D(std::move(D)) {}
   std::shared_ptr<const Data> D;
-};
-
-/// An instantiated launch graph: immutable captured nodes plus the
-/// per-instance host-buffer bindings. bind() rebinds a slot to fresh
-/// host memory (size-checked against the capture), launch() replays the
-/// whole sequence as ONE stream operation. The GraphExec must stay alive
-/// until the replaying stream synchronizes (generated graph drivers
-/// join before returning).
-class GraphExec {
-public:
-  GraphExec() = default;
-
-  /// False for a default-constructed handle (the generated drivers'
-  /// capture-on-first-call check).
-  bool instantiated() const { return static_cast<bool>(D); }
-  size_t opCount() const { return D ? D->Nodes.size() : 0; }
-
-  /// Binds \p Bytes of host memory at \p Ptr to \p Slot. Throws on an
-  /// unknown slot or a size differing from the captured declaration —
-  /// the same eager validation the rt:: copies perform. \p Name (when
-  /// non-null) is the host variable being bound; diagnostics name it
-  /// alongside the slot's captured name.
-  void bind(unsigned Slot, void *Ptr, size_t Bytes,
-            const char *Name = nullptr);
-
-  /// Convenience overload for anything with data()/size() (e.g.
-  /// rt::HostBuffer): binds the buffer's storage.
-  template <typename BufT>
-  void bind(unsigned Slot, BufT &Buffer, const char *Name = nullptr) {
-    bind(Slot, const_cast<void *>(static_cast<const void *>(Buffer.data())),
-         Buffer.size() * sizeof(*Buffer.data()), Name);
-  }
-
-  /// The memory currently bound to \p Slot (replay-time use by captured
-  /// transfer nodes; launch() guarantees every slot is bound).
-  void *slotPtr(unsigned Slot) const;
-
-  /// Replays the captured sequence on \p S as a single enqueued
-  /// operation. Throws when any declared slot is unbound.
-  void launch(Stream &S) const;
-
-private:
-  friend class Graph;
-
-  /// The captured host-variable name of \p Slot, or \p Fallback when the
-  /// capture recorded none (handwritten captures).
-  const char *slotNameOr(unsigned Slot, const char *Fallback) const;
-
-  std::shared_ptr<const Graph::Data> D;
-  std::map<unsigned, void *> Bound;
 };
 
 /// A CUDA-style stream: kernel launches and host<->device copies enqueue
@@ -964,6 +905,15 @@ public:
   /// drains the operations accepted before the failure.
   void synchronize();
 
+  /// Runs \p Op as the stream's next operation, on the calling thread:
+  /// synchronizes, fails fast when poisoned, then runs \p Op with the
+  /// same error attribution as an enqueued operation (a device error
+  /// that appears meanwhile poisons the stream). What \p Op throws
+  /// reaches the caller. Work another host thread enqueues on this
+  /// stream meanwhile is not ordered after \p Op. Throws while
+  /// capturing.
+  void runInline(const std::function<void()> &Op);
+
   // Sticky stream errors ---------------------------------------------
 
   /// The stream's sticky error: Ok while healthy; after a failure, the
@@ -993,18 +943,6 @@ public:
   /// True between beginCapture() and endCapture().
   bool capturing() const { return InCapture; }
 
-  /// Records a replay-aware node (rt:: capture helpers: transfer nodes
-  /// that read their host pointer from the GraphExec's slot table at
-  /// replay time). Throws outside capture mode.
-  void captureNode(std::function<void(const GraphExec &)> Fn);
-
-  /// Declares host-buffer slot \p Slot with \p Bytes bytes. Re-declaring
-  /// with the same size is idempotent; a size mismatch throws. \p Name
-  /// (when non-empty) records the host variable the slot stands for, so
-  /// bind/launch diagnostics can name it.
-  void declareCaptureSlot(unsigned Slot, size_t Bytes,
-                          const std::string &Name = std::string());
-
 private:
   void pump(); // drains Ops in order; runs on a pool worker
 
@@ -1017,8 +955,10 @@ private:
   void failFastIfPoisoned(const char *What) const;
 
   /// Runs \p Op and poisons this stream if a device error surfaced
-  /// while it ran (errorSeq attribution).
+  /// while it ran (errorSeq attribution), also when \p Op throws.
   void runOpObservingErrors(const std::function<void()> &Op);
+  /// Poisons this stream if a device error surfaced since \p Seq0.
+  void poisonOnErrorSince(uint64_t Seq0);
 
   /// One queued stream operation: a closure to run, or — when Fn is
   /// null — an event-wait marker the pump parks on.
@@ -1046,9 +986,7 @@ private:
 
   // Capture state; touched only by the host thread driving the stream.
   bool InCapture = false;
-  std::vector<std::function<void(const GraphExec &)>> CapNodes;
-  std::map<unsigned, size_t> CapSlots;
-  std::map<unsigned, std::string> CapSlotNames;
+  std::vector<std::function<void()>> CapNodes;
   std::vector<unsigned> CapOwned; // buffers freed under capture
 };
 

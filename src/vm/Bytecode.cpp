@@ -780,21 +780,11 @@ bool compileKernel(const Module &M, const FnDef &Fn,
 
   K.Name = Fn.Name;
   auto DimOf = [&](const Dim &D, sim::Dim3 &Out) -> bool {
-    auto Get = [&](Axis A, unsigned &V) -> bool {
-      if (!D.hasAxis(A)) {
-        V = 1;
-        return true;
-      }
-      auto E = D.extent(A).simplified().evaluate({});
-      if (!E) {
-        Err = "launch dimension `" + D.extent(A).str() + "` of `" + Fn.Name +
-              "` is not instantiated (pass -D)";
-        return false;
-      }
-      V = static_cast<unsigned>(*E);
-      return true;
-    };
-    return Get(Axis::X, Out.X) && Get(Axis::Y, Out.Y) && Get(Axis::Z, Out.Z);
+    std::array<unsigned, 3> E;
+    if (!codegen::launchExtents(Fn, D, E, Err))
+      return false;
+    Out = sim::Dim3{E[0], E[1], E[2]};
+    return true;
   };
   if (!DimOf(Fn.Exec.GridDim, K.Grid) || !DimOf(Fn.Exec.BlockDim, K.Block))
     return false;

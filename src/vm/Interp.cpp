@@ -1157,27 +1157,22 @@ void execHostFn(HostEnv &E, const HostFnIR &Fn, std::vector<HostVal> Args,
     const HostVar &P = Fn.Vars[I];
     const HostVal &A = Args[I];
     const size_t Count = static_cast<size_t>(P.CountValue.value_or(0));
+    bool Fits;
     switch (P.K) {
     case HostVar::HostBuf:
-      if (A.K != HostVal::Array || !A.Arr || A.Arr->Elem != P.Elem ||
-          A.Arr->Count != Count)
-        hostFail("argument " + std::to_string(I) + " of host `" + Fn.Name +
-                 "` must be a host array of " + std::to_string(Count) +
-                 " x " + scalarKindName(P.Elem));
+      Fits = A.K == HostVal::Array && A.Arr && A.Arr->Elem == P.Elem &&
+             A.Arr->Count == Count;
       break;
     case HostVar::DevBuf:
-      if (A.K != HostVal::Dev || A.DevB.Elem != P.Elem ||
-          A.DevB.Count != Count)
-        hostFail("argument " + std::to_string(I) + " of host `" + Fn.Name +
-                 "` must be a device buffer of " + std::to_string(Count) +
-                 " x " + scalarKindName(P.Elem));
+      Fits = A.K == HostVal::Dev && A.DevB.Elem == P.Elem &&
+             A.DevB.Count == Count;
       break;
     default:
-      if (A.K != HostVal::Scalar)
-        hostFail("argument " + std::to_string(I) + " of host `" + Fn.Name +
-                 "` must be a scalar");
+      Fits = A.K == HostVal::Scalar;
       break;
     }
+    if (!Fits)
+      hostFail(hostgen::paramMismatch(Fn, static_cast<unsigned>(I)));
   }
   std::vector<HostVal> Frame(Fn.Vars.size());
   for (size_t I = 0; I != Args.size(); ++I)

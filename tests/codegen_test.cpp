@@ -271,6 +271,35 @@ fn k<n: nat>(arr: &uniq gpu.global [f64; n])
       << S.renderDiagnostics();
 }
 
+TEST(SimGen, RejectsAnUninstantiatedGrid) {
+  // The block is concrete, the grid is not: sim fails with the vm's text
+  // instead of launching one block.
+  const char *Src = R"(
+fn k<nb: nat>(arr: &uniq gpu.global [f64; nb*256])
+-[grid: gpu.grid<X<nb>, X<256>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      arr.group::<256>[[block]][[thread]] = 0.0
+    }
+  }
+}
+)";
+  for (const char *Backend : {"sim", "vm"}) {
+    SCOPED_TRACE(Backend);
+    CompilerInvocation Inv;
+    Inv.BufferName = "t.descend";
+    Inv.BackendName = Backend;
+    Session S(Inv);
+    CompileResult R = S.run(Src);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_TRUE(R.Artifact.empty());
+    EXPECT_NE(S.renderDiagnostics().find(
+                  "launch dimension `nb` of `k` is not instantiated (pass -D)"),
+              std::string::npos)
+        << S.renderDiagnostics();
+  }
+}
+
 /// Counts the phase lambdas of a generated sim artifact.
 size_t phaseLambdaCount(const std::string &Sim) {
   size_t Count = 0, Pos = 0;

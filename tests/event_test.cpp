@@ -5,9 +5,9 @@
 // the parked-pump resumption under real parallelism — part of the
 // ThreadSanitizer CI stress set), the CUDA-matching event edge cases
 // (wait-before-record, re-record re-arming, reuse across streams,
-// destruction with pending waiters), graph capture -> instantiate ->
-// bind -> replay with slot validation, and the hardened DESCEND_WORKERS
-// and DESCEND_TRACE parses (the same strictness discipline).
+// destruction with pending waiters), graph capture -> replay over fixed
+// buffers, and the hardened DESCEND_WORKERS and DESCEND_TRACE parses (the
+// same strictness discipline).
 //
 //===----------------------------------------------------------------------===//
 
@@ -225,6 +225,8 @@ TEST(Event, CrossDeviceWaitFromSequentialConsumer) {
 //===----------------------------------------------------------------------===//
 
 TEST(Graph, CaptureReplayMatchesDirectExecution) {
+  // The capture allocates the device buffer once; every replay copies the
+  // same host buffer in and out again.
   GpuDevice Dev;
   Dev.setWorkers(4);
   const size_t N = 4 * 32;
@@ -232,26 +234,22 @@ TEST(Graph, CaptureReplayMatchesDirectExecution) {
   Stream S(Dev);
   S.beginCapture();
   EXPECT_TRUE(S.capturing());
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
+  auto D = descend::rt::allocCopyAsync(S, Host);
   S.enqueue([&Dev, D] {
     launchPhases(Dev, Dim3{4}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
       size_t I = B.X * 32 + T.X;
       D.store(B, I, D.load(B, I) * 2.0 + 1.0);
     });
   });
-  descend::rt::copyToHostCapture(S, 0, D);
+  descend::rt::copyToHostAsync(S, Host, D);
   Graph G = S.endCapture();
   EXPECT_FALSE(S.capturing());
   EXPECT_EQ(G.opCount(), 3u);
-  EXPECT_EQ(G.slotCount(), 1u);
 
-  GraphExec Exec = G.instantiate();
-  ASSERT_TRUE(Exec.instantiated());
   for (int Round = 0; Round != 4; ++Round) {
     for (size_t I = 0; I != N; ++I)
       Host[I] = static_cast<double>(I + Round);
-    Exec.bind(0, Host);
-    Exec.launch(S);
+    G.launch(S);
     S.synchronize();
     for (size_t I = 0; I != N; ++I)
       ASSERT_EQ(Host[I], static_cast<double>(I + Round) * 2.0 + 1.0)
@@ -259,98 +257,17 @@ TEST(Graph, CaptureReplayMatchesDirectExecution) {
   }
 }
 
-TEST(Graph, RebindServesDifferentBuffersPerReplay) {
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  const size_t N = 64;
-  Stream S(Dev);
-  S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
-  S.enqueue([&Dev, D] {
-    launchPhases(Dev, Dim3{2}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
-      size_t I = B.X * 32 + T.X;
-      D.store(B, I, D.load(B, I) + 10.0);
-    });
-  });
-  descend::rt::copyToHostCapture(S, 0, D);
-  GraphExec Exec = S.endCapture().instantiate();
-
-  descend::rt::HostBuffer<double> A(N, 1.0), B(N, 2.0);
-  Exec.bind(0, A);
-  Exec.launch(S);
-  S.synchronize();
-  Exec.bind(0, B);
-  Exec.launch(S);
-  S.synchronize();
-  for (size_t I = 0; I != N; ++I) {
-    EXPECT_EQ(A[I], 11.0);
-    EXPECT_EQ(B[I], 12.0);
-  }
-}
-
-TEST(Graph, BindValidatesSlotAndSize) {
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  Stream S(Dev);
-  S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, 64);
-  (void)D;
-  GraphExec Exec = S.endCapture().instantiate();
-  descend::rt::HostBuffer<double> Right(64, 0.0), Wrong(32, 0.0);
-  // The structured texts name the slot, the sizes, and the binding so a
-  // failed launch is diagnosable without a debugger — pin them.
-  try {
-    Exec.bind(1, Right, "Right"); // unknown slot
-    FAIL() << "expected invalid_argument for an undeclared slot";
-  } catch (const std::invalid_argument &E) {
-    EXPECT_NE(std::string(E.what())
-                  .find("graph slot 1: not declared by the capture "
-                        "(binding `Right`)"),
-              std::string::npos)
-        << E.what();
-  }
-  try {
-    Exec.bind(0, Wrong, "Wrong"); // wrong size: 256 bytes vs 512 captured
-    FAIL() << "expected invalid_argument for a size mismatch";
-  } catch (const std::invalid_argument &E) {
-    std::string What = E.what();
-    EXPECT_NE(What.find("graph slot 0"), std::string::npos) << What;
-    EXPECT_NE(What.find("bound 256 bytes from `Wrong`, captured 512"),
-              std::string::npos)
-        << What;
-  }
-  try {
-    Exec.launch(S); // slot unbound
-    FAIL() << "expected logic_error for an unbound slot";
-  } catch (const std::logic_error &E) {
-    std::string What = E.what();
-    EXPECT_NE(What.find("GraphExec::launch: slot 0"), std::string::npos)
-        << What;
-    EXPECT_NE(What.find("is unbound"), std::string::npos) << What;
-    EXPECT_NE(What.find("bind() every declared slot"), std::string::npos)
-        << What;
-  }
-  Exec.bind(0, Right);
-  Exec.launch(S);
-  S.synchronize();
-}
-
 TEST(Graph, CaptureApiMisuseThrows) {
   GpuDevice Dev;
   Dev.setWorkers(2);
   Stream S(Dev);
   EXPECT_THROW(S.endCapture(), std::logic_error); // no beginCapture
-  EXPECT_THROW(S.captureNode([](const GraphExec &) {}), std::logic_error);
-  EXPECT_THROW(S.declareCaptureSlot(0, 8), std::logic_error);
   S.beginCapture();
   EXPECT_THROW(S.beginCapture(), std::logic_error); // nested capture
-  S.declareCaptureSlot(0, 16);
-  S.declareCaptureSlot(0, 16); // re-declaring the same size is fine
-  EXPECT_THROW(S.declareCaptureSlot(0, 8), std::invalid_argument);
+  EXPECT_THROW(S.runInline([] {}), std::logic_error); // runs, not records
   Graph G = S.endCapture();
   EXPECT_EQ(G.opCount(), 0u);
-  EXPECT_THROW(Graph().instantiate(), std::logic_error); // empty handle
-  EXPECT_THROW(GraphExec().launch(S), std::logic_error); // uninstantiated
+  EXPECT_THROW(Graph().launch(S), std::logic_error); // empty handle
 }
 
 TEST(Graph, EventsInsideACaptureReplayPerLaunch) {
@@ -363,13 +280,36 @@ TEST(Graph, EventsInsideACaptureReplayPerLaunch) {
   S.beginCapture();
   S.enqueue([] {});
   S.record(E);
-  GraphExec Exec = S.endCapture().instantiate();
+  Graph G = S.endCapture();
   EXPECT_TRUE(E.query()) << "capture must not arm the event";
   for (int Round = 0; Round != 3; ++Round) {
-    Exec.launch(S);
+    G.launch(S);
     S.synchronize();
     EXPECT_TRUE(E.query()) << "round " << Round;
   }
+}
+
+TEST(Graph, AThrowingNodePoisonsTheReplayingStream) {
+  // Replays run on the pool, so a node's exception becomes the replaying
+  // stream's sticky error; the capturing stream stays healthy.
+  GpuDevice Dev;
+  Dev.setWorkers(2);
+  Stream Capture(Dev), Replay(Dev);
+  bool Later = false;
+  Capture.beginCapture();
+  Capture.enqueue([] {
+    throw descend::rt::Error(ErrorCode::CopyFailed, "node failed");
+  });
+  Capture.enqueue([&Later] { Later = true; });
+  Graph G = Capture.endCapture();
+  G.launch(Replay);
+  Replay.synchronize();
+  std::string Msg;
+  EXPECT_EQ(Replay.error(&Msg), ErrorCode::CopyFailed);
+  EXPECT_EQ(Msg, "node failed");
+  EXPECT_FALSE(Later) << "the replay stops at the failing node";
+  EXPECT_EQ(Capture.error(), ErrorCode::Ok);
+  EXPECT_FALSE(Dev.poisoned()) << "a non-sticky error stays off the device";
 }
 
 TEST(Graph, CaptureUnderRaceDetectionStillReplays) {
@@ -379,19 +319,20 @@ TEST(Graph, CaptureUnderRaceDetectionStillReplays) {
   GpuDevice Dev;
   Dev.setRaceDetection(true);
   const size_t N = 32;
+  descend::rt::HostBuffer<double> Host(N, 2.0);
   Stream S(Dev);
   S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
+  auto D = descend::rt::allocCopyAsync(S, Host);
   S.enqueue([&Dev, D] {
     launchPhases(Dev, Dim3{1}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
       D.store(B, T.X, D.load(B, T.X) * 3.0);
     });
   });
-  descend::rt::copyToHostCapture(S, 0, D);
-  GraphExec Exec = S.endCapture().instantiate();
-  descend::rt::HostBuffer<double> Host(N, 2.0);
-  Exec.bind(0, Host);
-  Exec.launch(S);
+  descend::rt::copyToHostAsync(S, Host, D);
+  Graph G = S.endCapture();
+  for (size_t I = 0; I != N; ++I)
+    ASSERT_EQ(Host[I], 2.0) << "capture must not execute";
+  G.launch(S);
   S.synchronize();
   for (size_t I = 0; I != N; ++I)
     EXPECT_EQ(Host[I], 6.0);

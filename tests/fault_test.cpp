@@ -16,6 +16,8 @@
 #include "sim/Sim.h"
 #include "vm/Interp.h"
 
+#include "gen_quickstart_host.h" // scale_vec + run (nb=8)
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -491,6 +493,49 @@ TEST(FailurePaths, RunHostFnFreesEveryFrameOnTrappedLaunch) {
     EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
     EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
   }
+}
+
+/// Runs \p Call with launch 1 trapping: it must throw the driver's
+/// `launch scale_vec failed: kernel trap ...` and leave no live device
+/// buffer behind.
+template <typename CallT> void expectTrapFreesEverything(CallT Call) {
+  FaultGuard G;
+  GpuDevice Dev;
+  Dev.setWorkers(4);
+  Stream S(Dev);
+  const MemoryStats Start = Dev.memoryStats();
+  rt::HostBuffer<double> Host(2048, 1.0);
+  G.arm("trap:launch=1");
+  try {
+    Call(Dev, S, Host);
+    ADD_FAILURE() << "expected the trapped launch's rt::Error";
+  } catch (const rt::Error &E) {
+    EXPECT_EQ(E.code(), ErrorCode::KernelTrap);
+    EXPECT_EQ(std::string(E.what()).rfind("launch scale_vec failed: kernel "
+                                          "trap: forced at launch 1",
+                                          0),
+              0u)
+        << E.what();
+  }
+  EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
+  EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
+}
+
+TEST(FailurePaths, GeneratedDriverFreesOnTrappedLaunch) {
+  expectTrapFreesEverything([](GpuDevice &Dev, Stream &, auto &Host) {
+    gen::run(Dev, Host);
+  });
+}
+
+TEST(FailurePaths, RunOnStreamFreesOnTrappedLaunchAndPoisonsTheStream) {
+  expectTrapFreesEverything([](GpuDevice &, Stream &S, auto &Host) {
+    try {
+      rt::runOnStream(S, gen::run, Host);
+    } catch (...) {
+      EXPECT_EQ(S.error(), ErrorCode::KernelTrap) << "a device error";
+      throw;
+    }
+  });
 }
 
 TEST(FailurePaths, AllocCopyInALoopReusesOneBlock) {

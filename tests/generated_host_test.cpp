@@ -5,18 +5,22 @@
 // equivalent handwritten host code over runtime/HostRuntime.h — the
 // acceptance gate for the host-program subsystem: the driver Descend
 // generates must be indistinguishable from the driver a careful human
-// writes.
+// writes. The same driver run on a stream (rt::runOnStream) must match it
+// too, and every driver rejects wrongly sized arguments at entry.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HostRuntime.h"
 
+#include "gen_device_param_host.h"    // twice + twice_on         (nb=1)
 #include "gen_quickstart_host.h"      // scale_vec + run          (nb=8)
 #include "gen_reduction_host_small.h" // reduce_small + run_small (nb=8)
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 using namespace descend;
 
@@ -99,82 +103,175 @@ TEST(GeneratedHost, DriverIsRerunnable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Graph-mode overloads: capture on the first call, replay afterwards —
-// bit-identical to the synchronous GpuDevice& driver on every call (the
-// ISSUE 7 acceptance pin).
+// The same driver on a stream: rt::runOnStream runs it as the stream's
+// next operation, on the calling thread.
 //===----------------------------------------------------------------------===//
 
-TEST(GeneratedHost, GraphDriverBitIdenticalToSyncAcrossReplays) {
-  const size_t N = 8 * 256;
-  sim::GpuDevice DevGraph, DevSync;
-  DevGraph.setWorkers(4);
-  sim::Stream S(DevGraph);
-  sim::GraphExec G; // capture happens on the first run() call
-  for (int Round = 0; Round != 5; ++Round) {
-    rt::HostBuffer<double> Graph(N, 0.0), Sync(N, 0.0);
-    for (size_t I = 0; I != N; ++I)
-      Graph[I] = Sync[I] = static_cast<double>((I * 31 + Round) % 977) * 0.5;
-    descend::gen::run(S, G, Graph);
-    descend::gen::run(DevSync, Sync);
-    ASSERT_EQ(0, std::memcmp(Graph.data(), Sync.data(), N * sizeof(double)))
-        << "replay " << Round;
-  }
-  EXPECT_TRUE(G.instantiated());
-  EXPECT_EQ(G.opCount(), 3u); // H2D, launch, D2H
-}
-
-TEST(GeneratedHost, GraphReductionDriverMatchesSyncIncludingHostTail) {
-  // run_small has a CPU finish loop after the captured prefix: the tail
-  // must re-execute per call against the replayed D2H results.
+TEST(GeneratedHost, RunOnStreamBitIdenticalToSync) {
+  // Fresh host buffers on every call, the reduction's host tail included.
   const unsigned NB = 8;
   const size_t N = static_cast<size_t>(NB) * 256;
-  sim::GpuDevice DevGraph, DevSync;
-  DevGraph.setWorkers(4);
-  sim::Stream S(DevGraph);
-  sim::GraphExec G;
-  for (int Round = 0; Round != 4; ++Round) {
+  sim::GpuDevice DevStream, DevSync;
+  DevStream.setWorkers(4);
+  sim::Stream S(DevStream);
+  for (int Round = 0; Round != 5; ++Round) {
+    rt::HostBuffer<double> Vec(N, 0.0), SVec(N, 0.0);
     rt::HostBuffer<double> Data(N, 0.0), Partials(NB, 0.0), Total(1, 0.0);
     rt::HostBuffer<double> SData(N, 0.0), SPartials(NB, 0.0), STotal(1, 0.0);
-    for (size_t I = 0; I != N; ++I)
+    for (size_t I = 0; I != N; ++I) {
+      Vec[I] = SVec[I] = static_cast<double>((I * 31 + Round) % 977) * 0.5;
       Data[I] = SData[I] = static_cast<double>((I + Round * 7) % 1000) * 0.001;
-    descend::gen::run_small(S, G, Data, Partials, Total);
+    }
+    rt::runOnStream(S, descend::gen::run, Vec);
+    rt::runOnStream(S, descend::gen::run_small, Data, Partials, Total);
+    descend::gen::run(DevSync, SVec);
     descend::gen::run_small(DevSync, SData, SPartials, STotal);
+    ASSERT_EQ(0, std::memcmp(Vec.data(), SVec.data(), N * sizeof(double)))
+        << "round " << Round;
     ASSERT_EQ(0, std::memcmp(Partials.data(), SPartials.data(),
                              NB * sizeof(double)))
-        << "replay " << Round;
+        << "round " << Round;
     ASSERT_EQ(0, std::memcmp(Total.data(), STotal.data(), sizeof(double)))
-        << "replay " << Round;
+        << "round " << Round;
   }
-  EXPECT_EQ(G.opCount(), 4u); // 2x H2D, launch, D2H
+  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
+  EXPECT_EQ(DevStream.memoryStats().LiveBuffers, 0u);
 }
 
-TEST(GeneratedHost, GraphDriverRebindsFreshBuffersPerCall) {
-  // Distinct host buffers per request against one captured graph: each
-  // call's results land in that call's buffer.
+TEST(GeneratedHost, RunOnStreamRethrowsTheDriverErrorAfterTheJoin) {
+  // A non-sticky error reaches the caller unchanged and leaves the stream
+  // usable.
   const size_t N = 8 * 256;
+  sim::GpuDevice Dev;
+  Dev.setWorkers(4);
+  sim::Stream S(Dev);
+  rt::HostBuffer<double> Wrong(N / 2, 1.0), Right(N, 1.0);
+  std::string SyncText;
+  try {
+    descend::gen::run(Dev, Wrong);
+  } catch (const rt::Error &E) {
+    SyncText = E.what();
+  }
+  ASSERT_FALSE(SyncText.empty());
+  try {
+    rt::runOnStream(S, descend::gen::run, Wrong);
+    FAIL() << "expected the driver's rt::Error";
+  } catch (const rt::Error &E) {
+    EXPECT_EQ(E.code(), sim::ErrorCode::InvalidValue);
+    EXPECT_EQ(std::string(E.what()), SyncText);
+  }
+  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
+  rt::runOnStream(S, descend::gen::run, Right);
+  EXPECT_EQ(Right[0], 3.0);
+}
+
+TEST(GeneratedHost, RunOnStreamRunsAfterEarlierWorkAndNotOnAPoisonedStream) {
+  // The driver is the stream's next operation: it sees what the work
+  // enqueued before it wrote, and a poisoned stream refuses it.
+  sim::GpuDevice Dev;
+  Dev.setWorkers(4);
+  sim::Stream S(Dev);
+  rt::HostBuffer<double> Vec(8 * 256, 1.0);
+  S.enqueue([&Vec] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Vec[0] = 10.0;
+  });
+  rt::runOnStream(S, descend::gen::run, Vec);
+  EXPECT_EQ(Vec[0], 30.0);
+  EXPECT_EQ(Vec[1], 3.0);
+
+  S.poison(sim::ErrorCode::KernelTrap, "an earlier trap");
+  try {
+    rt::runOnStream(S, descend::gen::run, Vec);
+    FAIL() << "a poisoned stream must refuse the driver";
+  } catch (const rt::Error &E) {
+    EXPECT_EQ(E.code(), sim::ErrorCode::KernelTrap);
+    EXPECT_EQ(std::string(E.what()),
+              "Stream::runInline: stream poisoned by earlier kernel_trap: "
+              "an earlier trap");
+  }
+  EXPECT_EQ(Vec[0], 30.0) << "the driver never ran";
+  EXPECT_EQ(Dev.memoryStats().FreshAllocs, 1u);
+}
+
+TEST(GeneratedHost, ACapturedDriverThatFailsPoisonsTheReplayingStream) {
+  // Under capture the call is one node; the driver runs, and fails, at
+  // replay, on a pool worker.
   sim::GpuDevice Dev;
   Dev.setWorkers(2);
   sim::Stream S(Dev);
-  sim::GraphExec G;
-  rt::HostBuffer<double> A(N, 2.0), B(N, 5.0);
-  descend::gen::run(S, G, A);
-  descend::gen::run(S, G, B);
-  EXPECT_EQ(A[0], 6.0);
-  EXPECT_EQ(B[0], 15.0);
+  rt::HostBuffer<double> Wrong(1024, 1.0);
+  S.beginCapture();
+  rt::runOnStream(S, descend::gen::run, Wrong);
+  sim::Graph G = S.endCapture();
+  EXPECT_EQ(G.opCount(), 1u);
+  G.launch(S);
+  S.synchronize();
+  std::string Msg;
+  EXPECT_EQ(S.error(&Msg), sim::ErrorCode::InvalidValue);
+  EXPECT_EQ(Msg,
+            "argument 0 of host `main` must be a host array of 2048 x f64");
+  EXPECT_FALSE(Dev.poisoned());
+  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 0u);
 }
 
-TEST(GeneratedHost, GraphDriverRejectsWrongSizedRebind) {
-  // The capture pins byte sizes; a later call with a differently sized
-  // buffer must fail the bind eagerly (same contract as rt:: copies).
-  const size_t N = 8 * 256;
+//===----------------------------------------------------------------------===//
+// Argument checks at driver entry
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Call, which must throw a non-sticky InvalidValue with text
+/// \p Want, and checks that the driver allocated nothing on \p Dev.
+template <typename CallT>
+void expectRejected(sim::GpuDevice &Dev, CallT Call, const std::string &Want) {
+  const sim::MemoryStats Before = Dev.memoryStats();
+  try {
+    Call();
+    ADD_FAILURE() << "expected rt::Error: " << Want;
+  } catch (const rt::Error &E) {
+    EXPECT_EQ(E.code(), sim::ErrorCode::InvalidValue);
+    EXPECT_EQ(std::string(E.what()), Want);
+  }
+  EXPECT_FALSE(Dev.poisoned());
+  const sim::MemoryStats After = Dev.memoryStats();
+  EXPECT_EQ(After.LiveBuffers, Before.LiveBuffers);
+  EXPECT_EQ(After.FreshAllocs, Before.FreshAllocs);
+  EXPECT_EQ(After.ReusedAllocs, Before.ReusedAllocs);
+}
+
+TEST(GeneratedHost, DriverRejectsWronglySizedArguments) {
+  // quickstart at nb=8 declares 2048 elements; the vm rejects the same
+  // calls with the same texts.
   sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  sim::GraphExec G;
-  rt::HostBuffer<double> Right(N, 1.0);
-  descend::gen::run(S, G, Right);
-  rt::HostBuffer<double> Wrong(N / 2, 1.0);
-  EXPECT_THROW(descend::gen::run(S, G, Wrong), std::invalid_argument);
+  const std::string HostText =
+      "argument 0 of host `main` must be a host array of 2048 x f64";
+  rt::HostBuffer<double> Small(1024, 1.0), Large(4096, 1.0);
+  expectRejected(Dev, [&] { descend::gen::run(Dev, Small); }, HostText);
+  expectRejected(Dev, [&] { descend::gen::run(Dev, Large); }, HostText);
+  EXPECT_EQ(Small[0], 1.0) << "the kernel never ran";
+
+  // twice_on at nb=1 borrows a 256-element device buffer.
+  auto Wrong = Dev.alloc<double>(512);
+  expectRejected(Dev, [&] { descend::gen::twice_on(Dev, Wrong); },
+                 "argument 0 of host `twice_on` must be a device buffer of "
+                 "256 x f64");
+  auto Right = Dev.alloc<double>(256);
+  Right.data()[0] = 1.5;
+  descend::gen::twice_on(Dev, Right);
+  EXPECT_EQ(Right.data()[0], 3.0);
+
+  // A freed handle keeps its size; the allocation after the free reuses
+  // its block, and a launch on the stale handle would scale that one.
+  auto Freed = Dev.alloc<double>(256);
+  Dev.free(Freed.id());
+  auto Reuser = Dev.alloc<double>(256);
+  ASSERT_EQ(Reuser.data(), Freed.data()) << "the free list reuses the block";
+  Reuser.data()[0] = 1.5;
+  expectRejected(Dev, [&] { descend::gen::twice_on(Dev, Freed); },
+                 "argument 0 of host `twice_on` must be a device buffer of "
+                 "256 x f64; id " +
+                     std::to_string(Freed.id()) +
+                     " was freed or never allocated");
+  EXPECT_EQ(Reuser.data()[0], 1.5) << "the kernel never ran";
 }
 
 } // namespace

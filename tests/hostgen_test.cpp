@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -79,11 +80,20 @@ TEST(HostGen, QuickstartSimDriver) {
   EXPECT_NE(O.Artifact.find("descend::rt::HostBuffer<double> &host_vec"),
             std::string::npos)
       << O.Artifact;
-  // ...performing the statically checked transfer/launch sequence.
-  EXPECT_NE(O.Artifact.find(
-                "auto d_vec = descend::rt::allocCopy(_dev, host_vec);"),
+  // ...checking its argument at entry, with the vm's text...
+  EXPECT_NE(O.Artifact.find("descend::rt::checkArg(host_vec, 2048, "
+                            "\"argument 0 of host `main` must be a host "
+                            "array of 2048 x f64\");"),
             std::string::npos)
       << O.Artifact;
+  // ...performing the statically checked transfer/launch sequence, with
+  // the device local owned by its C++ scope, which frees it: no release
+  // statement is printed.
+  EXPECT_NE(O.Artifact.find("descend::rt::DeviceLocal d_vec("
+                            "descend::rt::allocCopy(_dev, host_vec));"),
+            std::string::npos)
+      << O.Artifact;
+  EXPECT_EQ(O.Artifact.find("rt::free"), std::string::npos) << O.Artifact;
   EXPECT_NE(O.Artifact.find("scale_vec(_dev, d_vec);"), std::string::npos)
       << O.Artifact;
   EXPECT_NE(O.Artifact.find("descend::rt::copyToHost(host_vec, d_vec, "
@@ -158,237 +168,37 @@ fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
 }
 
 //===----------------------------------------------------------------------===//
-// Stream overloads (the asynchronous sim drivers)
+// One driver per host function
 //===----------------------------------------------------------------------===//
 
-TEST(HostGenStream, EmitsAsyncOverloadWithSingleJoin) {
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  // The stream overload sits next to the synchronous driver...
-  EXPECT_NE(O.Artifact.find("inline void run(descend::sim::Stream &_stream"),
-            std::string::npos)
-      << O.Artifact;
-  // ...transfers enqueue, the launch is a stream operation...
-  EXPECT_NE(O.Artifact.find("descend::rt::allocCopyAsync(_stream, data)"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(O.Artifact.find("_stream.enqueue([=, &_dev] { reduce(_dev, "
-                            "d_in, d_out); });"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(
-      O.Artifact.find("descend::rt::copyToHostAsync(_stream, partials"),
-      std::string::npos)
-      << O.Artifact;
-  // ...and exactly one join sits before the CPU finish reads partials.
-  // (The graph overload follows with the same signature prefix; bound the
-  // stream overload at its start.)
-  size_t StreamStart =
-      O.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  size_t GraphStart = O.Artifact.find(
-      "inline void run(descend::sim::Stream &_stream", StreamStart + 1);
-  ASSERT_NE(GraphStart, std::string::npos) << O.Artifact;
-  std::string StreamPart =
-      O.Artifact.substr(StreamStart, GraphStart - StreamStart);
-  size_t FirstSync = StreamPart.find("_stream.synchronize();");
-  ASSERT_NE(FirstSync, std::string::npos) << StreamPart;
-  EXPECT_LT(FirstSync, StreamPart.find("total[0] = 0.0;")) << StreamPart;
-  EXPECT_EQ(StreamPart.find("_stream.synchronize();", FirstSync + 1),
-            std::string::npos)
-      << "expected a single join in the reduction stream driver\n"
-      << StreamPart;
-}
-
-TEST(HostGenStream, LoopBodyMixingHostAndDeviceOpsJoinsPerIteration) {
-  // A host loop whose body touches host memory *and* enqueues device
-  // work must join at the end of every iteration: otherwise iteration
-  // N+1's host write races with iteration N's still-pending async copy.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
-fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
+TEST(HostGen, EverySimArtifactPrintsEachHostFunctionOnce) {
+  // Streams and graphs take the synchronous driver whole
+  // (rt::runOnStream), so no sim artifact knows either.
+  std::vector<std::string> Paths = {std::string(DESCEND_KERNEL_DIR) +
+                                    "/scale2.descend"};
+  for (const auto &E : std::filesystem::directory_iterator(DESCEND_PROGRAM_DIR))
+    if (E.path().extension() == ".descend" &&
+        E.path().filename().string().rfind("bad_", 0) != 0)
+      Paths.push_back(E.path().string());
+  ASSERT_GE(Paths.size(), 4u);
+  for (const std::string &Path : Paths) {
+    SCOPED_TRACE(Path);
+    CompilerInvocation Inv;
+    Inv.BufferName = Path;
+    Inv.Defines = {{"nb", 8}, {"nt", 4}};
+    Inv.BackendName = "sim";
+    Session S(Inv);
+    CompileResult R = S.run(readFile(Path));
+    ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
+    EXPECT_EQ(R.Artifact.find("sim::Stream"), std::string::npos) << R.Artifact;
+    EXPECT_EQ(R.Artifact.find("GraphExec"), std::string::npos) << R.Artifact;
+    size_t Drivers = 0;
+    for (size_t Pos = 0;
+         (Pos = R.Artifact.find("inline void run(", Pos)) != std::string::npos;
+         ++Pos)
+      ++Drivers;
+    EXPECT_EQ(Drivers, 1u) << R.Artifact;
   }
-}
-fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
-                 ticks: &uniq cpu.mem [f64; 4])
--[t: cpu.thread]-> () {
-  let d = GpuGlobal::alloc_copy(&*staging);
-  for r in [0..3] {
-    (*ticks)[0] = 1.0;
-    copy_to_gpu(&uniq d, &*staging);
-    scale::<<<X<nb>, X<256>>>>(&uniq d)
-  }
-}
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  // Inside the loop of the stream overload: the host store must be
-  // preceded (via the back-edge join) by a synchronize, i.e. the loop
-  // body ends with one.
-  size_t StreamFn =
-      R.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  ASSERT_NE(StreamFn, std::string::npos) << R.Artifact;
-  std::string StreamPart = R.Artifact.substr(StreamFn);
-  size_t Loop = StreamPart.find("for (long long r = 0; r != 3; ++r) {");
-  ASSERT_NE(Loop, std::string::npos) << StreamPart;
-  size_t LoopEnd = StreamPart.find("  }\n", Loop);
-  ASSERT_NE(LoopEnd, std::string::npos);
-  std::string Body = StreamPart.substr(Loop, LoopEnd - Loop);
-  size_t LastSync = Body.rfind("_stream.synchronize();");
-  ASSERT_NE(LastSync, std::string::npos)
-      << "loop body must join before its back edge\n"
-      << Body;
-  EXPECT_GT(LastSync, Body.find("scale(_dev, d)"))
-      << "the join must come after the enqueued launch\n"
-      << Body;
-}
-
-//===----------------------------------------------------------------------===//
-// Graph overloads (capture on first call, replay + rebind after)
-//===----------------------------------------------------------------------===//
-
-TEST(HostGenGraph, EmitsCaptureReplayOverload) {
-  Outcome O = compileProgram("quickstart_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  // The third overload takes the stream plus a GraphExec...
-  size_t GraphFn = O.Artifact.find(
-      "inline void run(descend::sim::Stream &_stream,\n"
-      "    descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << O.Artifact;
-  std::string GraphPart = O.Artifact.substr(GraphFn);
-  // ...captures the transfer/launch sequence on the first call only...
-  EXPECT_NE(GraphPart.find("if (!_graph.instantiated()) {"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_stream.beginCapture();"), std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("descend::rt::allocCopyCapture<double>(_stream, "
-                           "0, host_vec.size(), \"host_vec\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("descend::rt::copyToHostCapture(_stream, 0, "
-                           "d_vec, \"host_vec\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph = _stream.endCapture().instantiate();"),
-            std::string::npos)
-      << GraphPart;
-  // ...and rebinds + replays on every call.
-  EXPECT_NE(GraphPart.find("_graph.bind(0, host_vec, \"host_vec\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.launch(_stream);"), std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_stream.synchronize();"), std::string::npos)
-      << GraphPart;
-}
-
-TEST(HostGenGraph, ReductionCapturesPrefixAndKeepsHostTail) {
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  size_t GraphFn = O.Artifact.find("descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << O.Artifact;
-  std::string GraphPart = O.Artifact.substr(GraphFn);
-  // data and partials each get a slot, in first-use order...
-  EXPECT_NE(GraphPart.find("allocCopyCapture<double>(_stream, 0, "
-                           "data.size(), \"data\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("allocCopyCapture<double>(_stream, 1, "
-                           "partials.size(), \"partials\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.bind(0, data, \"data\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.bind(1, partials, \"partials\");"),
-            std::string::npos)
-      << GraphPart;
-  // ...the D2H copy reuses partials' slot...
-  EXPECT_NE(GraphPart.find("copyToHostCapture(_stream, 1, d_out, "
-                           "\"partials\");"),
-            std::string::npos)
-      << GraphPart;
-  // ...and the CPU finish loop emits as a plain host tail after the
-  // replay, behind a join.
-  size_t Launch = GraphPart.find("_graph.launch(_stream);");
-  size_t Sync = GraphPart.find("_stream.synchronize();");
-  size_t Tail = GraphPart.find("total[0] = 0.0;");
-  ASSERT_NE(Launch, std::string::npos) << GraphPart;
-  ASSERT_NE(Sync, std::string::npos) << GraphPart;
-  ASSERT_NE(Tail, std::string::npos) << GraphPart;
-  EXPECT_LT(Launch, Sync) << GraphPart;
-  EXPECT_LT(Sync, Tail) << GraphPart;
-}
-
-TEST(HostGenGraph, UncapturableShapeFallsBackToStreamBody) {
-  // The loop re-transfers into the capture-produced buffer `d`, so the
-  // prefix is unusable (post-prefix statements reach into a capture
-  // local): the graph overload must degrade to the plain stream body
-  // instead of failing the compile.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
-fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
-  }
-}
-fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
-                 ticks: &uniq cpu.mem [f64; 4])
--[t: cpu.thread]-> () {
-  let d = GpuGlobal::alloc_copy(&*staging);
-  for r in [0..3] {
-    (*ticks)[0] = 1.0;
-    copy_to_gpu(&uniq d, &*staging);
-    scale::<<<X<nb>, X<256>>>>(&uniq d)
-  }
-}
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  size_t GraphFn = R.Artifact.find("descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << R.Artifact;
-  std::string GraphPart = R.Artifact.substr(GraphFn);
-  EXPECT_NE(GraphPart.find("(void)_graph;"), std::string::npos) << GraphPart;
-  EXPECT_EQ(GraphPart.find("beginCapture"), std::string::npos) << GraphPart;
-  // The stream-mode body still emits in full.
-  EXPECT_NE(GraphPart.find("descend::rt::allocCopyAsync(_stream, staging)"),
-            std::string::npos)
-      << GraphPart;
-}
-
-TEST(HostGenGraph, CaptureLocalsAreReleasedUnderCapture) {
-  // The capture-locals die at the end of the capture block, where a free
-  // hands them to the graph; the per-call tail must not free them again.
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  std::string GraphPart =
-      O.Artifact.substr(O.Artifact.find("descend::sim::GraphExec &_graph"));
-  size_t Copy = GraphPart.find("copyToHostCapture(_stream, 1, d_out");
-  size_t FreeOut = GraphPart.find("descend::rt::freeAsync(_stream, d_out);");
-  size_t FreeIn = GraphPart.find("descend::rt::freeAsync(_stream, d_in);");
-  size_t End = GraphPart.find("_graph = _stream.endCapture().instantiate();");
-  ASSERT_NE(FreeOut, std::string::npos) << GraphPart;
-  ASSERT_NE(FreeIn, std::string::npos) << GraphPart;
-  EXPECT_LT(Copy, FreeOut) << GraphPart;
-  EXPECT_LT(FreeOut, FreeIn) << "last defined, first released\n" << GraphPart;
-  EXPECT_LT(FreeIn, End) << GraphPart;
-  EXPECT_EQ(GraphPart.find("freeAsync", End), std::string::npos) << GraphPart;
 }
 
 //===----------------------------------------------------------------------===//
@@ -456,10 +266,18 @@ fn main(h: &uniq cpu.mem [f64; 256], p: &uniq gpu.global [f64; 256])
   EXPECT_NE(Cuda.find("  cudaFree(b);\n  cudaFree(a);\n}\n"),
             std::string::npos)
       << Cuda;
+  // The sim driver prints no release: each scope is a C++ scope that
+  // ends right after its releases, so the DeviceLocal frees there.
   std::string Sim = hostgen::printHostFn(IR.Fn, hostgen::HostTarget::Sim, "");
-  EXPECT_NE(Sim.find("    descend::rt::free(_dev, d);\n  }\n"),
+  EXPECT_NE(Sim.find("    descend::rt::DeviceLocal d("
+                     "descend::rt::allocCopy(_dev, h));\n"
+                     "    scale(_dev, d);\n"
+                     "    descend::rt::checkDevice(_dev, \"launch scale\");\n"
+                     "  }\n"
+                     "}\n"),
             std::string::npos)
       << Sim;
+  EXPECT_EQ(Sim.find("rt::free"), std::string::npos) << Sim;
 }
 
 //===----------------------------------------------------------------------===//

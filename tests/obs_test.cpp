@@ -277,14 +277,19 @@ TEST(ObsCounters, GraphReplayMatchesSyncLaunch) {
   EXPECT_EQ(Sync.Blocks, 8u);
   EXPECT_EQ(Sync.barriers(), 8u);
 
+  // A user capture of the same driver run on a stream, replayed twice.
   sim::GpuDevice GraphDev;
   GraphDev.setCounters(true);
   sim::Stream S(GraphDev);
-  sim::GraphExec Graph;
   rt::HostBuffer<double> GraphHost(N, 1.0);
-  gen::run(S, Graph, GraphHost); // first call: capture + instantiate
-  gen::run(S, Graph, GraphHost); // second call: pure replay
-  EXPECT_EQ(GraphHost[0], 9.0);  // scaled by 3.0 twice
+  S.beginCapture();
+  rt::runOnStream(S, gen::run, GraphHost);
+  sim::Graph Graph = S.endCapture();
+  EXPECT_EQ(GraphDev.totalStats().Launches, 0u) << "capture runs nothing";
+  Graph.launch(S);
+  Graph.launch(S);
+  S.synchronize();
+  EXPECT_EQ(GraphHost[0], 9.0); // scaled by 3.0 twice
 
   // The replayed launch counts exactly like the synchronous one.
   sim::LaunchStats Replay = GraphDev.lastLaunchStats();

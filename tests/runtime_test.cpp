@@ -2,8 +2,9 @@
 //
 // Dedicated tests for runtime/HostRuntime.h: the checked CPU<->GPU
 // transfer and launch-configuration API that handwritten host code uses
-// (and that the hostgen-generated sim drivers call into), and the
-// release helpers with their stale-handle errors. The checks here are the
+// (and that the hostgen-generated sim drivers call into), the release
+// helpers with their stale-handle errors, and how rt::runOnStream holds a
+// captured driver's arguments. The checks here are the
 // *runtime* mirror of what the type checker proves statically for
 // .descend host programs.
 //
@@ -213,6 +214,28 @@ TEST(HostRuntime, DefaultHandleIsNoDeviceBuffer) {
   sim::GpuDevice::Buffer<double> None;
   expectInvalidValue([&] { rt::copyToHost(Host, None); },
                      "was freed or never allocated");
+}
+
+TEST(HostRuntime, CapturedDriverHoldsScalarsByValue) {
+  // A replay sees the scalar as it was at capture; the host buffer is the
+  // caller's, so every replay writes into it.
+  sim::GpuDevice Dev;
+  Dev.setWorkers(2);
+  sim::Stream S(Dev);
+  rt::HostBuffer<double> Host(4, 0.0);
+  auto AddFirst = [](sim::GpuDevice &, rt::HostBuffer<double> &H, double V) {
+    H[0] = H[0] + V;
+  };
+  double Step = 2.5;
+  S.beginCapture();
+  rt::runOnStream(S, AddFirst, Host, Step);
+  sim::Graph G = S.endCapture();
+  EXPECT_EQ(Host[0], 0.0) << "capture runs nothing";
+  Step = 100.0;
+  G.launch(S);
+  G.launch(S);
+  S.synchronize();
+  EXPECT_EQ(Host[0], 5.0);
 }
 
 } // namespace

@@ -336,9 +336,10 @@ TEST(Stream, RaceDetectionKeepsSequentialDeterminism) {
 }
 
 TEST(Stream, GeneratedStyleStreamDriverMatchesSyncDriver) {
-  // The shape hostgen emits for stream drivers, spelled by hand: async
-  // transfers, an enqueued launch, a single join — must be bit-identical
-  // to the synchronous rt:: sequence.
+  // A driver written by hand against the rt::*Async API (the calls
+  // bench_throughput's replay gate is made of): async transfers, an
+  // enqueued launch, a single join — must be bit-identical to the
+  // synchronous rt:: sequence.
   const size_t N = 8 * 32;
   auto Kernel = [](GpuDevice &Dev, GpuDevice::Buffer<double> Buf) {
     launchPhases(Dev, Dim3{8}, Dim3{32}, 0,

@@ -214,9 +214,6 @@ service = re.search(
     r"^THROUGHPUT service_summary hit_rate=([0-9.]+) cold_ms=([0-9.]+) "
     r"warm_ms=([0-9.]+) warm_speedup=([0-9.]+) entries=(\d+) "
     r"evictions=(\d+)$", log, re.M)
-shape = re.search(
-    r"^THROUGHPUT graph_shape ops_quickstart=(\d+) ops_reduction=(\d+) "
-    r"replays=(\d+)$", log, re.M)
 pipe_shape = re.search(
     r"^THROUGHPUT graph_shape ops_pipeline=(\d+) replays=(\d+)$", log, re.M)
 graph = re.search(
@@ -240,9 +237,6 @@ json.dump({"bench": "throughput", "unit": "ops/s", "rows": rows,
            "graph": None if not graph else {
                "replay_vs_reenqueue": float(graph.group(1)),
                "requests": int(graph.group(2)),
-               "ops_quickstart": int(shape.group(1)) if shape else None,
-               "ops_reduction": int(shape.group(2)) if shape else None,
-               "driver_replays": int(shape.group(3)) if shape else None,
                "ops_pipeline":
                    int(pipe_shape.group(1)) if pipe_shape else None,
                "pipeline_replays":
