@@ -13,8 +13,13 @@
 //  * Typecheck/Parse — compiler throughput on the real transpose kernel
 //    and on synthetically growing programs (access-environment scaling).
 //
+// `bench_ablations OUT_DIR` writes google-benchmark's JSON report to
+// OUT_DIR/BENCH_ablations.json, with the provenance fields of
+// bench/Report.h in its context; other arguments go to google-benchmark.
+//
 //===----------------------------------------------------------------------===//
 
+#include "bench/Report.h"
 #include "driver/Pipeline.h"
 #include "sim/Sim.h"
 #include "views/IndexSpace.h"
@@ -23,6 +28,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 using namespace descend;
 
@@ -240,4 +247,22 @@ BENCHMARK(BM_TypecheckScaling)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char **argv) {
+  std::vector<char *> Args(argv, argv + argc);
+  std::string OutFlag, FormatFlag = "--benchmark_out_format=json";
+  if (argc > 1 && argv[1][0] != '-') {
+    OutFlag = std::string("--benchmark_out=") + argv[1] +
+              "/BENCH_ablations.json";
+    Args[1] = OutFlag.data();
+    Args.push_back(FormatFlag.data());
+  }
+  for (const bench::MetaField &F : bench::metaFields())
+    benchmark::AddCustomContext(F.Key, F.Value);
+  int N = static_cast<int>(Args.size());
+  benchmark::Initialize(&N, Args.data());
+  if (benchmark::ReportUnrecognizedArguments(N, Args.data()))
+    return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

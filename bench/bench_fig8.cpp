@@ -13,10 +13,13 @@
 //
 // Output: one row per (benchmark, size) with median times and the
 // CUDA/Descend relative runtime the figure plots (higher = Descend
-// faster).
+// faster). `bench_fig8 OUT_DIR` also writes BENCH_fig8.json: each row
+// adds both sides' quartiles and the counters of one untimed generated
+// run.
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Report.h"
 #include "bench/handwritten.h"
 
 // Generated kernels, three instantiations each (suffix = footprint).
@@ -33,12 +36,9 @@
 #include "gen_fig8_transpose_medium.h"
 #include "gen_fig8_transpose_small.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,33 +46,6 @@ using namespace descend;
 using sim::GpuDevice;
 
 namespace {
-
-/// Paired, interleaved measurement: alternating A/B repetitions cancel
-/// machine drift between the two medians.
-struct Paired {
-  double AMs = 0, BMs = 0;
-};
-
-Paired medianPairMs(const std::function<void()> &A,
-                    const std::function<void()> &B, int Reps) {
-  std::vector<double> TA, TB;
-  TA.reserve(Reps);
-  TB.reserve(Reps);
-  A();
-  B(); // warm-up
-  for (int I = 0; I != Reps; ++I) {
-    auto T0 = std::chrono::steady_clock::now();
-    A();
-    auto T1 = std::chrono::steady_clock::now();
-    B();
-    auto T2 = std::chrono::steady_clock::now();
-    TA.push_back(std::chrono::duration<double, std::milli>(T1 - T0).count());
-    TB.push_back(std::chrono::duration<double, std::milli>(T2 - T1).count());
-  }
-  std::sort(TA.begin(), TA.end());
-  std::sort(TB.begin(), TB.end());
-  return Paired{TA[TA.size() / 2], TB[TB.size() / 2]};
-}
 
 bool nearlyEqual(const double *A, const double *B, size_t N) {
   for (size_t I = 0; I != N; ++I)
@@ -84,29 +57,17 @@ bool nearlyEqual(const double *A, const double *B, size_t N) {
 struct Row {
   const char *Bench;
   const char *Size;
-  double CudaMs;
-  double DescendMs;
+  bench::PairedMs Ms;
   std::string CountersJson; ///< one counted (untimed) generated run
 };
 
 std::vector<Row> Rows;
 
-void report(const char *Bench, const char *Size, double HandMs,
-            double GenMs, std::string CountersJson) {
-  Rows.push_back(Row{Bench, Size, HandMs, GenMs, std::move(CountersJson)});
-}
-
-/// Runs \p Gen once with perf counters on (strictly after the timed
-/// repetitions, so the counting branch never sits in a measured loop)
-/// and returns the launch-stats JSON for the BENCH_*.json row.
+/// Records a timing row with the counters of one untimed run of \p Gen.
 template <typename GenFn>
-std::string countedRunJson(GpuDevice &Dev, GenFn &&Gen) {
-  Dev.setCounters(true);
-  Gen();
-  sim::LaunchStats LS = Dev.totalStats();
-  Dev.setCounters(false);
-  Dev.resetStats();
-  return LS.json();
+void report(const char *Bench, const char *Size, const bench::PairedMs &Ms,
+            GpuDevice &Dev, GenFn &&Gen) {
+  Rows.push_back(Row{Bench, Size, Ms, bench::countedRun(Dev, Gen).json()});
 }
 
 int repsFor(const char *Size) {
@@ -137,10 +98,10 @@ void runTranspose(const char *Size, unsigned N, GenFn Gen) {
     std::fprintf(stderr, "transpose %s: generated != handwritten!\n", Size);
     std::exit(1);
   }
-  Paired P = medianPairMs([&] { hand::transpose(Dev, In, OutH, N); },
-                          [&] { Gen(Dev, In, OutG); }, repsFor(Size));
-  report("Transpose", Size, P.AMs, P.BMs,
-         countedRunJson(Dev, [&] { Gen(Dev, In, OutG); }));
+  report("Transpose", Size,
+         bench::pairedMs([&] { hand::transpose(Dev, In, OutH, N); },
+                         [&] { Gen(Dev, In, OutG); }, repsFor(Size)),
+         Dev, [&] { Gen(Dev, In, OutG); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -162,10 +123,10 @@ void runReduce(const char *Size, unsigned NB, GenFn Gen) {
     std::fprintf(stderr, "reduce %s: generated != handwritten!\n", Size);
     std::exit(1);
   }
-  Paired P = medianPairMs([&] { hand::reduce(Dev, In, OutH, NB); },
-                          [&] { Gen(Dev, In, OutG); }, repsFor(Size));
-  report("Reduce", Size, P.AMs, P.BMs,
-         countedRunJson(Dev, [&] { Gen(Dev, In, OutG); }));
+  report("Reduce", Size,
+         bench::pairedMs([&] { hand::reduce(Dev, In, OutH, NB); },
+                         [&] { Gen(Dev, In, OutG); }, repsFor(Size)),
+         Dev, [&] { Gen(Dev, In, OutG); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -209,9 +170,9 @@ void runScan(const char *Size, unsigned NB, ScanFn GenScan, AddFn GenAdd) {
     std::fprintf(stderr, "scan %s: generated != handwritten!\n", Size);
     std::exit(1);
   }
-  Paired P = medianPairMs(RunHand, RunGen, repsFor(Size));
-  // Two launches per generated run; the counted JSON merges both.
-  report("Scan", Size, P.AMs, P.BMs, countedRunJson(Dev, RunGen));
+  // Two launches per generated run; the counted stats merge both.
+  report("Scan", Size, bench::pairedMs(RunHand, RunGen, repsFor(Size)), Dev,
+         RunGen);
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,15 +199,16 @@ void runMatmul(const char *Size, unsigned NT, GenFn Gen) {
     std::exit(1);
   }
   int Reps = std::string(Size) == "large" ? 11 : 31;
-  Paired P = medianPairMs([&] { hand::matmul(Dev, A, B, CH, NT); },
-                          [&] { Gen(Dev, A, B, CG); }, Reps);
-  report("MM", Size, P.AMs, P.BMs,
-         countedRunJson(Dev, [&] { Gen(Dev, A, B, CG); }));
+  report("MM", Size,
+         bench::pairedMs([&] { hand::matmul(Dev, A, B, CH, NT); },
+                         [&] { Gen(Dev, A, B, CG); }, Reps),
+         Dev, [&] { Gen(Dev, A, B, CG); });
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  const char *OutDir = bench::outputDir(argc, argv);
   std::printf("Figure 8 reproduction: handwritten vs Descend-generated "
               "kernels on the GPU simulator\n");
   std::printf("(relative runtime = CUDA/Descend; 1.0 = equal, the paper "
@@ -271,15 +233,17 @@ int main() {
   runMatmul("medium", 24, descend::gen::matmul_medium);
   runMatmul("large", 32, descend::gen::matmul_large);
 
-  std::printf("%-10s %-7s %12s %14s %10s\n", "benchmark", "size",
-              "CUDA [ms]", "Descend [ms]", "relative");
+  bench::printTimingHeader();
   std::printf("---------------------------------------------------------\n");
   double GeoMean = 1.0;
+  std::vector<bench::Json> JsonRows;
   for (const Row &R : Rows) {
-    double Rel = R.CudaMs / R.DescendMs;
-    GeoMean *= Rel;
-    std::printf("%-10s %-7s %12.3f %14.3f %9.3fx\n", R.Bench, R.Size,
-                R.CudaMs, R.DescendMs, Rel);
+    GeoMean *= R.Ms.A.Median / R.Ms.B.Median;
+    bench::printTimingRow(R.Bench, R.Size, R.Ms);
+    bench::Json Row;
+    Row.str("bench", R.Bench).str("size", R.Size);
+    bench::timingFields(Row, R.Ms).raw("counters", R.CountersJson);
+    JsonRows.push_back(Row);
   }
   GeoMean = std::pow(GeoMean, 1.0 / Rows.size());
   std::printf("---------------------------------------------------------\n");
@@ -288,12 +252,9 @@ int main() {
               "%s\n",
               std::abs(1.0 - GeoMean) < 0.10 ? "PASS" : "CHECK MANUALLY");
 
-  // Machine-readable per-kernel counter summaries (one counted run per
-  // row, taken outside the timed loops); run_benches.sh folds these into
-  // the BENCH_fig8.json rows.
-  std::printf("\n");
-  for (const Row &R : Rows)
-    std::printf("COUNTERS %s %s %s\n", R.Bench, R.Size,
-                R.CountersJson.c_str());
-  return 0;
+  bench::Json Report;
+  Report.str("unit", "ms")
+      .array("rows", JsonRows)
+      .num("geomean_relative", GeoMean);
+  return bench::writeReport(OutDir, "fig8", Report) ? 0 : 1;
 }

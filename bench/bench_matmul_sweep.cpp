@@ -9,17 +9,18 @@
 //
 // Since the schedule-pass PR every sweep point also runs the *tuned*
 // instantiation (built with `--pad-shared=1`, the config
-// `descendc --autotune` selects): the MMtuned rows and their COUNTERS
-// lines are the autotuner's regression harness — run_benches.sh computes
-// the default-vs-tuned bank-conflict delta per nt and gates on the
-// minimum improvement. Tuned outputs are verified bit-identical to the
-// handwritten baseline like every other row.
+// `descendc --autotune` selects): the MMtuned rows and their counters
+// are the autotuner's regression harness. Per nt the bench records the
+// default-vs-tuned bank-conflict delta (`tuned_deltas`) and the worst
+// improvement over all nts, which tools/check_bench.py gates. Tuned
+// outputs are verified bit-identical to the handwritten baseline like
+// every other row.
 //
-// Output rows are parsed by tools/run_benches.sh into
-// BENCH_matmul_sweep.json.
+// `bench_matmul_sweep OUT_DIR` writes BENCH_matmul_sweep.json.
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Report.h"
 #include "bench/handwritten.h"
 
 // Generated at build time by descendc --emit=sim from kernels/matmul.descend.
@@ -34,10 +35,9 @@
 #include "gen_matmul_tuned8.h"      // nt=8,  suffix _tuned8
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <string>
 #include <vector>
 
 using namespace descend;
@@ -45,25 +45,17 @@ using sim::GpuDevice;
 
 namespace {
 
-double medianMs(const std::function<void()> &Fn, int Reps) {
-  std::vector<double> T;
-  T.reserve(Reps);
-  Fn(); // warm-up
-  for (int I = 0; I != Reps; ++I) {
-    auto T0 = std::chrono::steady_clock::now();
-    Fn();
-    auto T1 = std::chrono::steady_clock::now();
-    T.push_back(std::chrono::duration<double, std::milli>(T1 - T0).count());
-  }
-  std::sort(T.begin(), T.end());
-  return T[T.size() / 2];
-}
+std::vector<bench::Json> Rows;
+bench::Json TunedDeltas;
+double WorstImprovement = 1.0;
 
 /// One sweep point: correctness against the handwritten kernel, the
-/// timing row, and one counted run. \p Label is the row tag ("MMsweep"
-/// for the default lowering, "MMtuned" for the padded one).
+/// timing row (handwritten and generated interleaved), and one counted
+/// run, whose stats it returns. \p Label is the table tag ("MMsweep" for
+/// the default lowering, "MMtuned" for the padded one).
 template <typename GenFn>
-void runSweepPoint(const char *Label, unsigned NT, GenFn Gen, int Reps) {
+sim::LaunchStats runSweepPoint(const char *Label, unsigned NT, GenFn Gen,
+                               int Reps) {
   GpuDevice Dev;
   const unsigned N = NT * 16;
   auto A = Dev.alloc<double>((size_t)N * N);
@@ -84,40 +76,66 @@ void runSweepPoint(const char *Label, unsigned NT, GenFn Gen, int Reps) {
       std::exit(1);
     }
 
-  double HandMs = medianMs([&] { hand::matmul(Dev, A, B, CH, NT); }, Reps);
-  double GenMs = medianMs([&] { Gen(Dev, A, B, CG); }, Reps);
-  std::printf("%-10s nt=%-4u %12.3f %14.3f %9.3fx\n", Label, NT, HandMs,
-              GenMs, HandMs / GenMs);
+  bench::PairedMs P =
+      bench::pairedMs([&] { hand::matmul(Dev, A, B, CH, NT); },
+                      [&] { Gen(Dev, A, B, CG); }, Reps);
+  bench::printTimingRow(Label, ("nt=" + std::to_string(NT)).c_str(), P);
+  sim::LaunchStats LS = bench::countedRun(Dev, [&] { Gen(Dev, A, B, CG); });
 
-  // One counted (untimed) generated run per sweep point; run_benches.sh
-  // folds the JSON into the matching BENCH_matmul_sweep.json row.
-  Dev.setCounters(true);
-  Gen(Dev, A, B, CG);
-  sim::LaunchStats LS = Dev.totalStats();
-  Dev.setCounters(false);
-  Dev.resetStats();
-  std::printf("COUNTERS %s nt=%u %s\n", Label, NT, LS.json().c_str());
+  bench::Json Row;
+  Row.str("bench", "MM")
+      .str("variant", std::string(Label) == "MMtuned" ? "tuned" : "default")
+      .num("nt", NT);
+  bench::timingFields(Row, P).raw("counters", LS.json());
+  Rows.push_back(Row);
+  return LS;
 }
 
+/// Both lowerings at one nt, and what the shared-padding pass bought
+/// there by the deterministic counters (the autotuner's scoring signal).
 template <typename GenFn, typename TunedFn>
 void runSweepPair(unsigned NT, GenFn Gen, TunedFn Tuned, int Reps) {
-  runSweepPoint("MMsweep", NT, Gen, Reps);
-  runSweepPoint("MMtuned", NT, Tuned, Reps);
+  sim::LaunchStats D = runSweepPoint("MMsweep", NT, Gen, Reps);
+  sim::LaunchStats T = runSweepPoint("MMtuned", NT, Tuned, Reps);
+  const uint64_t DC = D.bankConflicts(), TC = T.bankConflicts();
+  const double Improvement =
+      DC ? (static_cast<double>(DC) - static_cast<double>(TC)) /
+               static_cast<double>(DC)
+         : 0.0;
+  WorstImprovement = std::min(WorstImprovement, Improvement);
+  TunedDeltas.raw(std::to_string(NT).c_str(),
+                  bench::Json()
+                      .num("default_conflicts", DC)
+                      .num("tuned_conflicts", TC)
+                      .num("conflict_improvement", Improvement)
+                      .num("default_shared_transactions",
+                           D.sharedTransactions())
+                      .num("tuned_shared_transactions",
+                           T.sharedTransactions())
+                      .text());
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  const char *OutDir = bench::outputDir(argc, argv);
   std::printf("Matmul nt sweep: handwritten vs Descend-generated "
               "(relative = CUDA/Descend; flat ~1.0 = loop-preserving "
               "lowering holds)\n\n");
-  std::printf("%-10s %-7s %12s %14s %10s\n", "benchmark", "size",
-              "CUDA [ms]", "Descend [ms]", "relative");
+  bench::printTimingHeader();
   runSweepPair(4, descend::gen::matmul, descend::gen::matmul_tuned4, 51);
   runSweepPair(8, descend::gen::matmul_nt8, descend::gen::matmul_tuned8, 31);
   runSweepPair(16, descend::gen::matmul_small, descend::gen::matmul_tuned16,
                21);
   runSweepPair(32, descend::gen::matmul_large, descend::gen::matmul_tuned32,
                11);
-  return 0;
+  std::printf("worst tuned bank-conflict improvement: %.3f\n",
+              WorstImprovement);
+
+  bench::Json Report;
+  Report.str("unit", "ms")
+      .array("rows", Rows)
+      .raw("tuned_deltas", TunedDeltas.text())
+      .num("worst_conflict_improvement", WorstImprovement);
+  return bench::writeReport(OutDir, "matmul_sweep", Report) ? 0 : 1;
 }

@@ -4,10 +4,12 @@
 // every erroneous program (S1..S8) the compiler must reject it with the
 // documented diagnostic, and for every correct counterpart it must accept.
 // Prints one row per case plus compile times (static checking is the
-// paper's entire runtime-cost story: it happens before execution).
+// paper's entire runtime-cost story: it happens before execution);
+// `bench_safety OUT_DIR` also writes the rows to BENCH_safety.json.
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Report.h"
 #include "driver/Pipeline.h"
 
 #include <chrono>
@@ -29,10 +31,6 @@ struct CaseRow {
   bool ShouldPass; // positive control cases
   std::string Source;
 };
-
-#ifndef DESCEND_PROGRAM_DIR
-#define DESCEND_PROGRAM_DIR "programs"
-#endif
 
 /// Loads a programs/*.descend fixture (the H and host-P rows are the
 /// single-source fixtures the hostgen tests also use). An unreadable
@@ -183,7 +181,8 @@ fn host() -[t: cpu.thread]-> () {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  const char *OutDir = bench::outputDir(argc, argv);
   std::vector<CaseRow> Rows = cases();
 
   std::printf("Safety evaluation (paper Sections 2-3): compile-time "
@@ -194,6 +193,7 @@ int main() {
       "------------------------------------------------------------------"
       "--------\n");
   int Correct = 0;
+  std::vector<bench::Json> JsonRows;
   for (const CaseRow &R : Rows) {
     CompilerInvocation Inv;
     Inv.BufferName = R.Id + ".descend";
@@ -208,16 +208,28 @@ int main() {
                           : (!Res.Ok && S.diagnostics().contains(R.Expected));
     if (AsExpected)
       ++Correct;
+    const char *Expect = R.ShouldPass ? "accept" : "reject";
+    const char *Verdict = AsExpected ? (R.ShouldPass ? "accepted" : "rejected")
+                                     : "WRONG";
     std::printf("%-4s %-38s %-10s %-9s %8.2fms\n", R.Id.c_str(),
-                R.What.c_str(), R.ShouldPass ? "accept" : "reject",
-                AsExpected ? (R.ShouldPass ? "accepted" : "rejected")
-                           : "WRONG",
-                Ms);
+                R.What.c_str(), Expect, Verdict, Ms);
+    JsonRows.push_back(bench::Json()
+                           .str("id", R.Id)
+                           .str("case", R.What)
+                           .str("expect", Expect)
+                           .str("verdict", Verdict)
+                           .num("compile_ms", Ms));
   }
   std::printf(
       "------------------------------------------------------------------"
       "--------\n");
   std::printf("%d/%zu verdicts as the paper describes\n", Correct,
               Rows.size());
-  return Correct == static_cast<int>(Rows.size()) ? 0 : 1;
+  bench::Json Report;
+  Report.str("unit", "ms")
+      .array("rows", JsonRows)
+      .num("correct", Correct)
+      .num("total", Rows.size());
+  bool Written = bench::writeReport(OutDir, "safety", Report);
+  return Written && Correct == static_cast<int>(Rows.size()) ? 0 : 1;
 }

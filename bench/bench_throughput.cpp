@@ -5,11 +5,11 @@
 // cares about, complementing the Fig. 8 generated/handwritten *ratio*:
 //
 //  1. Small-launch rate: >= 4k launches of a tiny kernel, executed
-//     three ways — with a thread pool spawned and joined per launch (the
-//     pre-persistent-pool executor, reproduced here as the baseline),
-//     synchronously on the persistent worker pool, and enqueued over
-//     four sim::Streams. The pool/spawn ratio is the regression-gated
-//     speedup (tools/bench_baseline.json: throughput_min_speedup).
+//     three ways — inline on a 1-worker device (every block on the
+//     calling thread, no pool), synchronously on the persistent worker
+//     pool, and enqueued over four sim::Streams. The pool/inline ratio
+//     (`pool_vs_inline`) is gated: it prices a launch's pool hand-off,
+//     and a return to spawning threads per launch cuts it about tenfold.
 //  2. Worker-count scaling sweep on a medium kernel.
 //  3. A mixed serving loop alternating the quickstart and reduction host
 //     drivers, approximating a service handling small independent
@@ -18,14 +18,15 @@
 //     drivers written by hand against rt::*Async, one stream operation
 //     per transfer and launch. Capturing one handwritten request pair into a
 //     graph and replaying it is gated against re-enqueueing the same
-//     operations per request (tools/bench_baseline.json:
-//     graph_min_replay_speedup).
+//     operations per request.
+//  4. The compile service: cold compiles against warm cache hits.
 //
-// Output lines are machine-parseable key=value rows prefixed with
-// THROUGHPUT; tools/run_benches.sh turns them into BENCH_throughput.json.
+// `bench_throughput OUT_DIR` writes BENCH_throughput.json; the gated
+// fields and their floors are in tools/bench_baseline.json.
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Report.h"
 #include "runtime/HostRuntime.h"
 #include "service/CompileService.h"
 #include "sim/Sim.h"
@@ -33,14 +34,12 @@
 #include "gen_quickstart_host_serve.h" // scale_vec_serve + run_serve (nb=1)
 #include "gen_reduction_host_serve.h"  // reduce_rserve + run_rserve  (nb=1)
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace descend;
@@ -52,8 +51,8 @@ using sim::ThreadCtx;
 namespace {
 
 /// How many workers the measured devices use. Pinned (not hardware
-/// concurrency) so the spawn-vs-pool comparison is the same experiment
-/// on every machine; run_benches.sh stamps the value into the JSON.
+/// concurrency) so the pool-vs-inline comparison is the same experiment
+/// on every machine; BENCH_throughput.json records it as "workers".
 constexpr unsigned BenchWorkers = 4;
 
 double msSince(std::chrono::steady_clock::time_point T0) {
@@ -62,82 +61,45 @@ double msSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// The seed executor, verbatim: spawn a worker pool per launch, join it,
-/// one block per atomic claim, one arena allocation per worker. This is
-/// the baseline the persistent pool is gated against.
-void spawnPerLaunchRunBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
-                             size_t SharedBytes,
-                             const std::function<void(BlockCtx &)> &RunBlock) {
-  const unsigned NumBlocks = Grid.total();
-  const unsigned NumWorkers = std::min(Dev.effectiveWorkers(), NumBlocks);
-
-  auto RunOne = [&](unsigned Linear, std::byte *Arena) {
-    BlockCtx B;
-    B.X = Linear % Grid.X;
-    B.Y = (Linear / Grid.X) % Grid.Y;
-    B.Z = Linear / (Grid.X * Grid.Y);
-    B.GridDim = Grid;
-    B.BlockDim = Block;
-    B.SharedArena = Arena;
-    B.SharedBytes = SharedBytes;
-    B.Dev = &Dev;
-    B.SharedBufferId = sim::detail::FirstSharedBufferId + Linear;
-    if (SharedBytes)
-      std::memset(Arena, 0, SharedBytes);
-    RunBlock(B);
-  };
-
-  std::atomic<unsigned> Next{0};
-  std::vector<std::thread> Pool;
-  Pool.reserve(NumWorkers);
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    Pool.emplace_back([&]() {
-      std::vector<std::byte> Arena(SharedBytes ? SharedBytes : 1);
-      while (true) {
-        unsigned L = Next.fetch_add(1, std::memory_order_relaxed);
-        if (L >= NumBlocks)
-          return;
-        RunOne(L, Arena.data());
-      }
-    });
-  for (std::thread &T : Pool)
-    T.join();
-}
-
 template <typename BufT>
 void tinyPhase(BufT Buf, BlockCtx &B, ThreadCtx &T) {
   size_t I = B.X * B.BlockDim.X + T.X;
   Buf.store(B, I, Buf.load(B, I) + 1.0);
 }
 
+std::vector<bench::Json> Rows;
+
+/// Prints one table line and records it as a row.
 void report(const char *Section, const char *Mode, long long Count,
             double Ms) {
-  std::printf("THROUGHPUT %s mode=%s count=%lld ms=%.3f rate=%.1f\n",
-              Section, Mode, Count, Ms, Count / (Ms / 1000.0));
+  const double Rate = Count / (Ms / 1000.0);
+  std::printf("%-13s %-20s %6lld %10.3f %14.1f\n", Section, Mode, Count, Ms,
+              Rate);
+  Rows.push_back(bench::Json()
+                     .str("section", Section)
+                     .str("mode", Mode)
+                     .num("count", Count)
+                     .num("ms", Ms)
+                     .num("rate_per_sec", Rate));
 }
 
 //===----------------------------------------------------------------------===//
 // 1. Small-launch rate
 //===----------------------------------------------------------------------===//
 
+/// Returns the rate of \p Launches launches of an 8x32 tiny kernel.
+/// Modes: "inline" launches synchronously on a 1-worker device, which
+/// runs every block on the calling thread; "pool_sync" launches
+/// synchronously on the BenchWorkers pool; "pool_streams" enqueues the
+/// launches over four streams on that pool.
 double smallLaunchRate(const char *Mode, int Launches, bool Emit = true) {
   const unsigned Blocks = 8, Threads = 32;
   GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
+  Dev.setWorkers(std::strcmp(Mode, "inline") == 0 ? 1 : BenchWorkers);
   auto Buf = Dev.alloc<double>(Blocks * Threads);
 
   auto T0 = std::chrono::steady_clock::now();
-  if (std::strcmp(Mode, "spawn_per_launch") == 0) {
-    for (int L = 0; L != Launches; ++L)
-      spawnPerLaunchRunBlocks(Dev, Dim3{Blocks}, Dim3{Threads}, 0,
-                              [&](BlockCtx &B) {
-                                ThreadCtx T;
-                                for (T.X = 0; T.X != Threads; ++T.X) {
-                                  B.CurThread = T.X;
-                                  tinyPhase(Buf, B, T);
-                                }
-                              });
-  } else if (std::strcmp(Mode, "pool_sync") == 0) {
+  if (std::strcmp(Mode, "pool_streams") != 0) {
     for (int L = 0; L != Launches; ++L)
       launchPhases(Dev, Dim3{Blocks}, Dim3{Threads}, 0,
                    [Buf](BlockCtx &B, ThreadCtx &T) { tinyPhase(Buf, B, T); });
@@ -307,7 +269,7 @@ double servingLoop(Serve How, int Requests) {
 /// enqueues, 3 device allocations and 2 stream joins for the same work.
 /// The reduction's sequential CPU finish is host code, not device work,
 /// so it runs on the host after each replay.
-double servingLoopPipeline(int Requests) {
+double servingLoopPipeline(int Requests, bench::Json &Graph) {
   const size_t NQ = 256;
   GpuDevice Dev;
   Dev.setWorkers(BenchWorkers);
@@ -334,8 +296,8 @@ double servingLoopPipeline(int Requests) {
       BestMs = Ms;
   }
   report("serving", "pipeline_graph", Pairs * 2, BestMs);
-  std::printf("THROUGHPUT graph_shape ops_pipeline=%zu replays=%d\n",
-              G.opCount(), Pairs * ServingRounds);
+  Graph.num("ops_pipeline", G.opCount())
+      .num("pipeline_replays", Pairs * ServingRounds);
   return Pairs * 2 / (BestMs / 1000.0);
 }
 
@@ -352,16 +314,15 @@ std::string slurp(const char *Path) {
 
 /// Measures the CompileService the way descendd uses it: a set of
 /// programs compiled cold (distinct sources), then re-requested warm
-/// (cache probes), then a mixed serving loop. Emits the warm/cold
-/// speedup the baseline gates (service_min_hit_speedup).
-void compileServiceBench() {
+/// (cache probes), then a mixed serving loop. Returns the summary with
+/// the gated warm/cold speedup, empty when the section could not run.
+bench::Json compileServiceBench() {
   std::string Sources[2] = {
       slurp(DESCEND_PROGRAM_DIR "/quickstart_host.descend"),
       slurp(DESCEND_PROGRAM_DIR "/reduction_host.descend")};
   if (Sources[0].empty() || Sources[1].empty()) {
-    std::printf("THROUGHPUT service_summary skipped=1 (sources not "
-                "found)\n");
-    return;
+    std::printf("service section skipped: sources not found\n");
+    return {};
   }
 
   service::CompileService Svc(/*Capacity=*/128);
@@ -379,10 +340,9 @@ void compileServiceBench() {
   for (int I = 0; I != Cold; ++I) {
     service::CompileReply Rep = Svc.compile(Salted(I));
     if (!Rep.Ok) {
-      std::printf("THROUGHPUT service_summary skipped=1 (compile "
-                  "failed)\n");
+      std::printf("service section skipped: compile failed\n");
       std::fprintf(stderr, "%s\n", Rep.Diagnostics.c_str());
-      return;
+      return {};
     }
   }
   double ColdMs = msSince(T0);
@@ -418,41 +378,57 @@ void compileServiceBench() {
   double HitRate =
       static_cast<double>(After.Hits - Before.Hits) / Mixed;
   double ColdPer = ColdMs / Cold, WarmPer = WarmMs / Warm;
-  std::printf("THROUGHPUT service_summary hit_rate=%.3f cold_ms=%.3f "
-              "warm_ms=%.4f warm_speedup=%.1f entries=%zu evictions=%llu\n",
-              HitRate, ColdPer, WarmPer, ColdPer / WarmPer, After.Entries,
+  std::printf("service: hit rate %.3f, warm hit %.1fx faster than a cold "
+              "compile, %zu entries, %llu evictions\n",
+              HitRate, ColdPer / WarmPer, After.Entries,
               static_cast<unsigned long long>(After.Evictions));
+  return bench::Json()
+      .num("hit_rate", HitRate)
+      .num("cold_ms", ColdPer)
+      .num("warm_ms", WarmPer)
+      .num("warm_speedup", ColdPer / WarmPer)
+      .num("entries", After.Entries)
+      .num("evictions", After.Evictions);
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  const char *OutDir = bench::outputDir(argc, argv);
   std::printf("Simulator launch-path throughput (workers=%u)\n",
               BenchWorkers);
-  std::printf("(spawn_per_launch reproduces the pre-persistent-pool "
-              "executor; the pool/spawn ratio is the gated speedup)\n\n");
+  std::printf("(inline runs the small launches on a 1-worker device; "
+              "pool_vs_inline = pool_sync rate / inline rate)\n\n");
+  std::printf("%-13s %-20s %6s %10s %14s\n", "section", "mode", "count",
+              "ms", "rate [1/s]");
 
   const int Launches = 4096;
   smallLaunchRate("pool_sync", 256, /*Emit=*/false); // warm-up
-  double SpawnRate = smallLaunchRate("spawn_per_launch", Launches);
+  double InlineRate = smallLaunchRate("inline", Launches);
   double PoolRate = smallLaunchRate("pool_sync", Launches);
-  double StreamRate = smallLaunchRate("pool_streams", Launches);
+  smallLaunchRate("pool_streams", Launches);
 
   workerSweep();
 
   const int Requests = 512;
+  bench::Json Graph;
   servingLoop(Serve::GeneratedSync, Requests);
   servingLoop(Serve::GeneratedOnStream, Requests);
   double ServeStreamRate = servingLoop(Serve::Reenqueue, Requests);
-  double ServeGraphRate = servingLoopPipeline(Requests);
+  double ServeGraphRate = servingLoopPipeline(Requests, Graph);
+  Graph.num("replay_vs_reenqueue", ServeGraphRate / ServeStreamRate)
+      .num("requests", Requests);
 
-  compileServiceBench();
+  bench::Json Service = compileServiceBench();
 
-  std::printf("\nTHROUGHPUT speedup pool_vs_spawn=%.2f streams_vs_spawn="
-              "%.2f\n",
-              PoolRate / SpawnRate, StreamRate / SpawnRate);
-  std::printf("THROUGHPUT graph_summary replay_vs_reenqueue=%.2f "
-              "replays=%d\n",
-              ServeGraphRate / ServeStreamRate, Requests);
-  return 0;
+  std::printf("\npool_vs_inline %.3f, graph replay_vs_reenqueue %.2f\n",
+              PoolRate / InlineRate, ServeGraphRate / ServeStreamRate);
+  bench::Json Report;
+  Report.str("unit", "ops/s")
+      .array("rows", Rows)
+      .num("workers", BenchWorkers)
+      .num("pool_vs_inline", PoolRate / InlineRate)
+      .raw("service", Service.text())
+      .raw("graph", Graph.text());
+  return bench::writeReport(OutDir, "throughput", Report) ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include "obs/Counters.h"
 #include "service/CompileService.h"
 #include "sim/Sim.h"
+#include "support/StringUtils.h"
 #include "vm/Interp.h"
 
 #include <algorithm>
@@ -74,23 +75,6 @@ RunOutcome runProgram(const vm::CompiledProgram &P,
 //===----------------------------------------------------------------------===//
 // Rendering helpers
 //===----------------------------------------------------------------------===//
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
 
 /// \p Rank is 1-based; 0 marks a candidate excluded from ranking (failed
 /// or not bit-identical) and serializes as null.

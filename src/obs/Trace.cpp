@@ -1,6 +1,7 @@
 //===- obs/Trace.cpp - Chrome-trace-event JSON exporter -------------------===//
 
 #include "obs/Trace.h"
+#include "support/StringUtils.h"
 
 #include <cctype>
 #include <cstdio>
@@ -9,23 +10,6 @@
 namespace descend::obs {
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if ((unsigned char)C < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
 
 uint32_t threadId() {
   static std::atomic<uint32_t> Next{1};

@@ -382,11 +382,11 @@ unsigned GpuDevice::effectiveWorkers() const {
     return 1;
   if (Workers != 0)
     return Workers;
-  // DESCEND_WORKERS pins the default machine-wide (run_benches.sh stamps
-  // it into the BENCH_*.json provenance, making numbers comparable
-  // across machines); otherwise use the hardware concurrency. Garbage,
-  // zero or out-of-range values fall back to the default with a one-time
-  // stderr warning instead of being silently misparsed.
+  // DESCEND_WORKERS pins the default machine-wide (each bench records
+  // the resulting count in its BENCH_*.json provenance, so numbers
+  // compare across machines); otherwise use the hardware concurrency.
+  // Garbage, zero or out-of-range values fall back to the default with
+  // a one-time stderr warning instead of being silently misparsed.
   static const unsigned EnvWorkers = [] {
     std::string Warning;
     unsigned N = detail::parseWorkerCount(std::getenv("DESCEND_WORKERS"),

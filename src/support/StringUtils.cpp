@@ -70,3 +70,20 @@ std::string_view descend::trim(std::string_view S) {
     S.remove_suffix(1);
   return S;
 }
+
+std::string descend::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    if (static_cast<unsigned char>(C) < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+      continue;
+    }
+    Out += C;
+  }
+  return Out;
+}

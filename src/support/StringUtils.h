@@ -44,6 +44,10 @@ std::vector<std::string> split(std::string_view S, char Sep);
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view S);
 
+/// Escapes \p S for the inside of a JSON string literal: `"` and `\`
+/// get a backslash, every other control character becomes `\u00XX`.
+std::string jsonEscape(std::string_view S);
+
 } // namespace descend
 
 #endif // DESCEND_SUPPORT_STRINGUTILS_H

@@ -168,4 +168,9 @@ TEST(StringUtils, JoinSplitTrimReplace) {
   EXPECT_EQ(replaceAll("aXbXc", "X", "__"), "a__b__c");
 }
 
+TEST(StringUtils, JsonEscape) {
+  EXPECT_EQ(jsonEscape("plain/path.descend"), "plain/path.descend");
+  EXPECT_EQ(jsonEscape("a\"b\\c\nd\x01"), "a\\\"b\\\\c\\u000ad\\u0001");
+}
+
 } // namespace

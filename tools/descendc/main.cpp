@@ -58,6 +58,7 @@
 #include "driver/Autotune.h"
 #include "driver/Pipeline.h"
 #include "obs/Trace.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -161,37 +162,6 @@ static bool parseTune(const std::string &Spec,
   }
   Grid[Name] = std::move(Values);
   return true;
-}
-
-/// Minimal JSON string escape for paths and stage names.
-static std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 /// `--time-passes=json`: one JSON object on stdout. The plain form's
