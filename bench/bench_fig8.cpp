@@ -17,6 +17,15 @@
 // adds both sides' quartiles and the counters of one untimed generated
 // run.
 //
+// A second table prices the vm against the generated code (`vm.tax`):
+// each Fig. 8 kernel, compiled from kernels/*.descend by vm::compile at
+// the repository benchmark's kernels sizes, is launched through
+// vm::launchKernel interleaved with the same kernel generated at build
+// time, on a 1-worker device. The JSON's `vm_tax.<kernel>` objects carry
+// both sides' quartiles, `gen_over_vm` (the generated median over the
+// vm's; higher = a cheaper vm) and the vm's exact work counts
+// (vm::LaunchWork).
+//
 //===----------------------------------------------------------------------===//
 
 #include "bench/Report.h"
@@ -35,10 +44,22 @@
 #include "gen_fig8_transpose_large.h"
 #include "gen_fig8_transpose_medium.h"
 #include "gen_fig8_transpose_small.h"
+// The same kernels at the repository benchmark's kernels sizes, for vm.tax.
+#include "gen_tax_matmul.h"
+#include "gen_tax_reduce.h"
+#include "gen_tax_scan.h"
+#include "gen_tax_transpose.h"
+
+#include "driver/Pipeline.h"
+#include "vm/Interp.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -205,6 +226,104 @@ void runMatmul(const char *Size, unsigned NT, GenFn Gen) {
          Dev, [&] { Gen(Dev, A, B, CG); });
 }
 
+//===----------------------------------------------------------------------===//
+// vm.tax: the vm against the generated code, kernel by kernel
+//===----------------------------------------------------------------------===//
+
+using GenBufs = std::vector<GpuDevice::Buffer<double>>;
+
+struct TaxRow {
+  const char *Kernel;
+  bench::PairedMs Ms; ///< A: generated, B: vm
+  vm::LaunchWork Work;
+};
+
+std::vector<TaxRow> TaxRows;
+
+/// Compiles kernels/\p File at `-D Nat=Size` for the vm; exits on error.
+std::shared_ptr<const vm::CompiledProgram>
+compileVm(const char *File, const char *Nat, long long Size) {
+  const std::string Path = std::string(DESCEND_SOURCE_DIR "/kernels/") + File;
+  std::ifstream In(Path);
+  std::stringstream Src;
+  Src << In.rdbuf();
+  CompilerInvocation Inv;
+  Inv.BufferName = Path;
+  Inv.Defines[Nat] = Size;
+  Inv.RunUntil = Stage::Typecheck;
+  Session S(Inv);
+  vm::CompileVmResult C;
+  if (S.run(Src.str()).Ok)
+    C = vm::compile(*S.module());
+  if (!C.Ok) {
+    std::fprintf(stderr, "vm.tax: cannot compile %s: %s%s\n", Path.c_str(),
+                 S.renderDiagnostics().c_str(), C.Error.c_str());
+    std::exit(1);
+  }
+  return C.Program;
+}
+
+/// Times kernel \p Name of \p P on the vm against \p Gen, its generated
+/// twin, on a 1-worker device. Both sides get buffers of the kernel's
+/// parameter sizes, filled alike, and must write the same bytes.
+template <typename GenFn>
+void runTax(const vm::CompiledProgram &P, const char *Name, GenFn Gen) {
+  const vm::VmKernel *K = P.findKernel(Name);
+  if (!K) {
+    std::fprintf(stderr, "vm.tax: no kernel `%s`\n", Name);
+    std::exit(1);
+  }
+  GpuDevice Dev;
+  Dev.setWorkers(1);
+  GenBufs GB;
+  std::vector<vm::DevBuf> VB;
+  for (size_t I = 0; I != K->Params.size(); ++I) {
+    const size_t Count = K->Params[I].Count;
+    GB.push_back(Dev.alloc<double>(Count));
+    VB.push_back(vm::allocDev(Dev, ScalarKind::F64, Count));
+    for (size_t J = 0; J != Count; ++J)
+      GB.back().data()[J] = static_cast<double>((J * 7 + I) % 29) * 0.5;
+    std::memcpy(VB.back().Data, GB.back().data(), Count * sizeof(double));
+  }
+  auto RunVm = [&] {
+    if (!vm::launchKernel(Dev, *K, VB).Ok) {
+      std::fprintf(stderr, "vm.tax: vm launch of `%s` failed\n", Name);
+      std::exit(1);
+    }
+  };
+  auto RunGen = [&] { Gen(Dev, GB); };
+  RunGen();
+  RunVm();
+  for (size_t I = 0; I != VB.size(); ++I)
+    if (std::memcmp(VB[I].Data, GB[I].data(),
+                    VB[I].Count * sizeof(double)) != 0) {
+      std::fprintf(stderr, "vm.tax %s: vm != generated!\n", Name);
+      std::exit(1);
+    }
+  TaxRow Row{Name, bench::pairedMs(RunGen, RunVm, 31), {}};
+  vm::launchKernel(Dev, *K, VB, &Row.Work);
+  TaxRows.push_back(Row);
+}
+
+void runTaxes() {
+  auto Reduce = compileVm("reduce.descend", "nb", 256);
+  runTax(*Reduce, "reduce",
+         [](GpuDevice &D, GenBufs &B) { gen::reduce_tax(D, B[0], B[1]); });
+  auto Scan = compileVm("scan.descend", "nb", 256);
+  runTax(*Scan, "scan_blocks", [](GpuDevice &D, GenBufs &B) {
+    gen::scan_blocks_tax(D, B[0], B[1], B[2]);
+  });
+  runTax(*Scan, "add_sums",
+         [](GpuDevice &D, GenBufs &B) { gen::add_sums_tax(D, B[0], B[1]); });
+  auto Transpose = compileVm("transpose.descend", "n", 256);
+  runTax(*Transpose, "transpose",
+         [](GpuDevice &D, GenBufs &B) { gen::transpose_tax(D, B[0], B[1]); });
+  auto Matmul = compileVm("matmul.descend", "nt", 4);
+  runTax(*Matmul, "matmul", [](GpuDevice &D, GenBufs &B) {
+    gen::matmul_tax(D, B[0], B[1], B[2]);
+  });
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -252,9 +371,34 @@ int main(int argc, char **argv) {
               "%s\n",
               std::abs(1.0 - GeoMean) < 0.10 ? "PASS" : "CHECK MANUALLY");
 
+  runTaxes();
+  std::printf("\nvm.tax: vm::launchKernel vs the generated launch, 1 worker\n");
+  std::printf("%-12s %10s %10s %12s %12s %12s\n", "kernel", "gen [ms]",
+              "vm [ms]", "gen_over_vm", "instrs", "lane_steps");
+  bench::Json Tax;
+  for (const TaxRow &T : TaxRows) {
+    const double Ratio = T.Ms.A.Median / T.Ms.B.Median;
+    std::printf("%-12s %10.3f %10.3f %12.3f %12llu %12llu\n", T.Kernel,
+                T.Ms.A.Median, T.Ms.B.Median, Ratio,
+                static_cast<unsigned long long>(T.Work.Instrs),
+                static_cast<unsigned long long>(T.Work.LaneSteps));
+    bench::Json Row;
+    Row.num("gen_ms", T.Ms.A.Median)
+        .num("gen_q1_ms", T.Ms.A.Q1)
+        .num("gen_q3_ms", T.Ms.A.Q3)
+        .num("vm_ms", T.Ms.B.Median)
+        .num("vm_q1_ms", T.Ms.B.Q1)
+        .num("vm_q3_ms", T.Ms.B.Q3)
+        .num("gen_over_vm", Ratio)
+        .num("instrs", T.Work.Instrs)
+        .num("lane_steps", T.Work.LaneSteps);
+    Tax.raw(T.Kernel, Row.text());
+  }
+
   bench::Json Report;
   Report.str("unit", "ms")
       .array("rows", JsonRows)
-      .num("geomean_relative", GeoMean);
+      .num("geomean_relative", GeoMean)
+      .raw("vm_tax", Tax.text());
   return bench::writeReport(OutDir, "fig8", Report) ? 0 : 1;
 }

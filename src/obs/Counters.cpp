@@ -2,6 +2,8 @@
 
 #include "obs/Counters.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -115,16 +117,8 @@ std::string LaunchStats::str() const {
 std::string LaunchStats::json() const {
   char Buf[512];
   std::string Out = "{";
-  // Labels come from kernel names in user source: escape conservatively.
-  Out += "\"label\":\"";
-  for (char C : Label) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if ((unsigned char)C < 0x20)
-      C = '?';
-    Out += C;
-  }
-  Out += "\",";
+  // Labels come from kernel names in user source.
+  Out += "\"label\":\"" + jsonEscape(Label) + "\",";
   std::snprintf(
       Buf, sizeof(Buf),
       "\"launches\":%" PRIu64 ",\"blocks\":%" PRIu64

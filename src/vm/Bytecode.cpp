@@ -4,8 +4,10 @@
 // Lowerer (exactly like the sim backend, so geometry, arena layout and
 // phase structure agree bit for bit with the generated headers), then
 // translates each phase body / loop bound from typed kernel IR into
-// register bytecode. Each cpu.thread function keeps the host IR hostgen
-// builds for it, with its sizes instantiated and its launches resolved.
+// register bytecode, marking what is uniform across a lane group and
+// computing it once (CodeBuilder). Each cpu.thread function keeps the
+// host IR hostgen builds for it, with its sizes instantiated and its
+// launches resolved.
 // Everything a launch needs is resolved here; the interpreter never sees
 // a Nat or an AST node.
 //
@@ -49,23 +51,42 @@ struct LoopBinding {
   unsigned Slot;
 };
 
-/// Builds one Code object (a phase body or a loop bound). Registers are
-/// SSA-ish: every value lands in a fresh register except named locals,
-/// which keep one mutable register for their whole scope (Assign and the
-/// For increment write through it).
+/// Builds one Code object (a phase body or a loop bound) in one pass over
+/// the KIR, deciding for each value as it is emitted:
+/// - its class. A value is uniform when it is a constant, a block
+///   coordinate, a loop slot, the counter of a uniform-trip `for` outside
+///   any varying `if`, or an operation on uniform values placed outside
+///   any varying `if` or varying-trip `for`; else it is varying.
+/// - where it is computed. A pure value (no memory access) is looked up
+///   in the scoped CSE table first. If it is uniform, depends on no
+///   counter and cannot trap, it goes to the prologue; a pure value that
+///   cannot trap moves before the head of every enclosing uniform-trip
+///   `for` whose body it sits in directly and whose operands it does not
+///   depend on. Nothing moves out of an `if`.
+/// Divergence is read off KIR's structured `If`/`For` while emitting, and
+/// the CSE table is keyed by opcode and register numbers, so the analysis
+/// costs one pass. Registers are SSA-ish: every value lands in a fresh
+/// register; a named local names the register of its value, except a
+/// local that some Assign writes (and every For counter), which keeps one
+/// mutable register for its scope.
 class CodeBuilder {
 public:
   CodeBuilder(const std::vector<LoopBinding> &Enclosing,
               const std::map<std::string, unsigned> &ParamIdx,
               bool AllowCoords)
       : Enclosing(Enclosing), ParamIdx(ParamIdx), AllowCoords(AllowCoords) {
+    Chunks.resize(2); // the prologue, then the body
+    Chunks[0].reserve(16);
+    Chunks[1].reserve(32);
+    Regs.reserve(32);
     Scopes.emplace_back();
   }
 
   bool run(const std::vector<kir::Stmt> &Stmts, Code &Out) {
+    collectAssigned(Stmts);
     if (!compileStmts(Stmts))
       return false;
-    emit(Op::Ret, 0, 0, 0, 0);
+    emit(Op::Ret, true, -1, -1, -1, 0);
     return finish(Out);
   }
 
@@ -73,22 +94,61 @@ public:
     int R = compileNat(N);
     if (R < 0)
       return false;
-    emit(Op::RetVal, static_cast<uint16_t>(R), 0, 0, 0);
+    emit(Op::RetVal, true, R, -1, -1, 0);
     return finish(Out);
   }
 
   const std::string &error() const { return Err; }
 
 private:
+  /// An instruction under construction: registers are builder ids (-1
+  /// when unused), jump targets label ids.
+  struct BInstr {
+    Op K;
+    bool U;
+    int A, B, C;
+    int32_t Imm;
+  };
+
+  struct RegInfo {
+    bool Uniform = false;
+    bool Mutable = false;  ///< a named local's register that Assign or a
+                           ///< For increment writes
+    bool Prologue = false; ///< computed in the prologue
+    bool Lit = false;      ///< a Const of integer value LitValue
+    long long LitValue = 0;
+    unsigned Level = 0; ///< the scope depth where the value is available
+  };
+
   struct LocalVar {
     int Reg = -1;
     VK Kind = VK::I64;
   };
 
-  Code C;
+  struct Scope {
+    std::map<std::string, LocalVar> Locals;
+    bool Divergent = false; ///< lanes of a group may disagree on entering
+    int PreHeader = -1;     ///< chunk before the head of this uniform-trip
+                            ///< loop body, -1 for other scopes
+  };
+
+  struct CseEntry {
+    Op K;
+    int B, C;
+    int32_t Imm;
+    int Reg;
+    unsigned Level;
+  };
+
+  std::vector<std::vector<BInstr>> Chunks;
+  unsigned Cur = 1;
+  std::vector<std::pair<unsigned, unsigned>> Labels; ///< (chunk, index)
+  std::vector<RegInfo> Regs;
+  std::vector<CseEntry> Cse;
+  std::vector<Scope> Scopes;
+  std::vector<const std::string *> Assigned;
+  std::vector<Value> Consts;
   std::string Err;
-  unsigned NextReg = 0;
-  std::vector<std::map<std::string, LocalVar>> Scopes;
   const std::vector<LoopBinding> &Enclosing;
   const std::map<std::string, unsigned> &ParamIdx;
   bool AllowCoords;
@@ -99,54 +159,212 @@ private:
     return false;
   }
 
-  int newReg() {
-    if (NextReg > std::numeric_limits<uint16_t>::max()) {
+  unsigned depth() const { return static_cast<unsigned>(Scopes.size() - 1); }
+  bool divergent() const { return Scopes.back().Divergent; }
+
+  int newReg(bool Uniform, unsigned Level, bool Mutable = false,
+             bool Prologue = false) {
+    if (Regs.size() > std::numeric_limits<uint16_t>::max()) {
       fail("phase body needs more than 65536 registers");
       return -1;
     }
-    return static_cast<int>(NextReg++);
+    RegInfo RI;
+    RI.Uniform = Uniform;
+    RI.Mutable = Mutable;
+    RI.Prologue = Prologue;
+    RI.Level = Level;
+    Regs.push_back(RI);
+    return static_cast<int>(Regs.size() - 1);
   }
 
-  void emit(Op K, uint16_t A, uint16_t B, uint16_t CC, int32_t Imm) {
-    C.Instrs.push_back(Instr{K, A, B, CC, Imm});
+  void emitAt(unsigned Chunk, Op K, bool U, int A, int B, int C,
+              int32_t Imm) {
+    Chunks[Chunk].push_back(BInstr{K, U, A, B, C, Imm});
+  }
+  void emit(Op K, bool U, int A, int B, int C, int32_t Imm) {
+    emitAt(Cur, K, U, A, B, C, Imm);
+  }
+
+  int newLabel() {
+    Labels.emplace_back(0, 0);
+    return static_cast<int>(Labels.size() - 1);
+  }
+  /// Points \p L at the next instruction of the current chunk. Labels are
+  /// only ever bound in the current chunk, which nothing is hoisted into.
+  void bindLabel(int L) {
+    Labels[L] = {Cur, static_cast<unsigned>(Chunks[Cur].size())};
+  }
+  void newChunk() {
+    Chunks.emplace_back().reserve(16);
+    Cur = static_cast<unsigned>(Chunks.size() - 1);
+  }
+
+  void pushScope(bool Divergent, int PreHeader) {
+    Scope S;
+    S.Divergent = Divergent;
+    S.PreHeader = PreHeader;
+    Scopes.push_back(std::move(S));
+  }
+  /// Leaves the innermost scope: its locals and CSE entries end there.
+  void popScope() {
+    const unsigned D = depth();
+    Cse.erase(std::remove_if(Cse.begin(), Cse.end(),
+                             [D](const CseEntry &E) { return E.Level >= D; }),
+              Cse.end());
+    Scopes.pop_back();
+  }
+
+  /// Gathers the names any Assign of \p Stmts writes: those locals need a
+  /// mutable register of their own.
+  void collectAssigned(const std::vector<kir::Stmt> &Stmts) {
+    for (const kir::Stmt &S : Stmts) {
+      if (S.K == kir::StmtKind::Assign)
+        Assigned.push_back(&S.Name);
+      collectAssigned(S.Then);
+      collectAssigned(S.Else);
+      collectAssigned(S.Body);
+    }
+  }
+  bool assigned(const std::string &Name) const {
+    for (const std::string *A : Assigned)
+      if (*A == Name)
+        return true;
+    return false;
   }
 
   bool finish(Code &Out) {
     if (!Err.empty())
       return false;
-    C.NumRegs = NextReg;
+    // Uniform registers first, each class in allocation order (which
+    // keeps the register pairs of wide accesses adjacent).
+    std::vector<uint16_t> Map(Regs.size());
+    unsigned NumU = 0;
+    for (const RegInfo &R : Regs)
+      NumU += R.Uniform;
+    unsigned NextU = 0, NextV = NumU;
+    for (size_t I = 0; I != Regs.size(); ++I)
+      Map[I] = static_cast<uint16_t>(Regs[I].Uniform ? NextU++ : NextV++);
+    std::vector<unsigned> Start(Chunks.size());
+    size_t Total = 0;
+    for (size_t I = 0; I != Chunks.size(); ++I) {
+      Start[I] = static_cast<unsigned>(Total);
+      Total += Chunks[I].size();
+    }
+    Code C;
+    C.Instrs.reserve(Total);
+    for (const std::vector<BInstr> &Ch : Chunks)
+      for (const BInstr &B : Ch) {
+        Instr I;
+        I.K = B.K;
+        I.U = B.U ? 1 : 0;
+        const OpShape Sh = opShape(B.K);
+        I.A = Sh.WritesA || Sh.ReadsA ? Map[B.A] : 0;
+        I.B = Sh.ReadsB ? Map[B.B] : static_cast<uint16_t>(B.B < 0 ? 0 : B.B);
+        I.C = Sh.ReadsC ? Map[B.C] : static_cast<uint16_t>(B.C < 0 ? 0 : B.C);
+        I.Imm = B.Imm;
+        if (B.K == Op::Jmp || B.K == Op::Jz)
+          I.Imm = static_cast<int32_t>(Start[Labels[B.Imm].first] +
+                                       Labels[B.Imm].second);
+        C.Instrs.push_back(I);
+      }
+    C.Consts = std::move(Consts);
+    C.NumRegs = static_cast<unsigned>(Regs.size());
+    C.NumUniform = NumU;
     Out = std::move(C);
     return true;
   }
 
+  //===--------------------------------------------------------------------===//
+  // Pure values: CSE, placement and class
+  //===--------------------------------------------------------------------===//
+
+  int lookup(Op K, int B, int C, int32_t Imm) const {
+    for (auto It = Cse.rbegin(); It != Cse.rend(); ++It)
+      if (It->K == K && It->B == B && It->C == C && It->Imm == Imm)
+        return It->Reg;
+    return -1;
+  }
+
+  /// Whether r = K(B, C) can run where its operands are ready rather than
+  /// where it stands: it must not trap, so a division or remainder needs
+  /// a positive literal divisor and a power a non-negative literal
+  /// exponent.
+  bool movable(Op K, int C) const {
+    switch (K) {
+    case Op::DivI:
+    case Op::ModI:
+      return Regs[C].Lit && Regs[C].LitValue > 0;
+    case Op::PowI:
+      return Regs[C].Lit && Regs[C].LitValue >= 0;
+    default:
+      return true;
+    }
+  }
+
+  /// Emits the pure operation r = K(B, C, Imm) (operands -1 when absent)
+  /// and returns its register, or an equal one already in scope. A leaf
+  /// (no operands) is uniform iff \p LeafUniform.
+  int pure(Op K, int B, int C, int32_t Imm, bool LeafUniform = true) {
+    const bool Mut = (B >= 0 && Regs[B].Mutable) || (C >= 0 && Regs[C].Mutable);
+    if (!Mut)
+      if (int R = lookup(K, B, C, Imm); R >= 0)
+        return R;
+    const bool AllU = LeafUniform && (B < 0 || Regs[B].Uniform) &&
+                      (C < 0 || Regs[C].Uniform);
+    const bool Movable = !Mut && movable(K, C);
+    unsigned Level = depth(), Chunk = Cur;
+    bool Prologue = false;
+    if (AllU && Movable && (B < 0 || Regs[B].Prologue) &&
+        (C < 0 || Regs[C].Prologue)) {
+      Level = 0;
+      Chunk = 0;
+      Prologue = true;
+    } else if (Movable) {
+      const unsigned Ready = std::max(B < 0 ? 0 : Regs[B].Level,
+                                      C < 0 ? 0 : Regs[C].Level);
+      while (Level > 0 && Scopes[Level].PreHeader >= 0 && Ready < Level) {
+        Chunk = static_cast<unsigned>(Scopes[Level].PreHeader);
+        --Level;
+      }
+    }
+    const bool U = AllU && (Prologue || !Scopes[Level].Divergent);
+    int D = newReg(U, Level, /*Mutable=*/false, Prologue);
+    if (D < 0)
+      return -1;
+    emitAt(Chunk, K, U, D, B, C, Imm);
+    if (!Mut)
+      Cse.push_back(CseEntry{K, B, C, Imm, D, Level});
+    return D;
+  }
+
   int addConst(Value V) {
-    C.Consts.push_back(V);
-    return static_cast<int>(C.Consts.size() - 1);
+    for (size_t I = 0; I != Consts.size(); ++I)
+      if (std::memcmp(&Consts[I], &V, sizeof(Value)) == 0)
+        return static_cast<int>(I);
+    Consts.push_back(V);
+    return static_cast<int>(Consts.size() - 1);
   }
 
   int constI(long long V) {
-    int R = newReg();
-    if (R < 0)
-      return -1;
     Value CV;
     CV.I = V;
-    emit(Op::Const, static_cast<uint16_t>(R), 0, 0, addConst(CV));
+    int R = pure(Op::Const, -1, -1, addConst(CV));
+    if (R >= 0) {
+      Regs[R].Lit = true;
+      Regs[R].LitValue = V;
+    }
     return R;
   }
 
   int constF(double V) {
-    int R = newReg();
-    if (R < 0)
-      return -1;
     Value CV;
     CV.F = V;
-    emit(Op::Const, static_cast<uint16_t>(R), 0, 0, addConst(CV));
-    return R;
+    return pure(Op::Const, -1, -1, addConst(CV));
   }
 
   LocalVar *lookupLocal(const std::string &Name) {
     for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-      if (auto Found = It->find(Name); Found != It->end())
+      if (auto Found = It->Locals.find(Name); Found != It->Locals.end())
         return &Found->second;
     return nullptr;
   }
@@ -182,24 +400,15 @@ private:
         return L->Reg;
       }
       for (auto It = Enclosing.rbegin(); It != Enclosing.rend(); ++It)
-        if (It->Var == Name) {
-          int R = newReg();
-          if (R < 0)
-            return -1;
-          emit(Op::Slot, static_cast<uint16_t>(R), 0, 0,
-               static_cast<int32_t>(It->Slot));
-          return R;
-        }
+        if (It->Var == Name)
+          return pure(Op::Slot, -1, -1, static_cast<int32_t>(It->Slot));
       if (int CI = coordIndex(Name); CI >= 0) {
         if (!AllowCoords) {
           fail("coordinate `" + Name + "` used in a host-side loop bound");
           return -1;
         }
-        int R = newReg();
-        if (R < 0)
-          return -1;
-        emit(Op::Coord, static_cast<uint16_t>(R), 0, 0, CI);
-        return R;
+        // _bx/_by/_bz are the same for every thread of a block.
+        return pure(Op::Coord, -1, -1, CI, /*LeafUniform=*/CI < 3);
       }
       fail("unbound nat variable `" + Name + "` (pass -D to instantiate)");
       return -1;
@@ -235,12 +444,7 @@ private:
         O = Op::PowI;
         break;
       }
-      int D = newReg();
-      if (D < 0)
-        return -1;
-      emit(O, static_cast<uint16_t>(D), static_cast<uint16_t>(L),
-           static_cast<uint16_t>(R), 0);
-      return D;
+      return pure(O, L, R, 0);
     }
     }
     fail("unhandled nat kind");
@@ -257,28 +461,14 @@ private:
     // F64 is a re-classification, not an instruction.
     if (From == VK::F32 && To == VK::F64)
       return R;
-    int D = newReg();
-    if (D < 0)
-      return -1;
     if (From == VK::I64) {
-      emit(Op::I2F, static_cast<uint16_t>(D), static_cast<uint16_t>(R), 0, 0);
-      if (To == VK::F32) {
-        int D2 = newReg();
-        if (D2 < 0)
-          return -1;
-        emit(Op::F2F32, static_cast<uint16_t>(D2), static_cast<uint16_t>(D),
-             0, 0);
-        return D2;
-      }
-      return D;
+      int D = pure(Op::I2F, R, -1, 0);
+      return To == VK::F32 && D >= 0 ? pure(Op::F2F32, D, -1, 0) : D;
     }
-    if (To == VK::I64) {
-      emit(Op::F2I, static_cast<uint16_t>(D), static_cast<uint16_t>(R), 0, 0);
-      return D;
-    }
+    if (To == VK::I64)
+      return pure(Op::F2I, R, -1, 0);
     // F64 -> F32.
-    emit(Op::F2F32, static_cast<uint16_t>(D), static_cast<uint16_t>(R), 0, 0);
-    return D;
+    return pure(Op::F2F32, R, -1, 0);
   }
 
   static VK promote(VK A, VK B) {
@@ -304,41 +494,50 @@ private:
     return static_cast<int>(Ref.ByteBase);
   }
 
-  RV compileLoad(const kir::MemRef &Ref, const Nat &Index) {
-    int Idx = compileNat(Index);
-    int D = newReg();
-    if (Idx < 0 || D < 0)
-      return {};
-    uint16_t EK = static_cast<uint16_t>(Ref.Elem);
+  /// Opcode and immediate of a scalar (\p Wide false) or wide access to
+  /// \p Ref; false after a failure.
+  bool memOp(const kir::MemRef &Ref, bool Store, bool Wide, Op &O,
+             int32_t &Imm) {
     switch (Ref.Space) {
     case kir::MemSpace::Global: {
       auto It = ParamIdx.find(Ref.Name);
-      if (It == ParamIdx.end()) {
-        fail("unknown global buffer `" + Ref.Name + "`");
-        return {};
-      }
-      emit(Op::LoadGlobal, static_cast<uint16_t>(D),
-           static_cast<uint16_t>(Idx), EK, static_cast<int32_t>(It->second));
-      break;
+      if (It == ParamIdx.end())
+        return fail("unknown global buffer `" + Ref.Name + "`");
+      O = Wide ? (Store ? Op::StoreGlobal2 : Op::LoadGlobal2)
+               : (Store ? Op::StoreGlobal : Op::LoadGlobal);
+      Imm = static_cast<int32_t>(It->second);
+      return true;
     }
-    case kir::MemSpace::Shared: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return {};
-      emit(Op::LoadShared, static_cast<uint16_t>(D),
-           static_cast<uint16_t>(Idx), EK, Base);
-      break;
+    case kir::MemSpace::Shared:
+      O = Wide ? (Store ? Op::StoreShared2 : Op::LoadShared2)
+               : (Store ? Op::StoreShared : Op::LoadShared);
+      Imm = memByteBase(Ref);
+      return Imm >= 0;
+    case kir::MemSpace::Arena:
+      if (Wide)
+        return fail("wide access to the per-thread arena");
+      O = Store ? Op::StoreArena : Op::LoadArena;
+      Imm = memByteBase(Ref);
+      return Imm >= 0;
     }
-    case kir::MemSpace::Arena: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return {};
-      emit(Op::LoadArena, static_cast<uint16_t>(D),
-           static_cast<uint16_t>(Idx), EK, Base);
-      break;
-    }
-    }
-    return {D, vkOf(Ref.Elem)};
+    return fail("unhandled memory space");
+  }
+
+  /// A load into fresh varying registers: r[D] (and r[D+1] when \p Wide,
+  /// allocated adjacent). Returns D or -1.
+  int compileLoad(const kir::MemRef &Ref, const Nat &Index, bool Wide) {
+    int Idx = compileNat(Index);
+    Op O;
+    int32_t Imm;
+    if (Idx < 0 || !memOp(Ref, /*Store=*/false, Wide, O, Imm))
+      return -1;
+    int D = newReg(false, depth());
+    if (Wide && newReg(false, depth()) < 0)
+      return -1;
+    if (D < 0)
+      return -1;
+    emit(O, false, D, Idx, static_cast<uint16_t>(Ref.Elem), Imm);
+    return D;
   }
 
   bool compileStore(const kir::MemRef &Ref, const Nat &Index,
@@ -348,71 +547,12 @@ private:
     if (Idx < 0 || !V.ok())
       return false;
     int R = convert(V.Reg, V.Kind, vkOf(Ref.Elem));
-    if (R < 0)
+    Op O;
+    int32_t Imm;
+    if (R < 0 || !memOp(Ref, /*Store=*/true, /*Wide=*/false, O, Imm))
       return false;
-    uint16_t EK = static_cast<uint16_t>(Ref.Elem);
-    switch (Ref.Space) {
-    case kir::MemSpace::Global: {
-      auto It = ParamIdx.find(Ref.Name);
-      if (It == ParamIdx.end())
-        return fail("unknown global buffer `" + Ref.Name + "`");
-      emit(Op::StoreGlobal, static_cast<uint16_t>(R),
-           static_cast<uint16_t>(Idx), EK, static_cast<int32_t>(It->second));
-      return true;
-    }
-    case kir::MemSpace::Shared: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return false;
-      emit(Op::StoreShared, static_cast<uint16_t>(R),
-           static_cast<uint16_t>(Idx), EK, Base);
-      return true;
-    }
-    case kir::MemSpace::Arena: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return false;
-      emit(Op::StoreArena, static_cast<uint16_t>(R),
-           static_cast<uint16_t>(Idx), EK, Base);
-      return true;
-    }
-    }
-    return fail("unhandled memory space");
-  }
-
-  /// Wide (two-element) load: r[D], r[D+1] = buf[idx], buf[idx+1] as one
-  /// issued transaction. Returns the first register (second is D+1) or -1.
-  int compileLoad2(const kir::MemRef &Ref, const Nat &Index) {
-    int Idx = compileNat(Index);
-    int D0 = newReg();
-    int D1 = newReg(); // adjacent by construction
-    if (Idx < 0 || D0 < 0 || D1 < 0)
-      return -1;
-    uint16_t EK = static_cast<uint16_t>(Ref.Elem);
-    switch (Ref.Space) {
-    case kir::MemSpace::Global: {
-      auto It = ParamIdx.find(Ref.Name);
-      if (It == ParamIdx.end()) {
-        fail("unknown global buffer `" + Ref.Name + "`");
-        return -1;
-      }
-      emit(Op::LoadGlobal2, static_cast<uint16_t>(D0),
-           static_cast<uint16_t>(Idx), EK, static_cast<int32_t>(It->second));
-      return D0;
-    }
-    case kir::MemSpace::Shared: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return -1;
-      emit(Op::LoadShared2, static_cast<uint16_t>(D0),
-           static_cast<uint16_t>(Idx), EK, Base);
-      return D0;
-    }
-    case kir::MemSpace::Arena:
-      break;
-    }
-    fail("wide access to the per-thread arena");
-    return -1;
+    emit(O, false, R, Idx, static_cast<uint16_t>(Ref.Elem), Imm);
+    return true;
   }
 
   bool compileStore2(const kir::MemRef &Ref, const Nat &Index,
@@ -424,35 +564,19 @@ private:
       return false;
     int R0 = convert(A.Reg, A.Kind, vkOf(Ref.Elem));
     int R1 = convert(B.Reg, B.Kind, vkOf(Ref.Elem));
-    // The wide-store operands live in adjacent registers (A, A+1).
-    int D0 = newReg();
-    int D1 = newReg();
-    if (R0 < 0 || R1 < 0 || D0 < 0 || D1 < 0)
+    Op O;
+    int32_t Imm;
+    if (R0 < 0 || R1 < 0 || !memOp(Ref, /*Store=*/true, /*Wide=*/true, O, Imm))
       return false;
-    emit(Op::Move, static_cast<uint16_t>(D0), static_cast<uint16_t>(R0), 0, 0);
-    emit(Op::Move, static_cast<uint16_t>(D1), static_cast<uint16_t>(R1), 0, 0);
-    uint16_t EK = static_cast<uint16_t>(Ref.Elem);
-    switch (Ref.Space) {
-    case kir::MemSpace::Global: {
-      auto It = ParamIdx.find(Ref.Name);
-      if (It == ParamIdx.end())
-        return fail("unknown global buffer `" + Ref.Name + "`");
-      emit(Op::StoreGlobal2, static_cast<uint16_t>(D0),
-           static_cast<uint16_t>(Idx), EK, static_cast<int32_t>(It->second));
-      return true;
-    }
-    case kir::MemSpace::Shared: {
-      int Base = memByteBase(Ref);
-      if (Base < 0)
-        return false;
-      emit(Op::StoreShared2, static_cast<uint16_t>(D0),
-           static_cast<uint16_t>(Idx), EK, Base);
-      return true;
-    }
-    case kir::MemSpace::Arena:
-      break;
-    }
-    return fail("wide access to the per-thread arena");
+    // The wide-store operands live in adjacent registers (A, A+1).
+    int D0 = newReg(false, depth());
+    int D1 = newReg(false, depth());
+    if (D0 < 0 || D1 < 0)
+      return false;
+    emit(Op::Move, false, D0, R0, -1, 0);
+    emit(Op::Move, false, D1, R1, -1, 0);
+    emit(O, false, D0, Idx, static_cast<uint16_t>(Ref.Elem), Imm);
+    return true;
   }
 
   RV compileExpr(const kir::Expr &E) {
@@ -481,27 +605,20 @@ private:
       return {L->Reg, L->Kind};
     }
     case kir::ExprKind::Load:
-      return compileLoad(E.Ref, E.Index);
+      return {compileLoad(E.Ref, E.Index, /*Wide=*/false), vkOf(E.Ref.Elem)};
     case kir::ExprKind::Binary:
       return compileBinary(E);
     case kir::ExprKind::Unary: {
       RV S = compileExpr(*E.Sub);
       if (!S.ok())
         return {};
-      int D = newReg();
-      if (D < 0)
-        return {};
-      if (E.UO == kir::UnOp::Not) {
-        int R = convert(S.Reg, S.Kind, VK::I64);
-        emit(Op::NotI, static_cast<uint16_t>(D), static_cast<uint16_t>(R), 0,
-             0);
-        return {D, VK::I64};
-      }
+      if (E.UO == kir::UnOp::Not)
+        return {pure(Op::NotI, convert(S.Reg, S.Kind, VK::I64), -1, 0),
+                VK::I64};
       Op O = S.Kind == VK::I64
                  ? Op::NegI
                  : (S.Kind == VK::F32 ? Op::NegF32 : Op::NegF);
-      emit(O, static_cast<uint16_t>(D), static_cast<uint16_t>(S.Reg), 0, 0);
-      return {D, S.Kind};
+      return {pure(O, S.Reg, -1, 0), S.Kind};
     }
     }
     fail("unhandled expression kind");
@@ -518,12 +635,10 @@ private:
     if (E.BO == BinOp::And || E.BO == BinOp::Or) {
       int LR = convert(L.Reg, L.Kind, VK::I64);
       int RR = convert(R.Reg, R.Kind, VK::I64);
-      int D = newReg();
-      if (LR < 0 || RR < 0 || D < 0)
+      if (LR < 0 || RR < 0)
         return {};
-      emit(E.BO == BinOp::And ? Op::AndI : Op::OrI, static_cast<uint16_t>(D),
-           static_cast<uint16_t>(LR), static_cast<uint16_t>(RR), 0);
-      return {D, VK::I64};
+      return {pure(E.BO == BinOp::And ? Op::AndI : Op::OrI, LR, RR, 0),
+              VK::I64};
     }
 
     bool IsCmp = E.BO == BinOp::Eq || E.BO == BinOp::Ne ||
@@ -535,8 +650,7 @@ private:
     VK OpK = IsCmp && K == VK::F32 ? VK::F64 : K;
     int LR = convert(L.Reg, L.Kind, IsCmp ? OpK : K);
     int RR = convert(R.Reg, R.Kind, IsCmp ? OpK : K);
-    int D = newReg();
-    if (LR < 0 || RR < 0 || D < 0)
+    if (LR < 0 || RR < 0)
       return {};
 
     Op O;
@@ -579,20 +693,28 @@ private:
       fail("unhandled binary operator");
       return {};
     }
-    emit(O, static_cast<uint16_t>(D), static_cast<uint16_t>(LR),
-         static_cast<uint16_t>(RR), 0);
-    return {D, IsCmp ? VK::I64 : K};
+    return {pure(O, LR, RR, 0), IsCmp ? VK::I64 : K};
   }
 
-  /// Binds \p Name to a fresh mutable register holding \p V.
+  /// Binds \p Name to \p V. A local no Assign writes names V's register
+  /// itself (V must not be mutable); any other gets a register of its
+  /// own, written by a Move. An assigned local is varying, since an
+  /// assignment may happen under a varying branch.
   bool bindLocal(const std::string &Name, RV V, VK DeclKind) {
     int R = convert(V.Reg, V.Kind, DeclKind);
-    int Slot = newReg();
-    if (R < 0 || Slot < 0)
+    if (R < 0)
       return false;
-    emit(Op::Move, static_cast<uint16_t>(Slot), static_cast<uint16_t>(R), 0,
-         0);
-    Scopes.back()[Name] = LocalVar{Slot, DeclKind};
+    const bool Mut = assigned(Name);
+    if (!Mut && !Regs[R].Mutable) {
+      Scopes.back().Locals[Name] = LocalVar{R, DeclKind};
+      return true;
+    }
+    const bool U = !Mut && Regs[R].Uniform && !divergent();
+    int Slot = newReg(U, depth(), Mut);
+    if (Slot < 0)
+      return false;
+    emit(Op::Move, U, Slot, R, -1, 0);
+    Scopes.back().Locals[Name] = LocalVar{Slot, DeclKind};
     return true;
   }
 
@@ -610,7 +732,7 @@ private:
         if (!S.Value || S.Value->K != kir::ExprKind::Load || S.Name2.empty())
           return fail("wide let `" + S.Name + "` that is not a two-target "
                       "load");
-        int D0 = compileLoad2(S.Value->Ref, S.Value->Index);
+        int D0 = compileLoad(S.Value->Ref, S.Value->Index, /*Wide=*/true);
         if (D0 < 0)
           return false;
         VK K = vkOf(S.Value->Ref.Elem);
@@ -638,8 +760,7 @@ private:
       int R = convert(V.Reg, V.Kind, L->Kind);
       if (R < 0)
         return false;
-      emit(Op::Move, static_cast<uint16_t>(L->Reg), static_cast<uint16_t>(R),
-           0, 0);
+      emit(Op::Move, Regs[L->Reg].Uniform, L->Reg, R, -1, 0);
       return true;
     }
     case kir::StmtKind::Store:
@@ -652,60 +773,71 @@ private:
     case kir::StmtKind::If: {
       int L = compileNat(S.CondL);
       int R = compileNat(S.CondR);
-      int Cond = newReg();
-      if (L < 0 || R < 0 || Cond < 0)
+      int Cond = L < 0 || R < 0 ? -1 : pure(Op::LtI, L, R, 0);
+      if (Cond < 0)
         return false;
-      emit(Op::LtI, static_cast<uint16_t>(Cond), static_cast<uint16_t>(L),
-           static_cast<uint16_t>(R), 0);
-      size_t JzAt = C.Instrs.size();
-      emit(Op::Jz, static_cast<uint16_t>(Cond), 0, 0, 0);
-      Scopes.emplace_back();
+      // A uniform condition sends the whole group one way; a varying one
+      // splits it, and the branches are divergent.
+      const bool U = Regs[Cond].Uniform;
+      const bool Div = divergent() || !U;
+      const int Else = newLabel();
+      emit(Op::Jz, U, Cond, -1, -1, Else);
+      pushScope(Div, -1);
       bool Ok = compileStmts(S.Then);
-      Scopes.pop_back();
-      if (!Ok)
-        return false;
-      if (!S.Else.empty()) {
-        size_t JmpAt = C.Instrs.size();
-        emit(Op::Jmp, 0, 0, 0, 0);
-        C.Instrs[JzAt].Imm = static_cast<int32_t>(C.Instrs.size());
-        Scopes.emplace_back();
-        Ok = compileStmts(S.Else);
-        Scopes.pop_back();
-        if (!Ok)
-          return false;
-        C.Instrs[JmpAt].Imm = static_cast<int32_t>(C.Instrs.size());
-      } else {
-        C.Instrs[JzAt].Imm = static_cast<int32_t>(C.Instrs.size());
-      }
-      return true;
+      const int Join = S.Else.empty() ? -1 : newLabel();
+      if (Ok && Join >= 0)
+        emit(Op::Jmp, !Div, -1, -1, -1, Join);
+      popScope();
+      bindLabel(Else);
+      if (!Ok || Join < 0)
+        return Ok;
+      pushScope(Div, -1);
+      Ok = compileStmts(S.Else);
+      popScope();
+      bindLabel(Join);
+      return Ok;
     }
     case kir::StmtKind::For: {
-      Scopes.emplace_back();
+      // Bounds are evaluated once, before the loop (kir::verify keeps the
+      // loop variable out of them).
       int Lo = compileNat(S.Lo);
-      if (Lo < 0)
-        return false;
-      if (!bindLocal(S.Name, RV{Lo, VK::I64}, VK::I64))
-        return false;
-      int Var = lookupLocal(S.Name)->Reg;
       int Hi = compileNat(S.Hi); // loop-invariant: hoisted
       int One = constI(1);
-      int Cond = newReg();
-      if (Hi < 0 || One < 0 || Cond < 0)
+      if (Lo < 0 || Hi < 0 || One < 0)
         return false;
-      size_t Top = C.Instrs.size();
-      emit(Op::LtI, static_cast<uint16_t>(Cond), static_cast<uint16_t>(Var),
-           static_cast<uint16_t>(Hi), 0);
-      size_t JzAt = C.Instrs.size();
-      emit(Op::Jz, static_cast<uint16_t>(Cond), 0, 0, 0);
+      // Uniform bounds give every lane the same trip count unless the
+      // body assigns the counter. Outside any varying branch the counter
+      // is then uniform: its test, increment and arithmetic run once per
+      // iteration for the whole group.
+      const bool UniformTrip =
+          Regs[Lo].Uniform && Regs[Hi].Uniform && !assigned(S.Name);
+      const bool U = UniformTrip && !divergent();
+      int Var = newReg(U, depth() + 1, /*Mutable=*/true);
+      int Cond = newReg(U, depth() + 1);
+      if (Var < 0 || Cond < 0)
+        return false;
+      emit(Op::Move, U, Var, Lo, -1, 0);
+      int PreHeader = -1;
+      if (UniformTrip) {
+        newChunk();
+        PreHeader = static_cast<int>(Cur);
+      }
+      newChunk();
+      const int Top = newLabel(), Exit = newLabel();
+      bindLabel(Top);
+      pushScope(divergent() || !U, PreHeader);
+      Scopes.back().Locals[S.Name] = LocalVar{Var, VK::I64};
+      emit(Op::LtI, U, Cond, Var, Hi, 0);
+      emit(Op::Jz, U, Cond, -1, -1, Exit);
       bool Ok = compileStmts(S.Body);
-      if (!Ok)
-        return false;
-      emit(Op::AddI, static_cast<uint16_t>(Var), static_cast<uint16_t>(Var),
-           static_cast<uint16_t>(One), 0);
-      emit(Op::Jmp, 0, 0, 0, static_cast<int32_t>(Top));
-      C.Instrs[JzAt].Imm = static_cast<int32_t>(C.Instrs.size());
-      Scopes.pop_back();
-      return true;
+      if (Ok) {
+        emit(Op::AddI, U, Var, Var, One, 0);
+        emit(Op::Jmp, U, -1, -1, -1, Top);
+      }
+      popScope();
+      newChunk();
+      bindLabel(Exit);
+      return Ok;
     }
     case kir::StmtKind::Barrier:
       // Sim-target phase bodies never contain barriers: the phase boundary
@@ -892,7 +1024,7 @@ bool prepareHostFn(HostFnIR &F, const std::vector<VmKernel> &Kernels,
 void disasmCode(std::ostringstream &OS, const Code &C, const char *Indent) {
   for (size_t I = 0; I != C.Instrs.size(); ++I) {
     const Instr &In = C.Instrs[I];
-    OS << Indent << I << ": " << opName(In.K);
+    OS << Indent << I << ": " << (In.U ? "u " : "v ") << opName(In.K);
     if (In.K == Op::Jmp) {
       OS << " -> " << In.Imm << "\n";
       continue;
@@ -959,7 +1091,8 @@ void disasmNodes(std::ostringstream &OS, const std::vector<VmNode> &Nodes,
   for (const VmNode &N : Nodes) {
     if (N.K == VmNode::Straight) {
       OS << Ind << "phase #" << Phase++ << " (" << N.Body.Instrs.size()
-         << " instrs, " << N.Body.NumRegs << " regs)\n";
+         << " instrs, " << N.Body.NumRegs << " regs, " << N.Body.NumUniform
+         << " uniform)\n";
       disasmCode(OS, N.Body, (Ind + "  ").c_str());
       continue;
     }
@@ -1031,6 +1164,54 @@ const char *vm::opName(Op O) {
   case Op::RetVal: return "retval";
   }
   return "?";
+}
+
+OpShape vm::opShape(Op O) {
+  OpShape S;
+  switch (O) {
+  case Op::Const:
+  case Op::Coord:
+  case Op::Slot:
+    S.WritesA = true;
+    break;
+  case Op::LoadGlobal:
+  case Op::LoadShared:
+  case Op::LoadArena:
+  case Op::LoadGlobal2:
+  case Op::LoadShared2:
+    S.WritesA = S.ReadsB = S.Memory = true;
+    S.Wide = O == Op::LoadGlobal2 || O == Op::LoadShared2;
+    break;
+  case Op::StoreGlobal:
+  case Op::StoreShared:
+  case Op::StoreArena:
+  case Op::StoreGlobal2:
+  case Op::StoreShared2:
+    S.ReadsA = S.ReadsB = S.Memory = true;
+    S.Wide = O == Op::StoreGlobal2 || O == Op::StoreShared2;
+    break;
+  case Op::Move:
+  case Op::NotI:
+  case Op::NegI:
+  case Op::NegF:
+  case Op::NegF32:
+  case Op::I2F:
+  case Op::F2I:
+  case Op::F2F32:
+    S.WritesA = S.ReadsB = true;
+    break;
+  case Op::Jz:
+  case Op::RetVal:
+    S.ReadsA = true;
+    break;
+  case Op::Jmp:
+  case Op::Ret:
+    break;
+  default: // the binary arithmetic, comparison and logic ops
+    S.WritesA = S.ReadsB = S.ReadsC = true;
+    break;
+  }
+  return S;
 }
 
 size_t vm::scalarSize(ScalarKind K) {

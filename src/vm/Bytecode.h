@@ -19,9 +19,30 @@
 // Every Nat is resolved at compile time: literals fold into the constant
 // pool, coordinate variables (_bx/_tx/.../_lin) become Coord
 // instructions, enclosing PhaseLoop variables become Slot reads
-// (BlockCtx::loopVar), and hoisted index lets (LetIndex) become ordinary
-// i64 registers — the same resolution the C++ printers perform, but into
-// instructions instead of text.
+// (BlockCtx::loopVar), and hoisted index lets (LetIndex) name the
+// register of their value — the same resolution the C++ printers
+// perform, but into instructions instead of text.
+//
+// The executor runs a phase body for a group of lanes (threads) at once,
+// so vm::compile also decides which work is per lane. Every instruction
+// is marked uniform or varying (Instr::U), and every register is one or
+// the other (Code::NumUniform):
+// - uniform values are the same for every lane of a group: constants,
+//   _bx/_by/_bz, loop slots, the counter of a `for` whose bounds are
+//   uniform and that sits outside any `if` on a varying condition, and
+//   arithmetic on these. A uniform instruction runs once per group.
+//   Those that depend on no loop counter and cannot trap form a
+//   prologue ahead of the body;
+// - varying values differ per lane (_tx/_ty/_tz/_lin, loads and what is
+//   computed from them). A varying instruction runs once per running
+//   lane and reads its uniform operands by broadcast.
+// The compiler computes each coordinate or index term once per scope and
+// reuses it, and computes a term that does not change inside a
+// uniform-trip loop before the loop head. It never moves a value out of
+// an `if` on a varying condition (that would compute it for lanes that
+// skip the branch), and it moves only operations that cannot trap. The
+// marks are checked before every launch (vm::validateKernel), never
+// trusted.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,15 +128,32 @@ union Value {
 
 struct Instr {
   Op K = Op::Ret;
+  /// 1: uniform — runs once per lane group and touches only uniform
+  /// registers; 0: varying — runs once per running lane. Bytecode
+  /// without marks (all 0) runs every instruction per lane.
+  uint8_t U = 0;
   uint16_t A = 0, B = 0, C = 0;
   int32_t Imm = 0;
 };
+
+/// Which operands of an opcode name registers, and whether the
+/// instruction writes r[A] (wide accesses also touch r[A+1]). Memory
+/// operations have no uniform form: every lane performs its own access.
+struct OpShape {
+  bool WritesA = false, ReadsA = false, ReadsB = false, ReadsC = false;
+  bool Memory = false, Wide = false;
+};
+OpShape opShape(Op O);
 
 /// One executable code object: a phase body or a loop-bound program.
 struct Code {
   std::vector<Instr> Instrs;
   std::vector<Value> Consts;
   unsigned NumRegs = 0;
+  /// Registers [0, NumUniform) are uniform: one value per lane group,
+  /// written only by uniform instructions. The rest hold one value per
+  /// lane.
+  unsigned NumUniform = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -190,7 +228,8 @@ CompileVmResult compile(const Module &M, const kir::PassConfig &Passes = {});
 
 /// Human-readable listing of a compiled program (the `--emit=vm`
 /// artifact): per kernel the geometry, parameters and a disassembly of
-/// every phase body; per host function hostgen's listing of its IR.
+/// every phase body, each instruction marked `u` (uniform) or `v`
+/// (varying); per host function hostgen's listing of its IR.
 std::string disassemble(const CompiledProgram &P);
 
 /// Element size of a scalar kind in both the vm's buffers and the

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <type_traits>
 
 using namespace descend;
 using namespace descend::vm;
@@ -118,10 +119,11 @@ struct TrapState {
   bool tripped() const { return Tripped.load(std::memory_order_relaxed); }
 };
 
-/// Register budget of one lane group: NumRegs x G x sizeof(Value) stays
-/// within it, which bounds every worker's register scratch whatever the
-/// kernel. 256 KiB runs every kernel in kernels/ at full block width (the
-/// widest, matmul, needs 34 registers x 256 lanes).
+/// Register budget of one lane group: the varying registers x G x
+/// sizeof(Value) stay within it, which bounds every worker's register
+/// scratch whatever the kernel. 256 KiB runs every kernel in kernels/ at
+/// full block width (the widest, matmul, holds 13 varying registers
+/// x 256 lanes).
 constexpr size_t GroupRegBytes = 256 * 1024;
 
 struct KernelEnv {
@@ -132,19 +134,23 @@ struct KernelEnv {
   unsigned Threads = 0;    ///< threads per block
   /// threadIdx by linear thread id: the x plane, then y, then z.
   std::vector<uint32_t> ThreadIdx;
+  /// The launch's work (LaunchWork), when asked for: each lane group adds
+  /// its counts once, on its way out.
+  bool CountWork = false;
+  mutable std::atomic<uint64_t> Instrs{0}, LaneSteps{0};
 };
 
-/// Lanes per group for a code object of \p NumRegs registers: one while
-/// anything observes per-thread order — the race log, the bounds log, the
-/// counters' per-thread 32-bank grouping, the per-thread step budget —
-/// else the whole block, narrowed only to keep the register file within
-/// GroupRegBytes.
+/// Lanes per group for code \p C: one while anything observes per-thread
+/// order — the race log, the bounds log, the counters' per-thread 32-bank
+/// grouping, the per-thread step budget — else the whole block, narrowed
+/// only to keep the varying registers within GroupRegBytes.
 unsigned groupWidth(const KernelEnv &E, const sim::BlockCtx &B,
-                    unsigned NumRegs) {
+                    const Code &C) {
   if (B.Dev->raceDetection() || B.Dev->boundsChecking() || B.Counters ||
       E.StepBudget != 0)
     return 1;
-  const size_t Fit = GroupRegBytes / (sizeof(Value) * std::max(NumRegs, 1u));
+  const size_t Fit = GroupRegBytes /
+                     (sizeof(Value) * std::max(C.NumRegs - C.NumUniform, 1u));
   return static_cast<unsigned>(
       std::clamp<size_t>(Fit, 1, std::max(E.Threads, 1u)));
 }
@@ -152,23 +158,15 @@ unsigned groupWidth(const KernelEnv &E, const sim::BlockCtx &B,
 /// Per-worker scratch of the lane-group executor, reused across groups,
 /// phases and launches (runGroup re-zeroes the registers every time).
 struct GroupScratch {
-  std::vector<Value> Regs;   ///< lane-major: register r of lane L at r*G+L
+  /// The uniform registers, one value each, then the varying ones
+  /// lane-major: varying register r of lane L at NumUniform +
+  /// (r - NumUniform) * G + L.
+  std::vector<Value> Regs;
   std::vector<uint32_t> PCs; ///< per lane: parked pc, or LaneDone
   std::vector<uint32_t> Act; ///< lanes of the running group, ascending
 };
 
 constexpr uint32_t LaneDone = UINT32_MAX;
-
-/// True when elements [Idx, Idx + Span) of \p ES bytes starting at byte
-/// \p Base lie inside an arena of \p Bytes bytes. Compares the index with
-/// the room left after Base instead of forming the byte offset, which a
-/// large index would wrap back into range.
-bool inArena(long long Idx, size_t Span, size_t ES, size_t Base,
-             size_t Bytes) {
-  if (Idx < 0 || Base > Bytes)
-    return false;
-  return ES == 0 || static_cast<size_t>(Idx) + Span <= (Bytes - Base) / ES;
-}
 
 /// Trap text of a shared or arena access outside the block arena. \p Off
 /// is the byte offset as the access computed it; an index too large for
@@ -201,24 +199,170 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
   return Acc;
 }
 
+/// The element kind of the wide global accesses' typed path, as a
+/// compile-time constant: loadElem/storeElem fold their switch away for it.
+using F64Kind = std::integral_constant<ScalarKind, ScalarKind::F64>;
+
+/// The running lanes of a group: [Lo, Lo + NA) when Contig, else the NA
+/// ascending lanes listed in Act.
+struct LaneSet {
+  bool Contig;
+  unsigned Lo, NA;
+  const uint32_t *Act;
+};
+
+// The hot lane loops live in small functions of their own, out of line:
+// in the middle of the dispatch loop the compiler spills their operands
+// to the stack on every lane.
+
+/// r[A] = Fn(r[B], r[C]) for lanes \p S. A zero mask marks a uniform
+/// operand, read once. Contiguous lanes get plain loops over the register
+/// rows.
+template <typename FnT>
+[[gnu::noinline]] void laneBin(Value *Ra, const Value *Rb, size_t Mb,
+                               const Value *Rc, size_t Mc, LaneSet S,
+                               FnT Fn) {
+  if (!S.Contig) {
+    for (unsigned J = 0; J != S.NA; ++J) {
+      const unsigned L = S.Act[J];
+      Ra[L] = Fn(Rb[L & Mb], Rc[L & Mc]);
+    }
+    return;
+  }
+  Value *const A = Ra + S.Lo;
+  if (Mb && Mc) {
+    const Value *const B = Rb + S.Lo, *const C = Rc + S.Lo;
+    for (unsigned L = 0; L != S.NA; ++L)
+      A[L] = Fn(B[L], C[L]);
+  } else if (Mb) {
+    const Value *const B = Rb + S.Lo, Y = *Rc;
+    for (unsigned L = 0; L != S.NA; ++L)
+      A[L] = Fn(B[L], Y);
+  } else if (Mc) {
+    const Value X = *Rb, *const C = Rc + S.Lo;
+    for (unsigned L = 0; L != S.NA; ++L)
+      A[L] = Fn(X, C[L]);
+  } else {
+    const Value V = Fn(*Rb, *Rc);
+    for (unsigned L = 0; L != S.NA; ++L)
+      A[L] = V;
+  }
+}
+
+/// r[A] = elements r[B] of the f64 array at \p Base, for lanes \p S in
+/// order, up to the first index not below \p Room. Returns how many lanes
+/// it did.
+[[gnu::noinline]] unsigned loadF64(Value *Ra, const Value *Rb, size_t Mb,
+                                   const std::byte *Base, size_t Room,
+                                   LaneSet S) {
+  for (unsigned J = 0; J != S.NA; ++J) {
+    const unsigned L = S.Contig ? S.Lo + J : S.Act[J];
+    const size_t Idx = static_cast<size_t>(Rb[L & Mb].I);
+    if (Idx >= Room) [[unlikely]]
+      return J;
+    std::memcpy(&Ra[L].F, Base + Idx * 8, 8);
+  }
+  return S.NA;
+}
+
+/// The store twin of loadF64: elements r[B] = r[A].
+[[gnu::noinline]] unsigned storeF64(const Value *Ra, size_t Ma,
+                                    const Value *Rb, size_t Mb,
+                                    std::byte *Base, size_t Room,
+                                    LaneSet S) {
+  for (unsigned J = 0; J != S.NA; ++J) {
+    const unsigned L = S.Contig ? S.Lo + J : S.Act[J];
+    const size_t Idx = static_cast<size_t>(Rb[L & Mb].I);
+    if (Idx >= Room) [[unlikely]]
+      return J;
+    std::memcpy(Base + Idx * 8, &Ra[L & Ma].F, 8);
+  }
+  return S.NA;
+}
+
+/// Splits lanes \p S on r[A] == 0: the lanes whose answer is \p TakenRun
+/// stay and become \p S (written to Act in order unless they are
+/// contiguous); every lane's pc is set to \p ParkAt, since a lane that
+/// stays gets its pc rewritten before anything reads it. A split of
+/// contiguous lanes that keeps a contiguous range, like `_tx < k`, costs
+/// one fill and one scan.
+[[gnu::noinline]] void splitLanes(const Value *Ra, size_t Ma, bool TakenRun,
+                                  uint32_t ParkAt, LaneSet &S, uint32_t *Act,
+                                  uint32_t *PCs) {
+  unsigned Kept = 0;
+  if (S.Contig) {
+    std::fill(PCs + S.Lo, PCs + S.Lo + S.NA, ParkAt);
+    unsigned First = S.Lo, Last = S.Lo;
+    for (unsigned L = S.Lo; L != S.Lo + S.NA; ++L)
+      if ((Ra[L & Ma].I == 0) == TakenRun) {
+        First = Kept ? First : L;
+        Last = L;
+        ++Kept;
+      }
+    if (Kept == 0 || Last - First + 1 == Kept) {
+      S.Lo = First;
+      S.NA = Kept;
+      return;
+    }
+    for (unsigned L = S.Lo, J = 0; L != S.Lo + S.NA; ++L) {
+      Act[J] = L;
+      J += (Ra[L & Ma].I == 0) == TakenRun;
+    }
+  } else {
+    // Filtered in place; when no lane stays, the list is left as it was.
+    const uint32_t First = S.Act[0];
+    for (unsigned J = 0; J != S.NA; ++J) {
+      const unsigned L = S.Act[J];
+      Act[Kept] = L;
+      Kept += (Ra[L & Ma].I == 0) == TakenRun;
+      PCs[L] = ParkAt;
+    }
+    if (Kept == 0) {
+      Act[0] = First;
+      S.NA = 0;
+      return;
+    }
+  }
+  S.Contig = Kept != 0 && Act[Kept - 1] - Act[0] == Kept - 1;
+  S.Lo = Kept ? Act[0] : 0;
+  S.NA = Kept;
+}
+
 // Runs the statements once per lane L of the running group, in ascending
-// lane order.
-#define EACH_LANE(...)                                                         \
-  for (unsigned J = 0; J != NA; ++J) {                                         \
-    const unsigned L = Act[J];                                                 \
-    __VA_ARGS__                                                                \
+// lane order: over the range [Lo, Lo + NA) directly while the running
+// lanes are contiguous, else through the Act list.
+#define EACH_LANE(...) EACH_LANE_FROM(0, __VA_ARGS__)
+// The same from the \p From-th running lane on.
+#define EACH_LANE_FROM(From, ...)                                              \
+  if (Contig) {                                                                \
+    for (unsigned L = Lo + (From), LEnd = Lo + NA; L != LEnd; ++L) {           \
+      __VA_ARGS__                                                              \
+    }                                                                          \
+  } else {                                                                     \
+    for (unsigned J = (From); J != NA; ++J) {                                  \
+      const unsigned L = Act[J];                                               \
+      __VA_ARGS__                                                              \
+    }                                                                          \
   }
 
+// Case labels of the dispatch switch, which keys on opcode and mark.
+#define VARYING(OP) case static_cast<unsigned>(Op::OP) << 1
+#define UNIFORM(OP) case static_cast<unsigned>(Op::OP) << 1 | 1
+
 /// Runs code object \p C for the \p G threads of block \p B with linear
-/// ids [First, First + G), dispatching each instruction once for every
-/// lane of the running group. The running lanes always sit at the lowest
-/// pc of the group ("min-pc" reconvergence): a Jz that splits them lets
-/// the side at the lower pc run on and parks the other; when the runners
+/// ids [First, First + G). A uniform instruction runs once for the group;
+/// a varying one once for every lane of the running group, reading
+/// uniform operands by broadcast. The running lanes always sit at the
+/// lowest pc of the group ("min-pc" reconvergence): a varying Jz that
+/// splits them lets the side at the lower pc run on and parks the other
+/// (or retires it, when that side starts at a `ret`); when the runners
 /// reach the lowest parked pc, or jump past it, the lanes parked there
 /// take over, and lanes whose pcs meet run as one group again. Every lane
 /// thus executes exactly the instruction sequence it would alone; only
 /// the interleaving between lanes differs, which a race-free phase cannot
-/// observe. Returns false if a trap tripped. \p RetOut receives lane 0's
+/// observe. A uniform instruction that writes while any lane is parked
+/// traps: its register would change under lanes that have not reached
+/// it. Returns false if a trap tripped. \p RetOut receives lane 0's
 /// RetVal result (bound programs run at G = 1).
 ///
 /// Cache-line aligned because the dispatch loop's speed depends on where
@@ -229,7 +373,8 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
                                    const sim::BlockCtx &B, unsigned First,
                                    unsigned G, long long *RetOut) {
   thread_local GroupScratch S;
-  const size_t NumValues = static_cast<size_t>(C.NumRegs) * G;
+  const unsigned NU = C.NumUniform;
+  const size_t NumValues = NU + static_cast<size_t>(C.NumRegs - NU) * G;
   if (S.Regs.size() < NumValues)
     S.Regs.resize(NumValues);
   if (NumValues != 0)
@@ -242,21 +387,31 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
 
   const Instr *Ins = C.Instrs.data();
   const uint32_t N = static_cast<uint32_t>(C.Instrs.size());
-  // The running group: NA lanes listed in Act, all at PC. Every other lane
-  // is parked at its pc in PCs or has finished (LaneDone); Limit is the
-  // lowest parked pc, N if none.
-  unsigned NA = G;
-  for (unsigned L = 0; L != G; ++L)
-    Act[L] = L;
+  // The running group: NA lanes listed in Act, all at PC; Contig when
+  // they are the range [Lo, Lo + NA). Every other lane is parked at its
+  // pc in PCs or has finished (LaneDone); Limit is the lowest parked pc,
+  // N if none.
+  // Act is read only while the running lanes are not contiguous, and
+  // every step that makes them so (a split, a hand-over) writes it first.
+  unsigned NA = G, Lo = 0;
+  bool Contig = true;
   uint32_t PC = 0, Limit = N;
+  auto SetRange = [&] {
+    Lo = NA ? Act[0] : 0;
+    Contig = NA == 0 || Act[NA - 1] - Act[0] == NA - 1;
+  };
+  auto Lanes = [&] { return LaneSet{Contig, Lo, NA, Act}; };
+  // Lanes that continue at \p At finish there when it is the end or a
+  // `ret`.
+  auto Retires = [&](uint32_t At) { return At >= N || Ins[At].K == Op::Ret; };
 
-  // The running lanes park at \p At (N or beyond: they finish) and the
+  // The running lanes park at \p At (or finish, see Retires) and the
   // lanes parked at Limit run next, joined by the runners if At == Limit.
   // False once no lane is left.
   auto HandOver = [&](uint32_t At) {
     if (Limit >= N)
       return false;
-    const uint32_t ParkAt = At >= N ? LaneDone : At;
+    const uint32_t ParkAt = Retires(At) ? LaneDone : At;
     EACH_LANE(PCs[L] = ParkAt;)
     PC = Limit;
     NA = 0;
@@ -267,9 +422,15 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
       else
         Limit = std::min(Limit, PCs[L]);
     }
+    SetRange();
     return true;
   };
-  auto Reg = [&](uint16_t Ix) { return R + static_cast<size_t>(Ix) * G; };
+  // Register Ix and the lane mask its reads use: all lanes of a varying
+  // register, the one value of a uniform register for every lane.
+  auto Reg = [&](uint16_t Ix) {
+    return Ix < NU ? R + Ix : R + NU + static_cast<size_t>(Ix - NU) * G;
+  };
+  auto Mask = [&](uint16_t Ix) { return Ix < NU ? size_t(0) : ~size_t(0); };
   auto Trap = [&](const std::string &Msg) {
     E.Trap.trip("in kernel `" + E.K.Name + "`: " + Msg);
     return false;
@@ -285,7 +446,18 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
   // instead of hanging the pool worker forever. A budget forces G = 1,
   // so every dispatch is one thread's step.
   const uint64_t Budget = E.StepBudget;
-  uint64_t Steps = 0;
+  // Work done by this group, added to the launch's once on the way out.
+  uint64_t Dispatched = 0, LaneSteps = 0;
+  struct FlushWork {
+    const KernelEnv &E;
+    const uint64_t &Dispatched, &LaneSteps;
+    ~FlushWork() {
+      if (E.CountWork) {
+        E.Instrs.fetch_add(Dispatched, std::memory_order_relaxed);
+        E.LaneSteps.fetch_add(LaneSteps, std::memory_order_relaxed);
+      }
+    }
+  } Flush{E, Dispatched, LaneSteps};
 
   for (;;) {
     if (PC >= Limit) [[unlikely]] {
@@ -295,7 +467,7 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
         return true;
       continue;
     }
-    if (Budget && ++Steps > Budget) [[unlikely]] {
+    if (Budget && Dispatched >= Budget) [[unlikely]] {
       E.Trap.trip("in kernel `" + E.K.Name + "`: step budget of " +
                       std::to_string(Budget) +
                       " instructions exceeded (watchdog steps=" +
@@ -304,14 +476,34 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
       return false;
     }
     const Instr &I = Ins[PC++];
-    switch (I.K) {
-    case Op::Const: {
+    ++Dispatched;
+    LaneSteps += I.U ? 1 : NA;
+    // A uniform write while lanes are parked would leak a value between
+    // lanes: only a mis-marked artifact gets here.
+#define UNIFORM_WRITE                                                          \
+  if (Limit != N) [[unlikely]]                                                 \
+    return Trap(std::string("uniform ") + opName(I.K) + " at pc " +            \
+                std::to_string(PC - 1) +                                       \
+                " writes while lanes are parked (corrupted bytecode?)");
+    switch (static_cast<unsigned>(I.K) << 1 | I.U) {
+    UNIFORM(Const):
+      UNIFORM_WRITE
+      R[I.A] = C.Consts[I.Imm];
+      break;
+    VARYING(Const): {
       Value *Ra = Reg(I.A);
       const Value V = C.Consts[I.Imm];
       EACH_LANE(Ra[L] = V;)
       break;
     }
-    case Op::Coord: {
+    UNIFORM(Coord):
+      UNIFORM_WRITE
+      if (I.Imm < 0 || I.Imm > 2) // lane coordinates are varying
+        return Trap("uniform coord " + std::to_string(I.Imm) + " at pc " +
+                    std::to_string(PC - 1) + " (corrupted bytecode?)");
+      R[I.A].I = I.Imm == 0 ? B.X : I.Imm == 1 ? B.Y : B.Z;
+      break;
+    VARYING(Coord): {
       Value *Ra = Reg(I.A);
       if (I.Imm >= 3 && I.Imm <= 5) {
         const uint32_t *Idx = E.ThreadIdx.data() +
@@ -326,21 +518,27 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
       }
       break;
     }
-    case Op::Slot: {
+    UNIFORM(Slot):
+      UNIFORM_WRITE
+      R[I.A].I = B.loopVar(static_cast<unsigned>(I.Imm));
+      break;
+    VARYING(Slot): {
       Value *Ra = Reg(I.A);
       const long long V = B.loopVar(static_cast<unsigned>(I.Imm));
       EACH_LANE(Ra[L].I = V;)
       break;
     }
-    case Op::Move: {
-      Value *Ra = Reg(I.A);
-      const Value *Rb = Reg(I.B);
-      EACH_LANE(Ra[L] = Rb[L];)
+    UNIFORM(Move):
+      UNIFORM_WRITE
+      R[I.A] = R[I.B];
       break;
-    }
+    VARYING(Move):
+      laneBin(Reg(I.A), Reg(I.B), Mask(I.B), Reg(I.B), Mask(I.B), Lanes(),
+              [](Value X, Value) { return X; });
+      break;
 
-    case Op::LoadGlobal:
-    case Op::StoreGlobal: {
+    VARYING(LoadGlobal):
+    VARYING(StoreGlobal): {
       const DevBuf &D = E.Bufs[I.Imm];
       std::byte *const Data = D.Data;
       const size_t Count = D.Count;
@@ -348,261 +546,350 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
       const ScalarKind EK = static_cast<ScalarKind>(I.C);
       Value *Ra = Reg(I.A);
       const Value *Rb = Reg(I.B);
-      EACH_LANE(
-        const long long Idx = Rb[L].I;
-        // Replicates GpuDevice::Buffer<T>::load/store: count and log
-        // first, then bounds-check. A negative index wraps to a huge
-        // size_t exactly like the size_t parameter of Buffer::load would.
-        if (Watch) [[unlikely]] {
-          if (B.Counters)
-            B.Counters->countGlobal(Write);
-          if (B.Dev->raceDetection())
-            B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
-        }
-        if (Idx < 0 || static_cast<size_t>(Idx) >= Count) [[unlikely]] {
-          if (B.Dev->boundsChecking()) {
-            B.Dev->logBounds(D.Id, static_cast<size_t>(Idx), Count);
-            if (!Write)
-              Ra[L] = Value{}; // Buffer::load returns T{} on OOB
-            continue;
+      const size_t Ma = Mask(I.A), Mb = Mask(I.B);
+      // The typed f64 path: nothing to count or log, and an index out of
+      // range leaves it for the general loop below, which replays that
+      // lane and continues from there.
+      unsigned Done = 0;
+      if (!Watch && EK == ScalarKind::F64) {
+        Done = Write ? storeF64(Ra, Ma, Rb, Mb, Data, Count, Lanes())
+                     : loadF64(Ra, Rb, Mb, Data, Count, Lanes());
+        if (Done == NA)
+          break;
+      }
+      auto Access = [&](auto EK) __attribute__((always_inline)) {
+        EACH_LANE_FROM(Done,
+          const long long Idx = Rb[L & Mb].I;
+          // Replicates GpuDevice::Buffer<T>::load/store: count and log
+          // first, then bounds-check. A negative index wraps to a huge
+          // size_t exactly like the size_t parameter of Buffer::load would.
+          if (Watch) [[unlikely]] {
+            if (B.Counters)
+              B.Counters->countGlobal(Write);
+            if (B.Dev->raceDetection())
+              B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
           }
-          // The generated C++ would fault undefined here; trap instead.
-          return Trap("global buffer `" + E.K.Params[I.Imm].Name +
-                      "` index " + std::to_string(Idx) +
-                      " out of range [0, " + std::to_string(Count) + ")");
-        }
-        if (Write)
-          storeElem(Data, EK, static_cast<size_t>(Idx), Ra[L]);
-        else
-          Ra[L] = loadElem(Data, EK, static_cast<size_t>(Idx));
-      )
+          if (static_cast<size_t>(Idx) >= Count) [[unlikely]] {
+            if (B.Dev->boundsChecking()) {
+              B.Dev->logBounds(D.Id, static_cast<size_t>(Idx), Count);
+              if (!Write)
+                Ra[L] = Value{}; // Buffer::load returns T{} on OOB
+              continue;
+            }
+            // The generated C++ would fault undefined here; trap instead.
+            return Trap("global buffer `" + E.K.Params[I.Imm].Name +
+                        "` index " + std::to_string(Idx) +
+                        " out of range [0, " + std::to_string(Count) + ")");
+          }
+          if (Write)
+            storeElem(Data, EK, static_cast<size_t>(Idx), Ra[L & Ma]);
+          else
+            Ra[L] = loadElem(Data, EK, static_cast<size_t>(Idx));
+        )
+        return true;
+      };
+      if (!Access(EK))
+        return false;
       break;
     }
 
-    case Op::LoadGlobal2:
-    case Op::StoreGlobal2: {
+    VARYING(LoadGlobal2):
+    VARYING(StoreGlobal2): {
       const DevBuf &D = E.Bufs[I.Imm];
       std::byte *const Data = D.Data;
       const size_t Count = D.Count;
       const bool Write = I.K == Op::StoreGlobal2;
-      const ScalarKind EK = static_cast<ScalarKind>(I.C);
-      Value *Ra = Reg(I.A), *Ra1 = Ra + G;
+      Value *Ra = Reg(I.A), *Ra1 = Reg(I.A + 1);
       const Value *Rb = Reg(I.B);
-      EACH_LANE(
-        const long long Idx = Rb[L].I;
-        const size_t At = static_cast<size_t>(Idx);
-        // Replicates Buffer<T>::load2/store2: ONE counted transaction for
-        // the fused pair, both elements race-logged, bounds through Idx+1.
-        if (Watch) [[unlikely]] {
-          if (B.Counters)
-            B.Counters->countGlobal(Write);
-          if (B.Dev->raceDetection()) {
-            B.Dev->logAccess(B, D.Id, At, Write);
-            B.Dev->logAccess(B, D.Id, At + 1, Write);
+      const size_t Ma = Mask(I.A), Ma1 = Mask(I.A + 1), Mb = Mask(I.B);
+      auto Access = [&](auto EK) __attribute__((always_inline)) {
+        EACH_LANE(
+          const long long Idx = Rb[L & Mb].I;
+          const size_t At = static_cast<size_t>(Idx);
+          // Replicates Buffer<T>::load2/store2: ONE counted transaction
+          // for the fused pair, both elements race-logged, bounds through
+          // Idx+1.
+          if (Watch) [[unlikely]] {
+            if (B.Counters)
+              B.Counters->countGlobal(Write);
+            if (B.Dev->raceDetection()) {
+              B.Dev->logAccess(B, D.Id, At, Write);
+              B.Dev->logAccess(B, D.Id, At + 1, Write);
+            }
           }
-        }
-        if (Idx < 0 || At + 1 >= Count) [[unlikely]] {
-          if (B.Dev->boundsChecking()) {
-            B.Dev->logBounds(D.Id, At + 1, Count);
-            if (!Write)
-              Ra[L] = Ra1[L] = Value{};
-            continue;
+          if (Idx < 0 || At + 1 >= Count) [[unlikely]] {
+            if (B.Dev->boundsChecking()) {
+              B.Dev->logBounds(D.Id, At + 1, Count);
+              if (!Write)
+                Ra[L] = Ra1[L] = Value{};
+              continue;
+            }
+            return Trap("global buffer `" + E.K.Params[I.Imm].Name +
+                        "` wide index " + std::to_string(Idx) +
+                        " out of range [0, " + std::to_string(Count) + ")");
           }
-          return Trap("global buffer `" + E.K.Params[I.Imm].Name +
-                      "` wide index " + std::to_string(Idx) +
-                      " out of range [0, " + std::to_string(Count) + ")");
-        }
-        if (Write) {
-          storeElem(Data, EK, At, Ra[L]);
-          storeElem(Data, EK, At + 1, Ra1[L]);
-        } else {
-          Ra[L] = loadElem(Data, EK, At);
-          Ra1[L] = loadElem(Data, EK, At + 1);
-        }
-      )
+          if (Write) {
+            storeElem(Data, EK, At, Ra[L & Ma]);
+            storeElem(Data, EK, At + 1, Ra1[L & Ma1]);
+          } else {
+            Ra[L] = loadElem(Data, EK, At);
+            Ra1[L] = loadElem(Data, EK, At + 1);
+          }
+        )
+        return true;
+      };
+      const ScalarKind EK = static_cast<ScalarKind>(I.C);
+      if (!(EK == ScalarKind::F64 ? Access(F64Kind{}) : Access(EK)))
+        return false;
       break;
     }
 
-    case Op::LoadShared:
-    case Op::StoreShared:
-    case Op::LoadArena:
-    case Op::StoreArena: {
-      const bool Write = I.K == Op::StoreShared || I.K == Op::StoreArena;
+    VARYING(LoadShared):
+    VARYING(StoreShared):
+    VARYING(LoadArena):
+    VARYING(StoreArena):
+    VARYING(LoadShared2):
+    VARYING(StoreShared2): {
+      const bool Write = I.K == Op::StoreShared || I.K == Op::StoreArena ||
+                         I.K == Op::StoreShared2;
       const bool Arena = I.K == Op::LoadArena || I.K == Op::StoreArena;
+      const bool Wide = I.K == Op::LoadShared2 || I.K == Op::StoreShared2;
       const ScalarKind EK = static_cast<ScalarKind>(I.C);
       const size_t ES = scalarSize(EK);
       const size_t Base =
           static_cast<size_t>(I.Imm) + (Arena ? E.K.LocalsBase : 0);
-      Value *Ra = Reg(I.A);
+      // Elements [Idx, Idx + Span) lie inside the arena iff Idx < Room:
+      // the room left after Base, counted once per dispatch. Comparing
+      // the index (not the byte offset, which a large index would wrap
+      // back into range) keeps every out-of-range index out.
+      const size_t Span = Wide ? 2 : 1;
+      const size_t Elems = Base > SharedBytes ? 0
+                           : ES == 0          ? size_t(1) << 63
+                                              : (SharedBytes - Base) / ES;
+      const size_t Room = ES == 0 ? Elems : Elems >= Span ? Elems - Span + 1 : 0;
+      Value *Ra = Reg(I.A), *Ra1 = Reg(I.A + (Wide ? 1 : 0));
       const Value *Rb = Reg(I.B);
-      EACH_LANE(
-        const long long Idx = Rb[L].I;
-        const size_t Off = Base + static_cast<size_t>(Idx) * ES;
-        // sharedLoad/sharedStore count and log the byte offset; arena
-        // (spill) slots are per-thread-private and stay uncounted and
-        // unlogged, like BlockCtx::shared.
-        if (Watch && !Arena) [[unlikely]] {
-          if (B.Counters)
-            B.Counters->countShared(Off, Write, B.CurThread);
-          if (B.Dev->raceDetection())
-            B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
-        }
-        if (!inArena(Idx, 1, ES, Base, SharedBytes)) [[unlikely]]
-          return Trap(arenaFault(Arena ? "arena" : "shared", Idx, ES, Base,
-                                 Off, SharedBytes));
-        if (Write)
-          storeElem(Shared + Off, EK, 0, Ra[L]);
-        else
-          Ra[L] = loadElem(Shared + Off, EK, 0);
-      )
-      break;
-    }
-
-    case Op::LoadShared2:
-    case Op::StoreShared2: {
-      const bool Write = I.K == Op::StoreShared2;
-      const ScalarKind EK = static_cast<ScalarKind>(I.C);
-      const size_t ES = scalarSize(EK);
-      const size_t Base = static_cast<size_t>(I.Imm);
-      Value *Ra = Reg(I.A), *Ra1 = Ra + G;
-      const Value *Rb = Reg(I.B);
-      EACH_LANE(
-        const long long Idx = Rb[L].I;
-        const size_t Off = Base + static_cast<size_t>(Idx) * ES;
-        // Replicates sharedLoad2/sharedStore2: ONE counted transaction at
-        // the first element's byte offset, both elements race-logged.
-        if (Watch) [[unlikely]] {
-          if (B.Counters)
-            B.Counters->countShared(Off, Write, B.CurThread);
-          if (B.Dev->raceDetection()) {
-            B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
-            B.Dev->logAccess(B, B.SharedBufferId, Off + ES, Write);
+      const size_t Ma = Mask(I.A), Ma1 = Mask(I.A + (Wide ? 1 : 0)),
+                   Mb = Mask(I.B);
+      // The typed f64 path of scalar accesses with nothing to count or
+      // log; the general loop below replays a lane out of range and traps.
+      unsigned Done = 0;
+      if ((!Watch || Arena) && !Wide && EK == ScalarKind::F64) {
+        std::byte *const At = Shared + (Room ? Base : 0);
+        Done = Write ? storeF64(Ra, Ma, Rb, Mb, At, Room, Lanes())
+                     : loadF64(Ra, Rb, Mb, At, Room, Lanes());
+        if (Done == NA)
+          break;
+      }
+      auto Access = [&](auto EK) __attribute__((always_inline)) {
+        EACH_LANE_FROM(Done,
+          const long long Idx = Rb[L & Mb].I;
+          // sharedLoad/sharedStore count and log the byte offset; wide
+          // accesses count one transaction at the first element and log
+          // both. Arena (spill) slots are per-thread-private and stay
+          // uncounted and unlogged, like BlockCtx::shared.
+          if (Watch && !Arena) [[unlikely]] {
+            const size_t Off = Base + static_cast<size_t>(Idx) * ES;
+            if (B.Counters)
+              B.Counters->countShared(Off, Write, B.CurThread);
+            if (B.Dev->raceDetection()) {
+              B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
+              if (Wide)
+                B.Dev->logAccess(B, B.SharedBufferId, Off + ES, Write);
+            }
           }
-        }
-        if (!inArena(Idx, 2, ES, Base, SharedBytes)) [[unlikely]]
-          return Trap(arenaFault("shared wide", Idx, ES, Base, Off,
-                                 SharedBytes));
-        if (Write) {
-          storeElem(Shared + Off, EK, 0, Ra[L]);
-          storeElem(Shared + Off + ES, EK, 0, Ra1[L]);
-        } else {
-          Ra[L] = loadElem(Shared + Off, EK, 0);
-          Ra1[L] = loadElem(Shared + Off + ES, EK, 0);
-        }
-      )
+          if (static_cast<size_t>(Idx) >= Room) [[unlikely]]
+            return Trap(arenaFault(Arena ? "arena"
+                                   : Wide ? "shared wide"
+                                          : "shared",
+                                   Idx, ES, Base,
+                                   Base + static_cast<size_t>(Idx) * ES,
+                                   SharedBytes));
+          std::byte *const At = Shared + Base;
+          if (Write) {
+            storeElem(At, EK, static_cast<size_t>(Idx), Ra[L & Ma]);
+            if (Wide)
+              storeElem(At, EK, static_cast<size_t>(Idx) + 1, Ra1[L & Ma1]);
+          } else {
+            Ra[L] = loadElem(At, EK, static_cast<size_t>(Idx));
+            if (Wide)
+              Ra1[L] = loadElem(At, EK, static_cast<size_t>(Idx) + 1);
+          }
+        )
+        return true;
+      };
+      if (!Access(EK))
+        return false;
       break;
     }
 
-#define LANE_BIN(OPNAME, FIELD, EXPR)                                          \
-  case Op::OPNAME: {                                                           \
-    Value *Ra = Reg(I.A);                                                      \
-    const Value *Rb = Reg(I.B), *Rc = Reg(I.C);                                \
-    EACH_LANE(Ra[L].FIELD = (EXPR);)                                           \
+// One case per mark: r[A].FIELD = EXPR over the operand values X = r[B]
+// and Y = r[C].
+#define BIN(OPNAME, FIELD, EXPR)                                               \
+  UNIFORM(OPNAME) : {                                                          \
+    UNIFORM_WRITE                                                              \
+    const Value X = R[I.B], Y = R[I.C];                                        \
+    R[I.A].FIELD = (EXPR);                                                     \
     break;                                                                     \
-  }
-#define LANE_UN(OPNAME, FIELD, EXPR)                                           \
-  case Op::OPNAME: {                                                           \
-    Value *Ra = Reg(I.A);                                                      \
-    const Value *Rb = Reg(I.B);                                                \
-    EACH_LANE(Ra[L].FIELD = (EXPR);)                                           \
+  }                                                                            \
+  VARYING(OPNAME) :                                                            \
+    laneBin(Reg(I.A), Reg(I.B), Mask(I.B), Reg(I.C), Mask(I.C), Lanes(),       \
+            [](Value X, Value Y) {                                             \
+              Value Out;                                                       \
+              Out.FIELD = (EXPR);                                              \
+              return Out;                                                      \
+            });                                                                \
+    break;
+#define UN(OPNAME, FIELD, EXPR)                                                \
+  UNIFORM(OPNAME) : {                                                          \
+    UNIFORM_WRITE                                                              \
+    const Value X = R[I.B];                                                    \
+    R[I.A].FIELD = (EXPR);                                                     \
     break;                                                                     \
-  }
+  }                                                                            \
+  VARYING(OPNAME) :                                                            \
+    laneBin(Reg(I.A), Reg(I.B), Mask(I.B), Reg(I.B), Mask(I.B), Lanes(),       \
+            [](Value X, Value) {                                               \
+              Value Out;                                                       \
+              Out.FIELD = (EXPR);                                              \
+              return Out;                                                      \
+            });                                                                \
+    break;
 
-      LANE_BIN(AddI, I, Rb[L].I + Rc[L].I)
-      LANE_BIN(SubI, I, Rb[L].I - Rc[L].I)
-      LANE_BIN(MulI, I, Rb[L].I * Rc[L].I)
-    case Op::DivI:
-    case Op::ModI: {
+      BIN(AddI, I, X.I + Y.I)
+      BIN(SubI, I, X.I - Y.I)
+      BIN(MulI, I, X.I * Y.I)
+
+    UNIFORM(DivI):
+    UNIFORM(ModI): {
+      UNIFORM_WRITE
+      const bool Div = I.K == Op::DivI;
+      const long long Y = R[I.C].I;
+      if (Y == 0)
+        return Trap(Div ? "integer division by zero"
+                        : "integer modulo by zero");
+      R[I.A].I = Div ? R[I.B].I / Y : R[I.B].I % Y;
+      break;
+    }
+    VARYING(DivI):
+    VARYING(ModI): {
       const bool Div = I.K == Op::DivI;
       Value *Ra = Reg(I.A);
       const Value *Rb = Reg(I.B), *Rc = Reg(I.C);
+      const size_t Mb = Mask(I.B), Mc = Mask(I.C);
       EACH_LANE(
-        const long long Y = Rc[L].I;
+        const long long Y = Rc[L & Mc].I;
         if (Y == 0)
           return Trap(Div ? "integer division by zero"
                           : "integer modulo by zero");
-        Ra[L].I = Div ? Rb[L].I / Y : Rb[L].I % Y;
+        Ra[L].I = Div ? Rb[L & Mb].I / Y : Rb[L & Mb].I % Y;
       )
       break;
     }
-    case Op::PowI: {
+    UNIFORM(PowI):
+      UNIFORM_WRITE
+      if (R[I.C].I < 0)
+        return Trap("negative exponent in nat power");
+      R[I.A].I = static_cast<long long>(powWrap(
+          static_cast<uint64_t>(R[I.B].I), static_cast<uint64_t>(R[I.C].I)));
+      break;
+    VARYING(PowI): {
       Value *Ra = Reg(I.A);
       const Value *Rb = Reg(I.B), *Rc = Reg(I.C);
+      const size_t Mb = Mask(I.B), Mc = Mask(I.C);
       EACH_LANE(
-        if (Rc[L].I < 0)
+        if (Rc[L & Mc].I < 0)
           return Trap("negative exponent in nat power");
-        Ra[L].I = static_cast<long long>(powWrap(
-            static_cast<uint64_t>(Rb[L].I), static_cast<uint64_t>(Rc[L].I)));
+        Ra[L].I = static_cast<long long>(
+            powWrap(static_cast<uint64_t>(Rb[L & Mb].I),
+                    static_cast<uint64_t>(Rc[L & Mc].I)));
       )
       break;
     }
 
-      LANE_BIN(AddF, F, Rb[L].F + Rc[L].F)
-      LANE_BIN(SubF, F, Rb[L].F - Rc[L].F)
-      LANE_BIN(MulF, F, Rb[L].F * Rc[L].F)
-      LANE_BIN(DivF, F, Rb[L].F / Rc[L].F)
-      LANE_BIN(AddF32, F, static_cast<double>(f32(Rb[L].F) + f32(Rc[L].F)))
-      LANE_BIN(SubF32, F, static_cast<double>(f32(Rb[L].F) - f32(Rc[L].F)))
-      LANE_BIN(MulF32, F, static_cast<double>(f32(Rb[L].F) * f32(Rc[L].F)))
-      LANE_BIN(DivF32, F, static_cast<double>(f32(Rb[L].F) / f32(Rc[L].F)))
+      BIN(AddF, F, X.F + Y.F)
+      BIN(SubF, F, X.F - Y.F)
+      BIN(MulF, F, X.F * Y.F)
+      BIN(DivF, F, X.F / Y.F)
+      BIN(AddF32, F, static_cast<double>(f32(X.F) + f32(Y.F)))
+      BIN(SubF32, F, static_cast<double>(f32(X.F) - f32(Y.F)))
+      BIN(MulF32, F, static_cast<double>(f32(X.F) * f32(Y.F)))
+      BIN(DivF32, F, static_cast<double>(f32(X.F) / f32(Y.F)))
 
-      LANE_BIN(LtI, I, Rb[L].I < Rc[L].I ? 1 : 0)
-      LANE_BIN(LeI, I, Rb[L].I <= Rc[L].I ? 1 : 0)
-      LANE_BIN(GtI, I, Rb[L].I > Rc[L].I ? 1 : 0)
-      LANE_BIN(GeI, I, Rb[L].I >= Rc[L].I ? 1 : 0)
-      LANE_BIN(EqI, I, Rb[L].I == Rc[L].I ? 1 : 0)
-      LANE_BIN(NeI, I, Rb[L].I != Rc[L].I ? 1 : 0)
-      LANE_BIN(LtF, I, Rb[L].F < Rc[L].F ? 1 : 0)
-      LANE_BIN(LeF, I, Rb[L].F <= Rc[L].F ? 1 : 0)
-      LANE_BIN(GtF, I, Rb[L].F > Rc[L].F ? 1 : 0)
-      LANE_BIN(GeF, I, Rb[L].F >= Rc[L].F ? 1 : 0)
-      LANE_BIN(EqF, I, Rb[L].F == Rc[L].F ? 1 : 0)
-      LANE_BIN(NeF, I, Rb[L].F != Rc[L].F ? 1 : 0)
+      BIN(LtI, I, X.I < Y.I ? 1 : 0)
+      BIN(LeI, I, X.I <= Y.I ? 1 : 0)
+      BIN(GtI, I, X.I > Y.I ? 1 : 0)
+      BIN(GeI, I, X.I >= Y.I ? 1 : 0)
+      BIN(EqI, I, X.I == Y.I ? 1 : 0)
+      BIN(NeI, I, X.I != Y.I ? 1 : 0)
+      BIN(LtF, I, X.F < Y.F ? 1 : 0)
+      BIN(LeF, I, X.F <= Y.F ? 1 : 0)
+      BIN(GtF, I, X.F > Y.F ? 1 : 0)
+      BIN(GeF, I, X.F >= Y.F ? 1 : 0)
+      BIN(EqF, I, X.F == Y.F ? 1 : 0)
+      BIN(NeF, I, X.F != Y.F ? 1 : 0)
 
-      LANE_BIN(AndI, I, (Rb[L].I != 0 && Rc[L].I != 0) ? 1 : 0)
-      LANE_BIN(OrI, I, (Rb[L].I != 0 || Rc[L].I != 0) ? 1 : 0)
-      LANE_UN(NotI, I, Rb[L].I == 0 ? 1 : 0)
-      LANE_UN(NegI, I, -Rb[L].I)
-      LANE_UN(NegF, F, -Rb[L].F)
-      LANE_UN(NegF32, F, static_cast<double>(-f32(Rb[L].F)))
-      LANE_UN(I2F, F, static_cast<double>(Rb[L].I))
-      LANE_UN(F2I, I, static_cast<long long>(Rb[L].F))
-      LANE_UN(F2F32, F, static_cast<double>(f32(Rb[L].F)))
+      BIN(AndI, I, (X.I != 0 && Y.I != 0) ? 1 : 0)
+      BIN(OrI, I, (X.I != 0 || Y.I != 0) ? 1 : 0)
+      UN(NotI, I, X.I == 0 ? 1 : 0)
+      UN(NegI, I, -X.I)
+      UN(NegF, F, -X.F)
+      UN(NegF32, F, static_cast<double>(-f32(X.F)))
+      UN(I2F, F, static_cast<double>(X.I))
+      UN(F2I, I, static_cast<long long>(X.F))
+      UN(F2F32, F, static_cast<double>(f32(X.F)))
 
-#undef LANE_BIN
-#undef LANE_UN
+#undef BIN
+#undef UN
+#undef UNIFORM_WRITE
 
-    case Op::Jmp:
+    UNIFORM(Jmp):
+    VARYING(Jmp):
       PC = static_cast<uint32_t>(I.Imm);
       break;
-    case Op::Jz: {
-      const Value *Ra = Reg(I.A);
-      unsigned Taken = 0;
-      EACH_LANE(Taken += Ra[L].I == 0;)
-      if (Taken == NA) {
+    UNIFORM(Jz):
+      // A uniform condition sends every running lane the same way.
+      if (R[I.A].I == 0)
         PC = static_cast<uint32_t>(I.Imm);
-      } else if (Taken != 0) {
-        // The group splits: the side at the lower pc runs on, the other
-        // parks. Act is filtered in place, so it stays ascending.
-        const uint32_t Target = static_cast<uint32_t>(I.Imm);
-        const bool TakenRun = Target < PC;
-        const uint32_t Other = TakenRun ? PC : Target;
-        const uint32_t ParkAt = Other >= N ? LaneDone : Other;
-        unsigned Kept = 0;
-        EACH_LANE(if ((Ra[L].I == 0) == TakenRun) Act[Kept++] = L;
-                  else PCs[L] = ParkAt;)
-        NA = Kept;
+      break;
+    VARYING(Jz): {
+      // One pass splits the group: the side at the lower pc runs on (Act
+      // is filtered in place, so it stays ascending), the other parks, or
+      // finishes at once when it would start at a `ret`. Every running
+      // lane's pc is written; a lane that runs on gets it rewritten
+      // before anything reads it (HandOver).
+      const Value *Ra = Reg(I.A);
+      const size_t Ma = Mask(I.A);
+      const uint32_t Target = static_cast<uint32_t>(I.Imm);
+      const bool TakenRun = Target < PC;
+      const uint32_t Other = TakenRun ? PC : Target;
+      const bool Retire = Retires(Other);
+      const uint32_t ParkAt = Retire ? LaneDone : Other;
+      LaneSet Stay = Lanes();
+      splitLanes(Ra, Ma, TakenRun, ParkAt, Stay, Act, PCs);
+      if (Stay.NA == 0) {
+        // Nobody stays: the whole group moves to the other side.
+        PC = Other;
+      } else if (Stay.NA != NA) {
+        NA = Stay.NA;
+        Lo = Stay.Lo;
+        Contig = Stay.Contig;
+        if (!Retire)
+          Limit = std::min(Limit, Other);
         if (TakenRun)
           PC = Target;
-        Limit = std::min(Limit, Other);
+      } else if (TakenRun) {
+        PC = Target;
       }
       break;
     }
-    case Op::RetVal:
+    UNIFORM(RetVal):
+    VARYING(RetVal):
       if (RetOut)
         *RetOut = Reg(I.A)[0].I;
       [[fallthrough]];
-    case Op::Ret:
+    UNIFORM(Ret):
+    VARYING(Ret):
       if (!HandOver(N))
         return true;
       break;
@@ -611,13 +898,17 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
       // validation (or a latent compiler bug) must trap, not fall into
       // undefined behavior.
       return Trap("invalid opcode " +
-                  std::to_string(static_cast<unsigned>(I.K)) + " at pc " +
+                  std::to_string(static_cast<unsigned>(I.K)) +
+                  (I.U ? " marked uniform" : "") + " at pc " +
                   std::to_string(PC - 1) + " (corrupted bytecode?)");
     }
   }
 }
 
 #undef EACH_LANE
+#undef EACH_LANE_FROM
+#undef VARYING
+#undef UNIFORM
 
 //===----------------------------------------------------------------------===//
 // Bytecode validation
@@ -626,8 +917,12 @@ uint64_t powWrap(uint64_t Base, uint64_t Exp) {
 constexpr unsigned NumOps = static_cast<unsigned>(Op::RetVal) + 1;
 
 /// Checks every instruction of \p C against its register file, constant
-/// pool, jump range and the kernel's parameter schema. Returns the first
-/// problem as text, empty when clean.
+/// pool, jump range and the kernel's parameter schema, and its uniform
+/// mark against the register classes: a uniform instruction writes and
+/// reads only uniform registers (so a uniform jz tests a uniform
+/// register) and reads no lane coordinate, and a varying instruction
+/// never writes a uniform register. Returns the first problem as text,
+/// empty when clean.
 std::string validateCode(const Code &C, const VmKernel &K,
                          const char *What) {
   // Register operands are 16 bits wide: a larger file is unaddressable,
@@ -635,6 +930,10 @@ std::string validateCode(const Code &C, const VmKernel &K,
   if (C.NumRegs > 65536)
     return std::string(What) + " of kernel `" + K.Name + "` declares " +
            std::to_string(C.NumRegs) + " registers (max 65536)";
+  if (C.NumUniform > C.NumRegs)
+    return std::string(What) + " of kernel `" + K.Name + "` declares " +
+           std::to_string(C.NumUniform) + " uniform registers of " +
+           std::to_string(C.NumRegs);
   const size_t N = C.Instrs.size();
   for (size_t PC = 0; PC != N; ++PC) {
     const Instr &I = C.Instrs[PC];
@@ -648,8 +947,8 @@ std::string validateCode(const Code &C, const VmKernel &K,
       return Bad("opcode " + std::to_string(OpV) + " out of range");
 
     // Register operands. Wide ops implicitly touch r[A+1].
-    const bool Wide = I.K == Op::LoadGlobal2 || I.K == Op::StoreGlobal2 ||
-                      I.K == Op::LoadShared2 || I.K == Op::StoreShared2;
+    const OpShape Sh = opShape(I.K);
+    const bool Wide = Sh.Wide;
     auto RegOk = [&](uint16_t Rg, bool WidePair = false) {
       return static_cast<unsigned>(Rg) + (WidePair ? 1u : 0u) < C.NumRegs;
     };
@@ -715,47 +1014,6 @@ std::string validateCode(const Code &C, const VmKernel &K,
       if (!ElemKindOk())
         return Bad("invalid element kind " + std::to_string(I.C));
       break;
-    case Op::AddI:
-    case Op::SubI:
-    case Op::MulI:
-    case Op::DivI:
-    case Op::ModI:
-    case Op::PowI:
-    case Op::AddF:
-    case Op::SubF:
-    case Op::MulF:
-    case Op::DivF:
-    case Op::AddF32:
-    case Op::SubF32:
-    case Op::MulF32:
-    case Op::DivF32:
-    case Op::LtI:
-    case Op::LeI:
-    case Op::GtI:
-    case Op::GeI:
-    case Op::EqI:
-    case Op::NeI:
-    case Op::LtF:
-    case Op::LeF:
-    case Op::GtF:
-    case Op::GeF:
-    case Op::EqF:
-    case Op::NeF:
-    case Op::AndI:
-    case Op::OrI:
-      if (!RegOk(I.A) || !RegOk(I.B) || !RegOk(I.C))
-        return Bad("register out of range");
-      break;
-    case Op::NotI:
-    case Op::NegI:
-    case Op::NegF:
-    case Op::NegF32:
-    case Op::I2F:
-    case Op::F2I:
-    case Op::F2F32:
-      if (!RegOk(I.A) || !RegOk(I.B))
-        return Bad("register out of range");
-      break;
     case Op::Jmp:
       if (!JumpOk())
         return Bad("jump target " + std::to_string(I.Imm) +
@@ -774,6 +1032,30 @@ std::string validateCode(const Code &C, const VmKernel &K,
       if (!RegOk(I.A))
         return Bad("register out of range");
       break;
+    default: // the unary and binary arithmetic, comparison and logic ops
+      if (!RegOk(I.A) || !RegOk(I.B) || (Sh.ReadsC && !RegOk(I.C)))
+        return Bad("register out of range");
+      break;
+    }
+
+    // The marks.
+    const unsigned NU = C.NumUniform;
+    if (I.U > 1)
+      return Bad("invalid uniform mark " + std::to_string(I.U));
+    if (I.U) {
+      if (Sh.Memory)
+        return Bad("memory access marked uniform");
+      if (I.K == Op::Coord && (I.Imm < 0 || I.Imm > 2))
+        return Bad("lane coordinate " + std::to_string(I.Imm) +
+                   " marked uniform");
+      if ((Sh.WritesA || Sh.ReadsA) && I.A >= NU)
+        return Bad("uniform instruction uses varying register r" +
+                   std::to_string(I.A));
+      if ((Sh.ReadsB && I.B >= NU) || (Sh.ReadsC && I.C >= NU))
+        return Bad("uniform instruction reads a varying register");
+    } else if (Sh.WritesA && I.A < NU) {
+      return Bad("varying instruction writes uniform register r" +
+                 std::to_string(I.A));
     }
   }
   return {};
@@ -824,7 +1106,7 @@ void buildProgram(sim::PhaseProgram &Prog, const std::vector<VmNode> &Nodes,
         if (Env.Trap.tripped())
           return;
         const unsigned T = Env.Threads;
-        const unsigned G = groupWidth(Env, B, Body.NumRegs);
+        const unsigned G = groupWidth(Env, B, Body);
         for (unsigned First = 0; First < T; First += G) {
           // Observers read the thread id here; they all run at G = 1.
           B.CurThread = First;
@@ -1229,7 +1511,8 @@ RunStatus vm::validateKernel(const VmKernel &K) {
 }
 
 RunStatus vm::launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
-                           const std::vector<DevBuf> &Args) {
+                           const std::vector<DevBuf> &Args,
+                           LaunchWork *Work) {
   // CUDA sticky-error semantics: a poisoned device rejects every launch
   // with the original error until GpuDevice::reset().
   if (Dev.poisoned()) {
@@ -1268,6 +1551,7 @@ RunStatus vm::launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
   TrapState Trap;
   KernelEnv Env{K, Args, Trap, Dev.watchdog().StepBudget, K.Block.total(),
                 {}};
+  Env.CountWork = Work != nullptr;
   // At least one entry per plane: loop bounds run as thread 0 even in a
   // block without threads.
   Env.ThreadIdx.assign(3 * static_cast<size_t>(std::max(Env.Threads, 1u)), 0);
@@ -1286,6 +1570,10 @@ RunStatus vm::launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
   // Synchronous, like every generated sim launch; phase numbering and
   // loopVar slots are maintained by launchProgram itself.
   sim::launchProgram(Dev, K.Grid, K.Block, K.ArenaBytes, Prog);
+  if (Work) {
+    Work->Instrs += Env.Instrs.load(std::memory_order_relaxed);
+    Work->LaneSteps += Env.LaneSteps.load(std::memory_order_relaxed);
+  }
   if (Dev.countersEnabled()) {
     // Unlike generated C++ launches, the interpreter knows the kernel's
     // name and whether it faulted: tag the launch it just recorded.

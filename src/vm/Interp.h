@@ -3,9 +3,11 @@
 // Part of the Descend reproduction. Executes CompiledProgram artifacts
 // (vm/Bytecode.h) on a sim::GpuDevice: launchKernel builds a
 // sim::PhaseProgram whose phase bodies run the bytecode dispatch loop
-// once per *lane group* — G threads of a block in lockstep, each
-// dispatched instruction applied to every running lane, registers stored
-// lane-major. Well-typed phases are race-free, so the interleaving of a
+// once per *lane group* — G threads of a block in lockstep. A uniform
+// instruction (vm/Bytecode.h) runs once for the group on its uniform
+// registers; a varying one is applied to every running lane, its
+// registers stored lane-major, its uniform operands read by broadcast.
+// Well-typed phases are race-free, so the interleaving of a
 // block's threads between two barriers cannot change a result; a branch
 // that splits a group runs the lanes at the lowest pc first and merges
 // lanes whose pcs meet, so each thread still executes exactly its own
@@ -32,8 +34,10 @@
 // KernelTimeout when the watchdog step budget expired), so subsequent
 // launches fail fast until GpuDevice::reset(). Bytecode is structurally
 // validated before every launch (validateKernel): truncated or
-// bit-flipped artifacts and out-of-range register indices produce a
-// RunStatus error, never undefined behavior. Host-side faults surface
+// bit-flipped artifacts, out-of-range register indices and uniform marks
+// that break the register classes produce a RunStatus error, never
+// undefined behavior; a uniform write while lanes are parked, which no
+// static check rules out, traps. Host-side faults surface
 // as a RunStatus error; nothing escapes these entry points as an
 // exception.
 //
@@ -115,11 +119,24 @@ struct RunStatus {
 
 /// Structural validation of every code object in \p K: opcode in range,
 /// register / constant-pool / jump-target / buffer / loop-slot indices
-/// in bounds, element kinds valid. Returns a failing RunStatus naming
+/// in bounds, element kinds valid, and the uniform marks consistent: a
+/// uniform instruction writes and reads only uniform registers (so a
+/// uniform jz tests a uniform register), a varying one never writes a
+/// uniform register. Returns a failing RunStatus naming
 /// the first malformed instruction — the interpreter's defense against
 /// truncated or bit-flipped bytecode reaching the unchecked dispatch
 /// loop. launchKernel runs this before executing anything.
 RunStatus validateKernel(const VmKernel &K);
+
+/// The work a launch did, counted exactly by the executor at the width it
+/// ran: every dispatched instruction (loop-bound programs included) once,
+/// and per dispatch the lanes it ran for — 1 for a uniform instruction,
+/// the running lanes for a varying one. At one thread per group both
+/// counts are the per-thread instruction count.
+struct LaunchWork {
+  uint64_t Instrs = 0;
+  uint64_t LaneSteps = 0;
+};
 
 /// Launches \p K on \p Dev with one device buffer per kernel parameter.
 /// Synchronous (like the generated sim launches); honors the device's
@@ -136,8 +153,11 @@ RunStatus validateKernel(const VmKernel &K);
 /// execute at most N instructions before the launch is cancelled as a
 /// KernelTimeout. Registers start zeroed for every lane group of every
 /// phase, so no value survives from another thread, phase or launch.
+/// With \p Work, also adds the work the launch did to it (the counts
+/// depend only on the kernel, its inputs and the device's modes).
 RunStatus launchKernel(sim::GpuDevice &Dev, const VmKernel &K,
-                       const std::vector<DevBuf> &Args);
+                       const std::vector<DevBuf> &Args,
+                       LaunchWork *Work = nullptr);
 
 /// Runs host function \p Fn of \p P with \p Args bound to its
 /// parameters (validated against the parameter schema). Array arguments

@@ -15,6 +15,7 @@
 #include "kir/Schedule.h"
 #include "obs/Trace.h"
 #include "runtime/HostRuntime.h"
+#include "support/StringUtils.h"
 #include "vm/Interp.h"
 
 #include "gen_matmul_small.h"    // matmul          (nt=4)
@@ -431,6 +432,18 @@ TEST(ObsStats, JsonAndHumanRenderings) {
   EXPECT_NE(J.find("\"label\":\"matmul\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"bank_conflicts\":9216"), std::string::npos) << J;
   EXPECT_NE(J.find("\"phases\":["), std::string::npos) << J;
+}
+
+TEST(ObsStats, JsonLabelEscapesLikeEveryJsonWriter) {
+  // A label holding a quote, a backslash, a newline and 0x01 renders as
+  // descend::jsonEscape renders it, control characters as \u escapes.
+  sim::LaunchStats S;
+  S.Label = std::string("a\"b\\c\nd") + '\x01';
+  const std::string J = S.json();
+  EXPECT_NE(J.find("\"label\":\"" + jsonEscape(S.Label) + "\","),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("a\\\"b\\\\c\\u000ad\\u0001"), std::string::npos) << J;
 }
 
 //===----------------------------------------------------------------------===//

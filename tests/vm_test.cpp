@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace descend;
@@ -293,6 +294,12 @@ vm::Value imm(long long V) {
   X.I = V;
   return X;
 }
+
+/// \p I marked uniform.
+vm::Instr uniform(vm::Instr I) {
+  I.U = 1;
+  return I;
+}
 } // namespace
 
 TEST(VmValidate, RejectsOutOfRangeRegisterIndices) {
@@ -357,6 +364,79 @@ TEST(VmValidate, RejectsTruncatedArtifactShapes) {
   ASSERT_TRUE(P);
   for (const vm::VmKernel &K : P->Kernels)
     EXPECT_TRUE(vm::validateKernel(K).Ok);
+}
+
+TEST(VmValidate, RejectsMisMarkedInstructions) {
+  using vm::Op;
+  // r0 is uniform, r1 varying.
+  struct Case {
+    const char *Rule;
+    vm::Instr I;
+    const char *Why;
+  } const Cases[] = {
+      {"a uniform instruction reads only uniform registers",
+       uniform(instr(Op::AddI, 0, 0, 1)), "reads a varying register"},
+      {"a uniform instruction writes only uniform registers",
+       uniform(instr(Op::Const, 1, 0, 0, 0)), "uses varying register r1"},
+      {"a varying instruction never writes a uniform register",
+       instr(Op::Const, 0, 0, 0, 0), "writes uniform register r0"},
+      {"a uniform jz tests a uniform register",
+       uniform(instr(Op::Jz, 1, 0, 0, 1)), "uses varying register r1"},
+      {"memory accesses are per lane",
+       uniform(instr(Op::LoadShared, 0, 0,
+                     static_cast<uint16_t>(ScalarKind::F64), 0)),
+       "memory access marked uniform"},
+      {"lane coordinates are varying", uniform(instr(Op::Coord, 0, 0, 0, 3)),
+       "lane coordinate 3 marked uniform"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Rule);
+    auto K = corruptKernel({C.I, uniform(instr(Op::Ret))}, /*NumRegs=*/2);
+    K.Nodes[0].Body.NumUniform = 1;
+    K.Nodes[0].Body.Consts.push_back(imm(0));
+    vm::RunStatus V = vm::validateKernel(K);
+    EXPECT_FALSE(V.Ok);
+    EXPECT_NE(V.Error.find(C.Why), std::string::npos) << V.Error;
+  }
+  // More uniform registers than registers, and a mark that is not 0/1.
+  auto K = corruptKernel({instr(Op::Ret)}, /*NumRegs=*/1);
+  K.Nodes[0].Body.NumUniform = 2;
+  EXPECT_FALSE(vm::validateKernel(K).Ok);
+  vm::Instr Ret = instr(Op::Ret);
+  Ret.U = 7;
+  EXPECT_FALSE(vm::validateKernel(corruptKernel({Ret}, 1)).Ok);
+}
+
+TEST(VmKernel, UniformWriteWhileLanesAreParkedTraps) {
+  // Lane 0 runs on past a varying split while lanes 1..63 wait at pc 5;
+  // a uniform write then would change r1 under them. The marks pass
+  // validation, so the executor must catch it, at every launch.
+  using vm::Op;
+  auto K = corruptKernel(
+      {uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: r0 = 1
+       instr(Op::Coord, 2, 0, 0, 3),          // 1: tx
+       instr(Op::LtI, 3, 2, 0),               // 2: tx < 1
+       instr(Op::Jz, 3, 0, 0, 5),             // 3: lanes 1.. park at 5
+       uniform(instr(Op::Const, 1, 0, 0, 0)), // 4: uniform write
+       instr(Op::Move, 4, 2),                 // 5
+       uniform(instr(Op::Ret))},              // 6
+      /*NumRegs=*/5);
+  K.Block = sim::Dim3{64};
+  K.Nodes[0].Body.NumUniform = 2;
+  K.Nodes[0].Body.Consts.push_back(imm(1));
+  ASSERT_TRUE(vm::validateKernel(K).Ok) << vm::validateKernel(K).Error;
+  sim::GpuDevice DV;
+  for (int Rep = 0; Rep != 2; ++Rep) {
+    vm::RunStatus St = vm::launchKernel(DV, K, {});
+    EXPECT_FALSE(St.Ok);
+    EXPECT_EQ(St.Error, "in kernel `corrupt`: uniform const at pc 4 writes "
+                        "while lanes are parked (corrupted bytecode?)");
+    EXPECT_EQ(DV.getLastError(), sim::ErrorCode::KernelTrap);
+    DV.reset();
+  }
+  // One thread at a time no lane is ever parked: the same bytecode runs.
+  DV.setBoundsChecking(true);
+  EXPECT_TRUE(vm::launchKernel(DV, K, {}).Ok);
 }
 
 TEST(VmKernel, SharedIndexTooLargeForAByteOffsetTraps) {
@@ -694,6 +774,31 @@ TEST(VmLaneGroups, DivergentBodiesMatchClosedFormsAtEveryWidth) {
   }
 }
 
+TEST(VmLaneGroups, ScatteredGroupBranchesTogether) {
+  // The odd lanes run on alone (not contiguous) and then all take the
+  // same branch: the group moves as a whole and keeps its lanes.
+  using vm::Op;
+  vm::VmKernel K =
+      laneKernel({instr(Op::Coord, 0, 0, 0, 3), // 0: tx
+                  instr(Op::Const, 1, 0, 0, 0), // 1: 2
+                  instr(Op::ModI, 2, 0, 1),     // 2
+                  instr(Op::Jz, 2, 0, 0, 9),    // 3: even lanes wait at 9
+                  instr(Op::Const, 3, 0, 0, 1), // 4: 100
+                  instr(Op::GeI, 4, 0, 3),      // 5: tx >= 100: never
+                  instr(Op::Jz, 4, 0, 0, 8),    // 6: every odd lane jumps
+                  instr(Op::Const, 5, 0, 0, 1), // 7: skipped
+                  instr(Op::AddI, 6, 0, 3)},    // 8: tx + 100
+                 {2, 100}, /*Result=*/6, /*Tmp=*/7, 12);
+  ASSERT_TRUE(vm::validateKernel(K).Ok) << vm::validateKernel(K).Error;
+  for (const ExecMode &M : Modes) {
+    std::vector<long long> Out = runLanes(K, M);
+    for (unsigned T = 0; T != Out.size(); ++T) {
+      const long long Tx = T % LaneThreads;
+      ASSERT_EQ(Out[T], Tx % 2 ? Tx + 100 : 0) << modeName(M) << ", " << T;
+    }
+  }
+}
+
 TEST(VmLaneGroups, TrapTextIsDeterministic) {
   using vm::Op;
   const uint16_t I64 = static_cast<uint16_t>(ScalarKind::I64);
@@ -816,6 +921,130 @@ TEST(VmLaneGroups, ObservingModesSeeEveryThreadInOrder) {
     for (const sim::RaceReport &Rc : Races) {
       EXPECT_NE(Rc.ThreadA, Rc.ThreadB) << Rc.str();
       EXPECT_EQ(Rc.ThreadA / 2, Rc.ThreadB / 2) << Rc.str();
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Uniform work: what vm::compile keeps out of the lane loops, and the work
+// the executor reports for it
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every code object of \p P's kernels: phase bodies and loop bounds.
+std::vector<const vm::Code *> allCode(const vm::CompiledProgram &P) {
+  std::vector<const vm::Code *> Out;
+  std::function<void(const std::vector<vm::VmNode> &)> Walk =
+      [&](const std::vector<vm::VmNode> &Nodes) {
+        for (const vm::VmNode &N : Nodes) {
+          if (N.K == vm::VmNode::Straight) {
+            Out.push_back(&N.Body);
+            continue;
+          }
+          Out.push_back(&N.Lo);
+          Out.push_back(&N.Hi);
+          Walk(N.Children);
+        }
+      };
+  for (const vm::VmKernel &K : P.Kernels)
+    Walk(K.Nodes);
+  return Out;
+}
+
+} // namespace
+
+TEST(VmUniform, ListingKeepsFixedWorkOutOfLaneLoops) {
+  // matmul nt=4's inner product runs 16 times per tile. Before uniform
+  // marking, 16 of its 17 instructions ran once per lane; now the test,
+  // the increment and `k * 16` run once per group, and the loop-invariant
+  // coordinate terms before the loop head.
+  auto P = compileVm(DESCEND_KERNEL_DIR "/matmul.descend", {{"nt", 4}});
+  ASSERT_TRUE(P);
+  unsigned Loops = 0;
+  for (const vm::Code *C : allCode(*P))
+    for (size_t PC = 0; PC != C->Instrs.size(); ++PC) {
+      const vm::Instr &J = C->Instrs[PC];
+      if (J.K != vm::Op::Jmp || static_cast<size_t>(J.Imm) > PC)
+        continue;
+      ++Loops;
+      unsigned Varying = 0;
+      for (size_t I = J.Imm; I <= PC; ++I) {
+        Varying += C->Instrs[I].U == 0;
+        if (C->Instrs[I].K == vm::Op::Jz) {
+          EXPECT_EQ(C->Instrs[I].U, 1) << "the loop test is uniform";
+        }
+      }
+      EXPECT_LE(Varying, 7u) << "varying instructions per iteration";
+    }
+  EXPECT_EQ(Loops, 1u);
+  const std::string L = vm::disassemble(*P);
+  EXPECT_NE(L.find(": u jz"), std::string::npos) << L;
+  EXPECT_NE(L.find(": v ld.s"), std::string::npos) << L;
+
+  // Each of reduce's split phases used to load _tx four times; now every
+  // coordinate is loaded at most once per phase.
+  for (long long NB : {8, 256}) {
+    auto R = compileVm(DESCEND_KERNEL_DIR "/reduce.descend", {{"nb", NB}});
+    ASSERT_TRUE(R);
+    for (const vm::Code *C : allCode(*R)) {
+      unsigned Coords[7] = {};
+      for (const vm::Instr &I : C->Instrs)
+        if (I.K == vm::Op::Coord) {
+          EXPECT_EQ(++Coords[I.Imm], 1u) << "nb=" << NB << ", coord " << I.Imm;
+        }
+    }
+  }
+}
+
+TEST(VmUniform, LaunchWorkIsExact) {
+  // Instructions dispatched and lane-steps (lanes per dispatch: 1 for a
+  // uniform instruction, the running lanes for a varying one) of each
+  // Fig. 8 kernel at the repository benchmark's kernels sizes, and of
+  // matmul nt=1 (the serve mix's). Before uniform marking every
+  // instruction ran per lane: reduce 33280 / 4127488, scan_blocks 45568 /
+  // 8521728, add_sums 4602 / 1178112, transpose 16256 / 4161536, matmul
+  // nt=4 20976 / 5353536, nt=1 348 / 88068.
+  struct Case {
+    const char *File, *Nat;
+    long long Size;
+    const char *Kernel;
+    uint64_t Instrs, LaneSteps;
+  } const Cases[] = {
+      {"reduce.descend", "nb", 256, "reduce", 24832, 2364672},
+      {"scan.descend", "nb", 256, "scan_blocks", 32256, 4726272},
+      {"scan.descend", "nb", 256, "add_sums", 3581, 394241},
+      {"transpose.descend", "n", 256, "transpose", 8128, 758848},
+      {"matmul.descend", "nt", 4, "matmul", 15248, 2242928},
+      {"matmul.descend", "nt", 1, "matmul", 254, 36719},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.Kernel) + " " + C.Nat + "=" +
+                 std::to_string(C.Size));
+    auto P = compileVm(std::string(DESCEND_KERNEL_DIR "/") + C.File,
+                       {{C.Nat, C.Size}});
+    ASSERT_TRUE(P);
+    const vm::VmKernel *K = P->findKernel(C.Kernel);
+    ASSERT_NE(K, nullptr);
+    for (bool OneThread : {false, true}) {
+      sim::GpuDevice Dev;
+      Dev.setWorkers(OneThread ? 1 : 4);
+      Dev.setBoundsChecking(OneThread);
+      std::vector<vm::DevBuf> Bufs;
+      for (const vm::VmKernel::Param &Prm : K->Params) {
+        Bufs.push_back(vm::allocDev(Dev, ScalarKind::F64, Prm.Count));
+        for (size_t I = 0; I != Prm.Count; ++I)
+          devData(Bufs.back())[I] = fillVal(I);
+      }
+      vm::LaunchWork W;
+      ASSERT_TRUE(vm::launchKernel(Dev, *K, Bufs, &W).Ok);
+      if (!OneThread) {
+        EXPECT_EQ(W.Instrs, C.Instrs);
+        EXPECT_EQ(W.LaneSteps, C.LaneSteps);
+      } else {
+        // One thread per group: every dispatch is one thread's step.
+        EXPECT_EQ(W.Instrs, W.LaneSteps);
+      }
     }
   }
 }
