@@ -1,7 +1,8 @@
 //===- bench/bench_ablations.cpp - Design-choice ablations -------------------===//
 //
-// Google-benchmark microbenchmarks for the design choices DESIGN.md calls
-// out:
+// Google-benchmark microbenchmarks for design choices docs/architecture.md
+// explains (§ "The kernel IR" for compiled view indices, § "The simulator
+// runtime" for race detection and the worker pool):
 //
 //  * ViewIndexCompiled vs ViewIndexInterpreted — Section 5 claims views
 //    are erased at compile time. The ablation compares an access through

@@ -7,9 +7,10 @@
 //
 // Both sides are compiled by the same host compiler and run on the same
 // simulator substrate; the Descend side was generated at build time by
-// descendc --emit=sim from kernels/*.descend (see DESIGN.md for the
-// substitution rationale). The paper's claim is that Descend's safety
-// layer is fully erased at compile time, so the ratio should be ~1.
+// descendc --emit=sim from kernels/*.descend (docs/architecture.md
+// § "The simulator runtime" gives the substitution rationale). The
+// paper's claim is that Descend's safety layer is fully erased at compile
+// time, so the ratio should be ~1.
 //
 // Output: one row per (benchmark, size) with median times and the
 // CUDA/Descend relative runtime the figure plots (higher = Descend
@@ -367,9 +368,20 @@ int main(int argc, char **argv) {
   GeoMean = std::pow(GeoMean, 1.0 / Rows.size());
   std::printf("---------------------------------------------------------\n");
   std::printf("%-10s %-7s %12s %14s %9.3fx\n", "Mean", "", "", "", GeoMean);
-  std::printf("\nShape check (paper: all ratios within a few %% of 1.0): "
-              "%s\n",
+  std::printf("\nShape check (geomean within 10%% of 1.0): %s\n",
               std::abs(1.0 - GeoMean) < 0.10 ? "PASS" : "CHECK MANUALLY");
+  // The paper's claim is per kernel; name every row the geomean hides.
+  std::string Outside;
+  for (const Row &R : Rows) {
+    const double Ratio = R.Ms.A.Median / R.Ms.B.Median;
+    if (Ratio < 0.90 || Ratio > 1.10) {
+      char Item[64];
+      std::snprintf(Item, sizeof(Item), " %s/%s %.3f", R.Bench, R.Size, Ratio);
+      Outside += Item;
+    }
+  }
+  std::printf("Ratios outside [0.90, 1.10]:%s\n",
+              Outside.empty() ? " none" : Outside.c_str());
 
   runTaxes();
   std::printf("\nvm.tax: vm::launchKernel vs the generated launch, 1 worker\n");

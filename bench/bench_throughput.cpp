@@ -4,21 +4,16 @@
 // number the ROADMAP's "as fast as the hardware allows" goal actually
 // cares about, complementing the Fig. 8 generated/handwritten *ratio*:
 //
-//  1. Small-launch rate: >= 4k launches of a tiny kernel, executed
-//     three ways — inline on a 1-worker device (every block on the
-//     calling thread, no pool), synchronously on the persistent worker
-//     pool, and enqueued over four sim::Streams. The pool/inline ratio
-//     (`pool_vs_inline`) is gated: it prices a launch's pool hand-off,
-//     and a return to spawning threads per launch cuts it about tenfold.
+//  1. Small-launch rate: >= 4k launches of a tiny kernel, executed two
+//     ways — inline on a 1-worker device (every block on the calling
+//     thread, no pool) and synchronously on the persistent worker pool.
+//     The pool/inline ratio (`pool_vs_inline`) is gated: it prices a
+//     launch's pool hand-off, and a return to spawning threads per launch
+//     cuts it about tenfold.
 //  2. Worker-count scaling sweep on a medium kernel.
-//  3. A mixed serving loop alternating the quickstart and reduction host
-//     drivers, approximating a service handling small independent
-//     requests: the *generated* driver called directly and run on a
-//     stream as its next operation (rt::runOnStream), and the same
-//     drivers written by hand against rt::*Async, one stream operation
-//     per transfer and launch. Capturing one handwritten request pair into a
-//     graph and replaying it is gated against re-enqueueing the same
-//     operations per request.
+//  3. A mixed serving loop alternating the generated quickstart and
+//     reduction host drivers, called directly, approximating a service
+//     handling small independent requests.
 //  4. The compile service: cold compiles against warm cache hits.
 //
 // `bench_throughput OUT_DIR` writes BENCH_throughput.json; the gated
@@ -90,8 +85,7 @@ void report(const char *Section, const char *Mode, long long Count,
 /// Returns the rate of \p Launches launches of an 8x32 tiny kernel.
 /// Modes: "inline" launches synchronously on a 1-worker device, which
 /// runs every block on the calling thread; "pool_sync" launches
-/// synchronously on the BenchWorkers pool; "pool_streams" enqueues the
-/// launches over four streams on that pool.
+/// synchronously on the BenchWorkers pool.
 double smallLaunchRate(const char *Mode, int Launches, bool Emit = true) {
   const unsigned Blocks = 8, Threads = 32;
   GpuDevice Dev;
@@ -99,31 +93,9 @@ double smallLaunchRate(const char *Mode, int Launches, bool Emit = true) {
   auto Buf = Dev.alloc<double>(Blocks * Threads);
 
   auto T0 = std::chrono::steady_clock::now();
-  if (std::strcmp(Mode, "pool_streams") != 0) {
-    for (int L = 0; L != Launches; ++L)
-      launchPhases(Dev, Dim3{Blocks}, Dim3{Threads}, 0,
-                   [Buf](BlockCtx &B, ThreadCtx &T) { tinyPhase(Buf, B, T); });
-  } else { // pool_streams: four streams, each its own buffer
-    const int NumStreams = 4;
-    std::vector<GpuDevice::Buffer<double>> Bufs;
-    for (int S = 0; S != NumStreams; ++S)
-      Bufs.push_back(Dev.alloc<double>(Blocks * Threads));
-    std::vector<std::unique_ptr<sim::Stream>> Streams;
-    for (int S = 0; S != NumStreams; ++S)
-      Streams.push_back(std::make_unique<sim::Stream>(Dev));
-    T0 = std::chrono::steady_clock::now();
-    for (int L = 0; L != Launches; ++L) {
-      auto B = Bufs[L % NumStreams];
-      Streams[L % NumStreams]->enqueue([&Dev, B] {
-        launchPhases(Dev, Dim3{Blocks}, Dim3{Threads}, 0,
-                     [B](BlockCtx &Blk, ThreadCtx &T) {
-                       tinyPhase(B, Blk, T);
-                     });
-      });
-    }
-    for (auto &S : Streams)
-      S->synchronize();
-  }
+  for (int L = 0; L != Launches; ++L)
+    launchPhases(Dev, Dim3{Blocks}, Dim3{Threads}, 0,
+                 [Buf](BlockCtx &B, ThreadCtx &T) { tinyPhase(Buf, B, T); });
   double Ms = msSince(T0);
   if (Emit)
     report("small_launch", Mode, Launches, Ms);
@@ -169,52 +141,13 @@ void workerSweep() {
 // 3. Mixed host-program serving loop (generated drivers)
 //===----------------------------------------------------------------------===//
 
-/// All serving loops measure best-of-N rounds: the serving rates feed
-/// the gated replay_vs_reenqueue ratio, and scheduler noise on a shared
-/// machine would otherwise dominate a single 512-request sample.
+/// The serving loop measures best-of-N rounds: scheduler noise on a
+/// shared machine would otherwise dominate a single 512-request sample.
 constexpr int ServingRounds = 3;
 
-/// The serving drivers written by hand against the public rt::*Async
-/// API: one stream operation per transfer and launch, a join before the
-/// host reads results, and stream-ordered frees. Both sides of the
-/// replay gate are made of these calls: servingLoop's re-enqueue mode
-/// issues them per request, servingLoopPipeline captures one request
-/// pair (seven operations) and replays it.
-void quickstartAsync(sim::Stream &S, rt::HostBuffer<double> &Vec) {
-  GpuDevice &Dev = S.device();
-  auto D = rt::allocCopyAsync(S, Vec);
-  S.enqueue([&Dev, D] { descend::gen::scale_vec_serve(Dev, D); });
-  rt::copyToHostAsync(S, Vec, D, "host_vec", "d_vec");
-  rt::freeAsync(S, D);
-  S.synchronize();
-  rt::checkDevice(Dev, "stream synchronize");
-}
-
-void reductionAsync(sim::Stream &S, rt::HostBuffer<double> &Data,
-                    rt::HostBuffer<double> &Partials,
-                    rt::HostBuffer<double> &Total) {
-  GpuDevice &Dev = S.device();
-  auto In = rt::allocCopyAsync(S, Data);
-  auto Out = rt::allocCopyAsync(S, Partials);
-  S.enqueue([&Dev, In, Out] { descend::gen::reduce_rserve(Dev, In, Out); });
-  rt::copyToHostAsync(S, Partials, Out, "partials", "d_out");
-  S.synchronize();
-  rt::checkDevice(Dev, "stream synchronize");
-  Total[0] = 0.0;
-  for (size_t I = 0; I != Partials.size(); ++I)
-    Total[0] = Total[0] + Partials[I];
-  rt::freeAsync(S, Out);
-  rt::freeAsync(S, In);
-}
-
-/// How servingLoop serves a request.
-enum class Serve {
-  GeneratedSync,     ///< the generated driver, called directly
-  GeneratedOnStream, ///< the generated driver through rt::runOnStream
-  Reenqueue,         ///< the handwritten drivers, one operation per step
-};
-
-double servingLoop(Serve How, int Requests) {
+/// Serves \p Requests requests, alternating the generated quickstart and
+/// reduction drivers, each called directly on one BenchWorkers device.
+void servingLoop(int Requests) {
   const size_t NQ = 256; // one block per request: serving-sized
   GpuDevice Dev;
   Dev.setWorkers(BenchWorkers);
@@ -224,81 +157,17 @@ double servingLoop(Serve How, int Requests) {
   double BestMs = 0;
   for (int Round = 0; Round != ServingRounds; ++Round) {
     auto T0 = std::chrono::steady_clock::now();
-    sim::Stream S(Dev);
     for (int R = 0; R != Requests; ++R) {
-      const bool Quick = R % 2 == 0;
-      switch (How) {
-      case Serve::GeneratedSync:
-        if (Quick)
-          descend::gen::run_serve(Dev, QVec);
-        else
-          descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
-        break;
-      case Serve::GeneratedOnStream:
-        if (Quick)
-          rt::runOnStream(S, descend::gen::run_serve, QVec);
-        else
-          rt::runOnStream(S, descend::gen::run_rserve, RData, RPartials,
-                          RTotal);
-        break;
-      case Serve::Reenqueue:
-        if (Quick)
-          quickstartAsync(S, QVec);
-        else
-          reductionAsync(S, RData, RPartials, RTotal);
-        break;
-      }
+      if (R % 2 == 0)
+        descend::gen::run_serve(Dev, QVec);
+      else
+        descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
     }
     double Ms = msSince(T0);
     if (Round == 0 || Ms < BestMs)
       BestMs = Ms;
   }
-  report("serving",
-         How == Serve::GeneratedSync       ? "generated_sync"
-         : How == Serve::GeneratedOnStream ? "generated_on_stream"
-                                           : "stream_reenqueue",
-         Requests, BestMs);
-  return Requests / (BestMs / 1000.0);
-}
-
-/// Whole-pipeline capture — the cudaStreamBeginCapture idiom: record one
-/// full mixed request (quickstart scale + reduction, both handwritten
-/// stream drivers) into a single graph, then serve every later request
-/// pair by replaying it with ONE enqueue and ONE join. This is the
-/// serving shape graphs exist for: the re-enqueue baseline pays 7
-/// enqueues, 3 device allocations and 2 stream joins for the same work.
-/// The reduction's sequential CPU finish is host code, not device work,
-/// so it runs on the host after each replay.
-double servingLoopPipeline(int Requests, bench::Json &Graph) {
-  const size_t NQ = 256;
-  GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
-  sim::Stream S(Dev);
-  S.beginCapture();
-  quickstartAsync(S, QVec); // enqueues record as graph nodes
-  reductionAsync(S, RData, RPartials, RTotal);
-  sim::Graph G = S.endCapture();
-
-  const int Pairs = Requests / 2;
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int P = 0; P != Pairs; ++P) {
-      G.launch(S);
-      S.synchronize();
-      RTotal[0] = RPartials[0]; // the driver's host finish, nb=1
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", "pipeline_graph", Pairs * 2, BestMs);
-  Graph.num("ops_pipeline", G.opCount())
-      .num("pipeline_replays", Pairs * ServingRounds);
-  return Pairs * 2 / (BestMs / 1000.0);
+  report("serving", "generated_sync", Requests, BestMs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -406,29 +275,19 @@ int main(int argc, char **argv) {
   smallLaunchRate("pool_sync", 256, /*Emit=*/false); // warm-up
   double InlineRate = smallLaunchRate("inline", Launches);
   double PoolRate = smallLaunchRate("pool_sync", Launches);
-  smallLaunchRate("pool_streams", Launches);
 
   workerSweep();
 
-  const int Requests = 512;
-  bench::Json Graph;
-  servingLoop(Serve::GeneratedSync, Requests);
-  servingLoop(Serve::GeneratedOnStream, Requests);
-  double ServeStreamRate = servingLoop(Serve::Reenqueue, Requests);
-  double ServeGraphRate = servingLoopPipeline(Requests, Graph);
-  Graph.num("replay_vs_reenqueue", ServeGraphRate / ServeStreamRate)
-      .num("requests", Requests);
+  servingLoop(/*Requests=*/512);
 
   bench::Json Service = compileServiceBench();
 
-  std::printf("\npool_vs_inline %.3f, graph replay_vs_reenqueue %.2f\n",
-              PoolRate / InlineRate, ServeGraphRate / ServeStreamRate);
+  std::printf("\npool_vs_inline %.3f\n", PoolRate / InlineRate);
   bench::Json Report;
   Report.str("unit", "ops/s")
       .array("rows", Rows)
       .num("workers", BenchWorkers)
       .num("pool_vs_inline", PoolRate / InlineRate)
-      .raw("service", Service.text())
-      .raw("graph", Graph.text());
+      .raw("service", Service.text());
   return bench::writeReport(OutDir, "throughput", Report) ? 0 : 1;
 }

@@ -212,8 +212,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
   // launch, so the generated driver resolves the kernel calls directly in
   // this header. `main` is emitted as `run` — the entry point the tests
   // and examples drive. Each host function is printed once, as the
-  // synchronous driver over a GpuDevice; a caller runs it on a stream,
-  // or records it into a graph, through rt::runOnStream.
+  // synchronous driver over a GpuDevice.
   for (const auto &FnPtr : M.Fns) {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)

@@ -30,9 +30,8 @@
 //                kernels in the same header. It prints no release: each
 //                scope prints as a C++ scope whose releases come last, so
 //                a DeviceLocal's destructor frees at the release, and on
-//                unwind when the driver throws. A caller that wants the
-//                driver on a stream runs it through rt::runOnStream, or
-//                records it into a graph that way.
+//                unwind when the driver throws. Callers call the driver
+//                directly; it has finished when it returns.
 //     cuda       CUDA runtime API host code — std::vector staging,
 //                cudaMalloc / cudaMemcpy with statically computed byte
 //                counts, real kernel<<<grid, block>>> launches and a

@@ -104,8 +104,8 @@ struct LaunchStats {
 
   /// Deterministic-counter equality: Label, ChunkClaims and Workers are
   /// excluded (see above). This is the relation obs_test pins across the
-  /// sim-generated / vm-interpreted / graph-replay execution paths and
-  /// across worker counts.
+  /// sim-generated and vm-interpreted execution paths and across worker
+  /// counts.
   friend bool operator==(const LaunchStats &A, const LaunchStats &B) {
     return A.Launches == B.Launches && A.Blocks == B.Blocks &&
            A.ThreadsPerBlock == B.ThreadsPerBlock &&

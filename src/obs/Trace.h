@@ -3,7 +3,7 @@
 // The timing half of the observability subsystem: a process-wide
 // collector of Chrome trace events (the JSON format chrome://tracing and
 // Perfetto load) with spans for pipeline stages, simulator launches,
-// stream ops, worker-pool activity and compile-service requests.
+// worker-pool activity and compile-service requests.
 //
 // Tracing is off by default and costs one relaxed atomic load per
 // potential span while off. It turns on either programmatically

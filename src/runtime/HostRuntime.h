@@ -2,11 +2,9 @@
 //
 // Part of the Descend reproduction. The host API of Section 3.4/3.5 as a
 // C++ library over the simulator: heap allocation, CPU<->GPU transfer with
-// direction checking and kernel-launch configuration checking — each in a
-// synchronous form (what the generated drivers call) and an asynchronous
-// form over sim::Stream (the cudaMemcpyAsync analogue for handwritten
-// stream code). rt::runOnStream runs a whole generated driver on a stream
-// as its next operation, or records it as one node of a user capture.
+// direction checking and kernel-launch configuration checking. Every call
+// is synchronous, like the host programs whose generated drivers make
+// them: a call has finished when it returns.
 //
 // Device buffers die where their Descend scope ends: a generated driver
 // holds each device local as an rt::DeviceLocal, which frees it when its
@@ -24,16 +22,12 @@
 #ifndef DESCEND_RUNTIME_HOSTRUNTIME_H
 #define DESCEND_RUNTIME_HOSTRUNTIME_H
 
-#include "obs/Trace.h"
 #include "sim/Fault.h"
 #include "sim/Sim.h"
 
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
-#include <type_traits>
 #include <vector>
 
 namespace descend::rt {
@@ -44,11 +38,10 @@ namespace descend::rt {
 /// code() instead of parsing messages.
 using Error = sim::DeviceError;
 
-/// Fail-fast check the generated drivers emit after every synchronous
-/// launch and every stream synchronize: throws the device's sticky error
-/// as a structured rt::Error (naming the failed step) instead of letting
-/// a half-completed driver return as if it had succeeded. Free when the
-/// device is healthy — one relaxed atomic load.
+/// Fail-fast check the generated drivers emit after every launch: throws
+/// the device's sticky error as a structured rt::Error (naming the failed
+/// step) instead of letting a half-completed driver return as if it had
+/// succeeded. Free when the device is healthy — one relaxed atomic load.
 inline void checkDevice(sim::GpuDevice &Dev, const char *What = nullptr) {
   if (!Dev.poisoned()) [[likely]]
     return;
@@ -69,17 +62,6 @@ inline std::string sizeMismatch(const char *Op, const char *DstName,
          (DstName ? DstName : "?") + "` holds " + std::to_string(DstCount) +
          " elements, source `" + (SrcName ? SrcName : "?") + "` holds " +
          std::to_string(SrcCount);
-}
-
-/// Throws InvalidValue unless \p Buf was allocated on \p Dev: ids are
-/// per device, so another device's id could name a live buffer here.
-template <typename T>
-void requireOwner(const sim::GpuDevice::Buffer<T> &Buf,
-                  const sim::GpuDevice &Dev, const char *Op) {
-  if (Buf.device() != &Dev)
-    throw Error(sim::ErrorCode::InvalidValue,
-                std::string(Op) + ": buffer id " + std::to_string(Buf.id()) +
-                    " was not allocated on this device");
 }
 
 /// Throws InvalidValue unless \p Buf is a live allocation of its device.
@@ -148,73 +130,16 @@ void copyToGpu(sim::GpuDevice::Buffer<T> &Dst, const HostBuffer<T> &Src,
   std::memcpy(Dst.data(), Src.data(), Src.size() * sizeof(T));
 }
 
-//===----------------------------------------------------------------------===//
-// Stream (asynchronous) variants — the cudaMemcpyAsync analogues. Sizes
-// are validated eagerly at enqueue time (same exceptions, same messages
-// as the synchronous calls); only the byte transfer itself is deferred
-// onto the stream, ordered after everything enqueued before it. The host
-// buffer must stay alive until the stream synchronizes.
-//===----------------------------------------------------------------------===//
-
-/// GpuGlobal::alloc_copy on a stream: the allocation happens immediately
-/// (the handle is usable in subsequently enqueued launches), the
-/// populating copy is enqueued.
-template <typename T>
-sim::GpuDevice::Buffer<T> allocCopyAsync(sim::Stream &S,
-                                         const HostBuffer<T> &Host) {
-  auto Buf = S.device().alloc<T>(Host.size());
-  T *Dst = Buf.data();
-  const T *Src = Host.data();
-  const size_t Bytes = Host.size() * sizeof(T);
-  S.enqueue([Dst, Src, Bytes] {
-    obs::Span CopySpan("stream", "allocCopy");
-    std::memcpy(Dst, Src, Bytes);
-  });
-  return Buf;
-}
-
-template <typename T>
-void copyToHostAsync(sim::Stream &S, HostBuffer<T> &Dst,
-                     const sim::GpuDevice::Buffer<T> &Src,
-                     const char *DstName = nullptr,
-                     const char *SrcName = nullptr) {
-  detail::requireLive(Src, "copy_mem_to_host", SrcName);
-  if (Dst.size() != Src.size())
-    throw Error(sim::ErrorCode::CopyFailed,
-                detail::sizeMismatch("copy_mem_to_host", DstName, Dst.size(),
-                                     SrcName, Src.size()));
-  T *D = Dst.data();
-  const T *So = Src.data();
-  const size_t Bytes = Src.size() * sizeof(T);
-  S.enqueue([D, So, Bytes] {
-    obs::Span CopySpan("stream", "copyToHost");
-    std::memcpy(D, So, Bytes);
-  });
-}
-
-template <typename T>
-void copyToGpuAsync(sim::Stream &S, sim::GpuDevice::Buffer<T> &Dst,
-                    const HostBuffer<T> &Src, const char *DstName = nullptr,
-                    const char *SrcName = nullptr) {
-  detail::requireLive(Dst, "copy_to_gpu", DstName);
-  if (Dst.size() != Src.size())
-    throw Error(sim::ErrorCode::CopyFailed,
-                detail::sizeMismatch("copy_to_gpu", DstName, Dst.size(),
-                                     SrcName, Src.size()));
-  T *D = Dst.data();
-  const T *So = Src.data();
-  const size_t Bytes = Src.size() * sizeof(T);
-  S.enqueue([D, So, Bytes] {
-    obs::Span CopySpan("stream", "copyToGpu");
-    std::memcpy(D, So, Bytes);
-  });
-}
-
 /// GpuGlobal buffer release at scope end (cudaFree): the memory returns
-/// to the device's free list now.
+/// to the device's free list now. Throws InvalidValue unless \p Buf was
+/// allocated on \p Dev: ids are per device, so another device's id could
+/// name a live buffer here.
 template <typename T>
 void free(sim::GpuDevice &Dev, const sim::GpuDevice::Buffer<T> &Buf) {
-  detail::requireOwner(Buf, Dev, "free");
+  if (Buf.device() != &Dev)
+    throw Error(sim::ErrorCode::InvalidValue,
+                "free: buffer id " + std::to_string(Buf.id()) +
+                    " was not allocated on this device");
   Dev.free(Buf.id());
 }
 
@@ -257,65 +182,6 @@ void checkArg(const sim::GpuDevice::Buffer<T> &Buf, size_t Count,
     throw Error(sim::ErrorCode::InvalidValue,
                 std::string(What) + "; id " + std::to_string(Buf.id()) +
                     " was freed or never allocated");
-}
-
-/// The stream-ordered release (cudaFreeAsync): the memory returns once
-/// everything enqueued before it has run; under capture the captured
-/// graph takes the buffer over (see sim::Stream::free).
-template <typename T>
-void freeAsync(sim::Stream &S, const sim::GpuDevice::Buffer<T> &Buf) {
-  detail::requireOwner(Buf, S.device(), "freeAsync");
-  S.free(Buf.id());
-}
-
-//===----------------------------------------------------------------------===//
-// Generated drivers on a stream
-//===----------------------------------------------------------------------===//
-
-namespace detail {
-template <typename T> struct IsHostBuffer : std::false_type {};
-template <typename T> struct IsHostBuffer<HostBuffer<T>> : std::true_type {};
-
-/// How a captured driver call holds one argument: the caller's host
-/// buffers by reference, everything else (scalars, device-buffer
-/// handles) by value.
-template <typename A, typename V = std::remove_cvref_t<A>>
-using Held =
-    std::conditional_t<IsHostBuffer<V>::value,
-                       std::reference_wrapper<std::remove_reference_t<A>>, V>;
-} // namespace detail
-
-/// Runs \p Driver(S.device(), Args...) — a generated host driver, or
-/// anything callable like one — on stream \p S as its next operation,
-/// on the calling thread (Stream::runInline): after everything enqueued
-/// on \p S before it, and finished when the call returns. What the
-/// driver throws reaches the caller unchanged (same rt::Error, code and
-/// text); nothing throws into the pool. A device error the driver hit
-/// poisons \p S like any stream operation's; a non-sticky one
-/// (InvalidValue, CopyFailed) leaves it healthy.
-///
-/// Under capture, records one node instead and returns: every replay
-/// re-runs the whole driver, host code included, against the same host
-/// buffers, so those must be lvalues (a static_assert rejects a temporary
-/// in either mode); scalars and device-buffer handles are held by value.
-/// A replay whose driver throws poisons the replaying stream (see
-/// Graph::launch).
-template <typename Fn, typename... Args>
-void runOnStream(sim::Stream &S, Fn &&Driver, Args &&...A) {
-  static_assert(((!detail::IsHostBuffer<std::remove_cvref_t<Args>>::value ||
-                  std::is_lvalue_reference_v<Args>) &&
-                 ...),
-                "runOnStream: pass host buffers as lvalues; a captured call "
-                "keeps a reference to them for every replay");
-  sim::GpuDevice &Dev = S.device();
-  if (S.capturing()) {
-    S.enqueue([&Dev, Call = std::decay_t<Fn>(std::forward<Fn>(Driver)),
-               Held = std::tuple<detail::Held<Args>...>(A...)] {
-      std::apply([&](const auto &...X) { Call(Dev, X...); }, Held);
-    });
-    return;
-  }
-  S.runInline([&] { Driver(Dev, A...); });
 }
 
 /// Checks a launch configuration against the element count a kernel

@@ -30,10 +30,6 @@ const char *errorCodeName(ErrorCode E) {
     return "alloc_failed";
   case ErrorCode::CopyFailed:
     return "copy_failed";
-  case ErrorCode::EventDropped:
-    return "event_dropped";
-  case ErrorCode::StreamPoisoned:
-    return "stream_poisoned";
   case ErrorCode::InvalidValue:
     return "invalid_value";
   }
@@ -113,11 +109,6 @@ bool FaultPlan::parse(const std::string &Text, FaultPlan &Out,
           !parseOrdinal(Parts[2].substr(3), P.DelayMs))
         return setErr(Err,
                       "bad clause '" + Clause + "' (want delay:worker=K:ms=M)");
-    } else if (Key == "drop") {
-      // drop:event=N
-      if (Parts.size() != 2 || Parts[1].rfind("event=", 0) != 0 ||
-          !parseOrdinal(Parts[1].substr(6), P.DropEventAt))
-        return setErr(Err, "bad clause '" + Clause + "' (want drop:event=N)");
     } else if (Key == "compile") {
       // compile:fail=N
       if (Parts.size() != 2 || Parts[1].rfind("fail=", 0) != 0 ||
@@ -148,8 +139,6 @@ std::string FaultPlan::str() const {
   if (DelayWorker)
     Append("delay:worker=" + std::to_string(DelayWorker) +
            ":ms=" + std::to_string(DelayMs));
-  if (DropEventAt)
-    Append("drop:event=" + std::to_string(DropEventAt));
   if (CompileFailAt)
     Append("compile:fail=" + std::to_string(CompileFailAt));
   return S;
@@ -186,7 +175,6 @@ void FaultInjector::setPlanForTest(const FaultPlan &P) {
   Plan = P;
   AllocSeen.store(0, std::memory_order_relaxed);
   LaunchSeen.store(0, std::memory_order_relaxed);
-  EventSeen.store(0, std::memory_order_relaxed);
   CompileSeen.store(0, std::memory_order_relaxed);
   Armed.store(P.armed(), std::memory_order_relaxed);
 }
@@ -225,16 +213,6 @@ bool FaultInjector::shouldDelayWorker(uint64_t WorkerOrdinal,
     return false;
   DelayMsOut = P.DelayMs;
   return true;
-}
-
-bool FaultInjector::shouldDropEvent() {
-  if (!armed())
-    return false;
-  FaultPlan P = plan();
-  if (!P.DropEventAt)
-    return false;
-  return EventSeen.fetch_add(1, std::memory_order_relaxed) + 1 ==
-         P.DropEventAt;
 }
 
 bool FaultInjector::shouldFailCompile() {

@@ -5,15 +5,13 @@
 // system cannot cover. It has three halves:
 //
 //  * ErrorCode / DeviceError: the CUDA-style sticky error model. A kernel
-//    trap, failed allocation, failed async copy, dropped event or watchdog
-//    timeout records a device-level ErrorCode on the GpuDevice and poisons
-//    the sim::Stream that carried the failing operation. Every subsequent
-//    host-side operation on the poisoned stream fails fast with the
-//    *original* error (first error wins), `getLastError`/`peekLastError`
-//    expose it, and `GpuDevice::reset()` is the only way back to a healthy
-//    device. Generated hostgen drivers surface the state as a structured
-//    `rt::Error` (an alias of DeviceError) instead of leaking
-//    half-completed buffers.
+//    trap, failed allocation or watchdog timeout records a device-level
+//    ErrorCode on the GpuDevice. The *original* error stays (first error
+//    wins), `getLastError`/`peekLastError` expose it, and
+//    `GpuDevice::reset()` is the only way back to a healthy device.
+//    Generated hostgen drivers check the device after every launch and
+//    surface the state as a structured `rt::Error` (an alias of
+//    DeviceError) instead of leaking half-completed buffers.
 //
 //  * FaultPlan: a deterministic fault-injection plan, parsed strictly from
 //    the DESCEND_FAULTS environment variable. The grammar is a
@@ -22,8 +20,6 @@
 //        alloc:N              fail the N-th device allocation (1-based)
 //        trap:launch=N        force a kernel trap at the N-th launch
 //        delay:worker=K:ms=M  delay pool worker K by M ms per work batch
-//        drop:event=N         drop (and convert to a sticky error) the
-//                             N-th stream event signal
 //        compile:fail=N       make the N-th compile request fail with a
 //                             transient, retryable diagnostic
 //        e.g. DESCEND_FAULTS=alloc:3,trap:launch=5,delay:worker=2:ms=10
@@ -67,9 +63,7 @@ enum class ErrorCode : uint8_t {
   KernelTrap,     ///< a kernel body trapped (OOB access, div by zero, ...)
   KernelTimeout,  ///< the watchdog cancelled a runaway launch
   AllocFailed,    ///< device allocation failed (real or injected)
-  CopyFailed,     ///< a host<->device copy failed after enqueue
-  EventDropped,   ///< an event signal was dropped (injected seam)
-  StreamPoisoned, ///< operation refused because the stream already failed
+  CopyFailed,     ///< a host<->device copy failed (size mismatch)
   /// A freed or unknown device-buffer id reached free, a copy or a vm
   /// launch. Thrown or returned, never recorded: like
   /// cudaErrorInvalidValue it does not poison the device.
@@ -106,12 +100,10 @@ struct FaultPlan {
   uint64_t TrapAtLaunch = 0;  ///< trap:launch=N
   uint64_t DelayWorker = 0;   ///< delay:worker=K (1-based worker ordinal)
   uint64_t DelayMs = 0;       ///< delay:worker=K:ms=M
-  uint64_t DropEventAt = 0;   ///< drop:event=N
   uint64_t CompileFailAt = 0; ///< compile:fail=N
 
   bool armed() const {
-    return AllocFailAt || TrapAtLaunch || DelayWorker || DropEventAt ||
-           CompileFailAt;
+    return AllocFailAt || TrapAtLaunch || DelayWorker || CompileFailAt;
   }
 
   /// Strictly parses \p Text (the DESCEND_FAULTS grammar above) into
@@ -132,9 +124,9 @@ struct FaultPlan {
 //===----------------------------------------------------------------------===//
 
 /// Process-wide fault injector. The runtime seams (allocRaw, runBlocks,
-/// worker loop, Stream::record, CompileService::doCompile) call the
-/// should*() probes; each probe advances its own atomic occurrence
-/// counter and fires exactly once, on the configured ordinal.
+/// worker loop, CompileService::doCompile) call the should*() probes;
+/// each probe advances its own atomic occurrence counter and fires
+/// exactly once, on the configured ordinal.
 class FaultInjector {
 public:
   /// The singleton. First use parses DESCEND_FAULTS (strictly, with a
@@ -159,7 +151,6 @@ public:
   bool shouldTrapLaunch();
   /// \p WorkerOrdinal is 1-based; on a hit sets \p DelayMsOut.
   bool shouldDelayWorker(uint64_t WorkerOrdinal, uint64_t &DelayMsOut);
-  bool shouldDropEvent();
   bool shouldFailCompile();
 
 private:
@@ -171,7 +162,6 @@ private:
 
   std::atomic<uint64_t> AllocSeen{0};
   std::atomic<uint64_t> LaunchSeen{0};
-  std::atomic<uint64_t> EventSeen{0};
   std::atomic<uint64_t> CompileSeen{0};
 };
 

@@ -36,12 +36,11 @@ std::byte *detail::threadArena(size_t Bytes) {
   return Arena.data();
 }
 
-/// One unit of pool work: either the block-items of a parallelFor (Body
-/// set, borrowed from the caller's frame — the job completes before
-/// parallelFor returns) or a one-off submitted task (Task set).
+/// One unit of pool work: the block-items of a parallelFor. Body is
+/// borrowed from the caller's frame — the job completes before
+/// parallelFor returns.
 struct detail::WorkerPool::Job {
   const std::function<void(unsigned)> *Body = nullptr;
-  std::function<void()> Task;
   unsigned NumItems = 0;
   unsigned Chunk = 1;
   std::atomic<unsigned> Next{0};      // next unclaimed item
@@ -49,13 +48,6 @@ struct detail::WorkerPool::Job {
   std::mutex DoneM;
   std::condition_variable DoneCV;
   bool Done = false;
-
-  void runItem(unsigned I) {
-    if (Body)
-      (*Body)(I);
-    else
-      Task();
-  }
 };
 
 detail::WorkerPool::WorkerPool(unsigned ThreadCount) {
@@ -92,9 +84,9 @@ bool detail::WorkerPool::claimAndRun(Job &J) {
   std::string SpanArgs;
   if (obs::TraceCollector::global().enabled()) [[unlikely]]
     SpanArgs = descend::strfmt("{\"items\":%u}", End - Begin);
-  obs::Span PoolSpan("pool", J.Body ? "blocks" : "task", std::move(SpanArgs));
+  obs::Span PoolSpan("pool", "blocks", std::move(SpanArgs));
   for (unsigned I = Begin; I != End; ++I)
-    J.runItem(I);
+    (*J.Body)(I);
   const unsigned Ran = End - Begin;
   if (J.Remaining.fetch_sub(Ran, std::memory_order_acq_rel) == Ran) {
     std::lock_guard<std::mutex> G(J.DoneM);
@@ -105,7 +97,7 @@ bool detail::WorkerPool::claimAndRun(Job &J) {
 }
 
 void detail::WorkerPool::pollForWork() const {
-  // Spin first: in a back-to-back loop the next operation usually comes
+  // Spin first: in a back-to-back loop the next launch usually comes
   // within microseconds, and the worker that just finished, whose caches
   // hold that loop's data, reacts first. Then yield the core between
   // checks — the pool has as many workers as cores, plus the submitting
@@ -189,20 +181,6 @@ void detail::WorkerPool::parallelFor(
   removeFromQueue(J);
   std::unique_lock<std::mutex> L(J->DoneM);
   J->DoneCV.wait(L, [&] { return J->Done; });
-}
-
-void detail::WorkerPool::submit(std::function<void()> Task) {
-  assert(threadCount() > 0 && "submit() needs at least one pool worker");
-  auto J = std::make_shared<Job>();
-  J->Task = std::move(Task);
-  J->NumItems = 1;
-  J->Remaining.store(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> G(M);
-    Queue.push_back(J);
-    Queued.store(Queue.size(), std::memory_order_relaxed);
-  }
-  WorkCV.notify_one();
 }
 
 std::string RaceReport::str() const {
@@ -291,7 +269,6 @@ GpuDevice::GpuDevice() {
 }
 
 void GpuDevice::setWatchdog(WatchdogConfig W) {
-  deviceSynchronize(); // no in-flight launch straddles the change
   WdStepBudget.store(W.StepBudget, std::memory_order_relaxed);
   WdTimeoutMs.store(W.LaunchTimeoutMs, std::memory_order_relaxed);
 }
@@ -329,7 +306,6 @@ void GpuDevice::setDeviceError(ErrorCode Code, const std::string &Msg) {
 }
 
 void GpuDevice::reset() {
-  deviceSynchronize();
   {
     std::lock_guard<std::mutex> G(ErrM);
     Err = ErrorCode::Ok;
@@ -340,13 +316,6 @@ void GpuDevice::reset() {
   resetStats();
   std::lock_guard<std::mutex> G(PoolM);
   Pool.reset(); // recreated lazily at the next parallel launch
-}
-
-GpuDevice::~GpuDevice() {
-  // Streams created against this device must have been destroyed (each
-  // synchronizes on destruction); drain any still-pending work before the
-  // pool goes away.
-  deviceSynchronize();
 }
 
 unsigned detail::parseWorkerCount(const char *Text, std::string *Warning) {
@@ -404,33 +373,18 @@ unsigned GpuDevice::effectiveWorkers() const {
 void GpuDevice::setWorkers(unsigned N) {
   if (Workers == N)
     return;
-  deviceSynchronize();
   Workers = N;
   Pool.reset(); // recreated lazily at the new size
 }
 
 detail::WorkerPool &GpuDevice::pool() {
-  // Streams reach this from several host threads and from pool workers;
-  // the mutex makes the lazy creation race-free. Resizing happens only in
-  // setWorkers (host-side, quiescent) — never here, where a pending
-  // stream operation may be the caller.
+  // Host threads sharing the device launch concurrently; the mutex makes
+  // the lazy creation race-free. Resizing happens only in setWorkers
+  // (host-side, quiescent) — never here.
   std::lock_guard<std::mutex> G(PoolM);
   if (!Pool)
     Pool = std::make_unique<detail::WorkerPool>(effectiveWorkers());
   return *Pool;
-}
-
-void GpuDevice::asyncOpEnd() {
-  if (PendingOps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> G(SyncM);
-    SyncCV.notify_all();
-  }
-}
-
-void GpuDevice::deviceSynchronize() {
-  std::unique_lock<std::mutex> L(SyncM);
-  SyncCV.wait(L, [&] { return PendingOps.load(std::memory_order_acquire) ==
-                              0; });
 }
 
 //===----------------------------------------------------------------------===//
@@ -508,38 +462,22 @@ std::byte *detail::DeviceMemory::alloc(size_t Bytes, unsigned &IdOut) {
   S.Mem = Block;
   S.Bytes = Bytes;
   S.Class = Class;
-  S.Live = true;
   IdOut = Index | S.Gen << BufferSlotBits;
   return Block;
 }
 
-detail::DeviceMemory::Slot &detail::DeviceMemory::slotOf(unsigned Id,
-                                                         const char *What) {
+void detail::DeviceMemory::free(unsigned Id) {
   const unsigned Index = Id & SlotMask;
+  std::lock_guard<std::mutex> G(M);
   if (Index == 0 || Index > Slots.size())
     throw DeviceError(ErrorCode::InvalidValue,
-                      descend::strfmt("%s: buffer id %u was never allocated "
-                                      "on this device",
-                                      What, Id));
+                      descend::strfmt("GpuDevice::free: buffer id %u was "
+                                      "never allocated on this device", Id));
   Slot &S = Slots[Index - 1];
-  if (Id >> BufferSlotBits != S.Gen || !S.Live)
+  if (Id >> BufferSlotBits != S.Gen || !S.Mem)
     throw DeviceError(ErrorCode::InvalidValue,
-                      descend::strfmt("%s: buffer id %u was already freed",
-                                      What, Id));
-  return S;
-}
-
-void detail::DeviceMemory::retire(unsigned Id, const char *What) {
-  std::lock_guard<std::mutex> G(M);
-  slotOf(Id, What).Live = false;
-}
-
-void detail::DeviceMemory::reclaim(unsigned Id) {
-  const unsigned Index = Id & SlotMask;
-  std::lock_guard<std::mutex> G(M);
-  Slot &S = Slots[Index - 1];
-  assert(S.Mem && !S.Live && S.Gen == Id >> BufferSlotBits &&
-         "reclaim of a buffer that was not retired");
+                      descend::strfmt("GpuDevice::free: buffer id %u was "
+                                      "already freed", Id));
   // Poisoned before it is visible to another allocation.
   ASAN_POISON_MEMORY_REGION(S.Mem, size_t{1} << S.Class);
   FreeBlocks[S.Class].push_back(S.Mem);
@@ -553,7 +491,8 @@ bool detail::DeviceMemory::live(unsigned Id) const {
   const unsigned Index = Id & SlotMask;
   std::lock_guard<std::mutex> G(M);
   return Index != 0 && Index <= Slots.size() &&
-         Slots[Index - 1].Gen == Id >> BufferSlotBits && Slots[Index - 1].Live;
+         Slots[Index - 1].Gen == Id >> BufferSlotBits &&
+         Slots[Index - 1].Mem != nullptr;
 }
 
 MemoryStats detail::DeviceMemory::stats() const {
@@ -575,17 +514,14 @@ std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut) {
     setDeviceError(ErrorCode::AllocFailed, Msg);
     throw DeviceError(ErrorCode::AllocFailed, Msg);
   }
-  return Mem->alloc(Bytes, IdOut);
+  return Mem.alloc(Bytes, IdOut);
 }
 
-void GpuDevice::free(unsigned Id) {
-  Mem->retire(Id, "GpuDevice::free");
-  Mem->reclaim(Id);
-}
+void GpuDevice::free(unsigned Id) { Mem.free(Id); }
 
-bool GpuDevice::isLive(unsigned Id) const { return Mem->live(Id); }
+bool GpuDevice::isLive(unsigned Id) const { return Mem.live(Id); }
 
-MemoryStats GpuDevice::memoryStats() const { return Mem->stats(); }
+MemoryStats GpuDevice::memoryStats() const { return Mem.stats(); }
 
 void GpuDevice::logAccess(const BlockCtx &B, unsigned BufferId, size_t Offset,
                           bool Write) {
@@ -616,9 +552,8 @@ void GpuDevice::clearLogs() {
 }
 
 void GpuDevice::setCounters(bool On) {
-  // Quiesce first so no in-flight launch straddles the transition (the
-  // flag is read once per launch in detail::runBlocks).
-  deviceSynchronize();
+  // Read once per launch in detail::runBlocks, so no launch straddles
+  // the transition.
   CountersOn.store(On, std::memory_order_relaxed);
 }
 
@@ -966,409 +901,4 @@ void detail::runBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
     LS.RaceLogEntries = Dev.accessLogSize() - RaceLogBefore;
     Dev.recordLaunchStats(std::move(LS));
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Events
-//===----------------------------------------------------------------------===//
-
-/// Marks generation \p Gen complete and fires every waiter whose target
-/// it satisfies. Callbacks run outside the event mutex — a waiter may
-/// resubmit a stream pump, which takes other locks.
-void detail::signalEventGen(const std::shared_ptr<EventState> &St,
-                            uint64_t Gen) {
-  std::vector<std::function<void()>> Due;
-  {
-    std::lock_guard<std::mutex> G(St->M);
-    St->Completed = std::max(St->Completed, Gen);
-    for (size_t I = 0; I != St->Waiters.size();) {
-      if (St->Waiters[I].first <= St->Completed) {
-        Due.push_back(std::move(St->Waiters[I].second));
-        St->Waiters.erase(St->Waiters.begin() + I);
-      } else {
-        ++I;
-      }
-    }
-    St->CV.notify_all();
-  }
-  for (std::function<void()> &Fn : Due)
-    Fn();
-}
-
-/// Record-and-signal in one step: what a captured record node does at
-/// replay time (the generation is minted when the node runs, so every
-/// replay re-arms the event afresh).
-void detail::signalEventNow(const std::shared_ptr<EventState> &St) {
-  uint64_t Gen;
-  {
-    std::lock_guard<std::mutex> G(St->M);
-    Gen = ++St->Recorded;
-  }
-  signalEventGen(St, Gen);
-}
-
-bool Event::query() const {
-  std::lock_guard<std::mutex> G(St->M);
-  return St->Completed >= St->Recorded;
-}
-
-void Event::synchronize() const {
-  std::unique_lock<std::mutex> L(St->M);
-  const uint64_t Target = St->Recorded;
-  St->CV.wait(L, [&] { return St->Completed >= Target; });
-}
-
-//===----------------------------------------------------------------------===//
-// Launch graphs
-//===----------------------------------------------------------------------===//
-
-Graph::Data::~Data() {
-  for (unsigned Id : Owned)
-    Mem->reclaim(Id);
-}
-
-void Graph::launch(Stream &S) const {
-  if (!D)
-    throw std::logic_error("Graph::launch: empty graph handle");
-  // The whole captured sequence replays as ONE stream operation: a
-  // serving loop pays a single enqueue per request instead of one per
-  // transfer/launch.
-  S.enqueue([Nodes = D, St = &S] {
-    std::string SpanArgs;
-    if (obs::TraceCollector::global().enabled()) [[unlikely]]
-      SpanArgs = descend::strfmt("{\"ops\":%zu}", Nodes->Nodes.size());
-    obs::Span ReplaySpan("stream", "graphReplay", std::move(SpanArgs));
-    try {
-      for (const std::function<void()> &Node : Nodes->Nodes)
-        Node();
-    } catch (const DeviceError &E) {
-      St->poison(E.code(), E.what());
-    } catch (const std::exception &E) {
-      St->poison(ErrorCode::InvalidValue, E.what());
-    }
-  });
-}
-
-//===----------------------------------------------------------------------===//
-// Streams
-//===----------------------------------------------------------------------===//
-
-void Stream::poison(ErrorCode Code, const std::string &Msg) {
-  std::lock_guard<std::mutex> G(M);
-  if (PoisonedFlag.load(std::memory_order_relaxed))
-    return; // first error wins
-  PoisonCode = Code;
-  PoisonMsg = Msg;
-  PoisonedFlag.store(true, std::memory_order_release);
-}
-
-ErrorCode Stream::error(std::string *MsgOut) const {
-  if (!PoisonedFlag.load(std::memory_order_acquire))
-    return ErrorCode::Ok;
-  std::lock_guard<std::mutex> G(M);
-  if (MsgOut)
-    *MsgOut = PoisonMsg;
-  return PoisonCode;
-}
-
-void Stream::failFastIfPoisoned(const char *What) const {
-  if (!PoisonedFlag.load(std::memory_order_acquire)) [[likely]]
-    return;
-  std::string Msg;
-  const ErrorCode Code = error(&Msg);
-  throw DeviceError(Code,
-                    descend::strfmt("Stream::%s: stream poisoned by earlier "
-                                    "%s: %s",
-                                    What, errorCodeName(Code), Msg.c_str()));
-}
-
-void Stream::runOpObservingErrors(const std::function<void()> &Op) {
-  // Attribution rule: the operation in flight when a device error
-  // appeared is the operation that carried it — exactly one stream
-  // poisons per deterministic injected fault, and a healthy sibling
-  // stream with nothing in flight stays healthy.
-  const uint64_t Seq0 = Dev->errorSeq();
-  try {
-    Op();
-  } catch (...) {
-    poisonOnErrorSince(Seq0);
-    throw;
-  }
-  poisonOnErrorSince(Seq0);
-}
-
-void Stream::poisonOnErrorSince(uint64_t Seq0) {
-  if (Dev->errorSeq() == Seq0) [[likely]]
-    return;
-  std::string Msg;
-  const ErrorCode Code = Dev->getLastError(&Msg);
-  if (Code != ErrorCode::Ok)
-    poison(Code, Msg);
-}
-
-void Stream::runInline(const std::function<void()> &Op) {
-  if (InCapture)
-    throw std::logic_error("Stream::runInline: capturing");
-  synchronize();
-  failFastIfPoisoned("runInline");
-  runOpObservingErrors(Op);
-}
-
-Stream::~Stream() {
-  synchronize();
-  // A capture that never ended still owns what was freed under it; its
-  // nodes died unreplayed, so nothing can touch those buffers any more.
-  for (unsigned Id : CapOwned)
-    Dev->memoryState()->reclaim(Id);
-}
-
-void Stream::enqueue(std::function<void()> Op) {
-  failFastIfPoisoned("enqueue");
-  // Capture records instead of executing — also on sequential devices,
-  // so a captured graph is identical no matter the worker count.
-  if (InCapture) {
-    CapNodes.push_back(std::move(Op));
-    return;
-  }
-  submitOp(std::move(Op));
-}
-
-void Stream::free(unsigned Id) {
-  detail::DeviceMemory *Mem = Dev->memoryState().get();
-  Mem->retire(Id, "Stream::free");
-  if (InCapture) {
-    CapOwned.push_back(Id);
-    return;
-  }
-  // No fail-fast: a poisoned stream still drains the operations it
-  // accepted, and the memory comes back after them. The device outlives
-  // every stream operation, so the raw pointer stays valid.
-  submitOp([Mem, Id] { Mem->reclaim(Id); });
-}
-
-void Stream::submitOp(std::function<void()> Op) {
-  // Sequential devices (including race detection, which forces one
-  // worker) execute immediately: deterministic, in order, on the calling
-  // thread — the behaviour the race-detector fixtures pin down.
-  if (Dev->effectiveWorkers() <= 1) {
-    runOpObservingErrors(Op);
-    return;
-  }
-  Dev->asyncOpBegin();
-  bool StartPump = false;
-  {
-    std::lock_guard<std::mutex> G(M);
-    Ops.push_back(OpItem{std::move(Op), nullptr, 0});
-    if (!Running) {
-      Running = true;
-      StartPump = true;
-    }
-  }
-  if (StartPump)
-    Dev->pool().submit([this] { pump(); });
-}
-
-void Stream::pump() {
-  for (;;) {
-    std::function<void()> Op;
-    std::shared_ptr<detail::EventState> WaitSt;
-    uint64_t WaitTarget = 0;
-    {
-      std::lock_guard<std::mutex> G(M);
-      if (Ops.empty()) {
-        Running = false;
-        CV.notify_all();
-        return;
-      }
-      OpItem &Front = Ops.front();
-      if (Front.Fn) {
-        Op = std::move(Front.Fn);
-        Ops.pop_front();
-      } else {
-        // Event-wait marker: peek without popping — if the event is not
-        // done we park, and the marker must still be at the front when
-        // the waiter callback resubmits this pump.
-        WaitSt = Front.WaitSt;
-        WaitTarget = Front.WaitTarget;
-      }
-    }
-    if (Op) {
-      runOpObservingErrors(Op);
-      Dev->asyncOpEnd();
-      continue;
-    }
-    // Never hold the stream mutex while taking the event mutex.
-    {
-      std::unique_lock<std::mutex> EL(WaitSt->M);
-      if (WaitSt->Completed < WaitTarget) {
-        // Park: re-arm the pump from the event's completion callback
-        // instead of blocking this pool worker. Running stays true, so
-        // synchronize() keeps blocking and no second pump starts.
-        GpuDevice *D = Dev;
-        Stream *Self = this;
-        WaitSt->Waiters.emplace_back(
-            WaitTarget, [D, Self] { D->pool().submit([Self] { Self->pump(); }); });
-        return;
-      }
-    }
-    // Satisfied: consume the marker and continue draining.
-    if (obs::TraceCollector::global().enabled()) [[unlikely]]
-      obs::TraceCollector::global().addInstant("stream", "eventWait");
-    {
-      std::lock_guard<std::mutex> G(M);
-      assert(!Ops.empty() && !Ops.front().Fn &&
-             "wait marker vanished while the pump held it");
-      Ops.pop_front();
-    }
-    Dev->asyncOpEnd();
-  }
-}
-
-void Stream::launch(Dim3 Grid, Dim3 Block, size_t SharedBytes,
-                    PhaseProgram Prog) {
-  Prog.nodes(); // structural check (every loopBegin closed) at enqueue
-  auto P = std::make_shared<const PhaseProgram>(std::move(Prog));
-  GpuDevice *D = Dev;
-  enqueue([D, Grid, Block, SharedBytes, P] {
-    obs::Span LaunchSpan("stream", "launch");
-    launchProgram(*D, Grid, Block, SharedBytes, *P);
-  });
-}
-
-void Stream::record(Event &E) {
-  failFastIfPoisoned("record");
-  std::shared_ptr<detail::EventState> St = E.St;
-  if (InCapture) {
-    // The generation is minted when the node *runs*: each replay re-arms
-    // the event afresh. Recording at capture time would leave the event
-    // permanently "pending" between capture and first replay.
-    CapNodes.push_back([St] { detail::signalEventNow(St); });
-    return;
-  }
-  uint64_t Gen;
-  {
-    std::lock_guard<std::mutex> G(St->M);
-    Gen = ++St->Recorded;
-  }
-  // Everything enqueued so far is ordered before this closure within the
-  // stream, so signalling here is exactly "all prior work done".
-  // Sequential devices run it immediately: the event completes inline.
-  GpuDevice *D = Dev;
-  enqueue([St, Gen, D] {
-    // Fault injection: `drop:event=N` models a lost completion
-    // interrupt. The device records a sticky EventDropped (poisoning
-    // this stream), but the generation still completes — a detected,
-    // reported fault must never become an undetectable hang.
-    FaultInjector &FI = FaultInjector::global();
-    if (FI.armed() && FI.shouldDropEvent()) [[unlikely]]
-      D->setDeviceError(
-          ErrorCode::EventDropped,
-          descend::strfmt("event signal dropped (fault injection, "
-                          "drop:event=%llu); generation completed anyway to "
-                          "avoid a hang",
-                          static_cast<unsigned long long>(
-                              FI.plan().DropEventAt)));
-    if (obs::TraceCollector::global().enabled()) [[unlikely]]
-      obs::TraceCollector::global().addInstant("stream", "eventRecord");
-    detail::signalEventGen(St, Gen);
-  });
-}
-
-void Stream::wait(Event &E) {
-  failFastIfPoisoned("wait");
-  std::shared_ptr<detail::EventState> St = E.St;
-  if (InCapture) {
-    // Replay-time blocking wait: the replaying pump worker waits on the
-    // event CV. (Captured graphs replay as one node sequence; a parked
-    // resumption point inside the sequence has nothing to resume into.)
-    CapNodes.push_back([St] {
-      std::unique_lock<std::mutex> L(St->M);
-      const uint64_t Target = St->Recorded;
-      St->CV.wait(L, [&] { return St->Completed >= Target; });
-    });
-    return;
-  }
-  uint64_t Target;
-  {
-    std::lock_guard<std::mutex> G(St->M);
-    Target = St->Recorded;
-  }
-  if (Target == 0)
-    return; // waiting on a never-recorded event is a no-op (CUDA)
-  if (Dev->effectiveWorkers() <= 1) {
-    // Sequential devices execute inline, so anything this stream enqueues
-    // next runs on the calling thread — block it here. (The recorder may
-    // live on a multi-worker device; the CV handles that.)
-    std::unique_lock<std::mutex> L(St->M);
-    St->CV.wait(L, [&] { return St->Completed >= Target; });
-    return;
-  }
-  Dev->asyncOpBegin();
-  bool StartPump = false;
-  {
-    std::lock_guard<std::mutex> G(M);
-    Ops.push_back(OpItem{nullptr, std::move(St), Target});
-    if (!Running) {
-      Running = true;
-      StartPump = true;
-    }
-  }
-  if (StartPump)
-    Dev->pool().submit([this] { pump(); });
-}
-
-bool Stream::query() {
-  failFastIfPoisoned("query");
-  std::lock_guard<std::mutex> G(M);
-  return Ops.empty() && !Running;
-}
-
-void Stream::synchronize() {
-  // Stream operations are typically a few microseconds; poll the atomic
-  // Running flag for up to a millisecond before sleeping so short tails
-  // — a graph replay, a single launch — skip the futex sleep/wake round
-  // trip. The poll yields: the pool worker running the operation may
-  // share this core. Completion is confirmed under M, which the pump
-  // held when it cleared the flag, so the op's side effects
-  // happen-before we return.
-  const auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
-  for (;;) {
-    if (!Running.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> G(M);
-      if (Ops.empty() && !Running)
-        return;
-    }
-    if (std::chrono::steady_clock::now() >= Deadline)
-      break;
-    std::this_thread::yield();
-  }
-  std::unique_lock<std::mutex> L(M);
-  CV.wait(L, [&] { return Ops.empty() && !Running; });
-}
-
-void Stream::beginCapture() {
-  if (InCapture)
-    throw std::logic_error("Stream::beginCapture: already capturing");
-  InCapture = true;
-  CapNodes.clear();
-}
-
-Graph Stream::endCapture() {
-  if (!InCapture)
-    throw std::logic_error("Stream::endCapture: no capture in progress");
-  InCapture = false;
-  auto D = std::make_shared<Graph::Data>();
-  D->Nodes = std::move(CapNodes);
-  D->Owned = std::move(CapOwned);
-  if (!D->Owned.empty()) {
-    // The graph may die, and free, at once; work enqueued before the
-    // capture began may still be using those buffers. Capture enqueued
-    // nothing, so this waits for exactly that work.
-    synchronize();
-    D->Mem = Dev->memoryState();
-  }
-  CapNodes.clear();
-  CapOwned.clear();
-  return Graph(std::move(D));
 }

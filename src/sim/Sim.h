@@ -1,8 +1,8 @@
 //===- sim/Sim.h - Phase-structured GPU execution simulator -----*- C++ -*-===//
 //
 // Part of the Descend reproduction. This is the substrate substituting for
-// the paper's CUDA/Tesla-P100 testbed (see DESIGN.md): a CUDA-like
-// execution model on the host CPU.
+// the paper's CUDA/Tesla-P100 testbed (see docs/architecture.md § "The
+// simulator runtime"): a CUDA-like execution model on the host CPU.
 //
 // Execution model:
 //  * A launch runs a grid of independent blocks; blocks are distributed
@@ -24,28 +24,17 @@
 //    partitions a CUDA kernel.
 //  * Shared memory is a per-block arena living across the block's phases;
 //    each executing thread caches one arena across launches.
-//  * Streams (class Stream) enqueue launches and host<->device copies
-//    asynchronously, in order per stream, overlapping across streams on
-//    the same pool — the CUDA async-launch model. The default,
-//    stream-less entry points stay synchronous and bit-identical.
-//  * Events (class Event, the cudaEvent_t analogue) let streams fan out
-//    and rejoin: Stream::record snapshots "everything enqueued so far",
-//    Stream::wait orders a stream after that snapshot without draining
-//    the device. A waiting stream *parks* (its pump re-arms from the
-//    event's completion callback) instead of blocking a pool worker.
-//  * Launch graphs (class Graph, the cudaGraph analogue): a stream's
-//    transfer/launch/event sequence recorded once between
-//    beginCapture()/endCapture() and replayed as ONE stream operation
-//    (Graph::launch) — the per-op enqueue cost of a serving loop
-//    collapses to a single enqueue per request.
+//  * Every host operation is a synchronous call on the GpuDevice, as in
+//    Descend's host programs (paper §3.4-3.5): an allocation, a copy, a
+//    launch or a free has finished when it returns. The worker pool's
+//    only job is to run the blocks of one launch; host threads sharing a
+//    device overlap their launches on it.
 //  * Global memory (detail::DeviceMemory) is reused: GpuDevice::free
 //    (cudaFree) returns a buffer to a free list per power-of-two size
-//    class that the next allocation of that class takes first;
-//    Stream::free (cudaFreeAsync) does so in stream order; a free under
-//    capture hands the buffer to the captured graph, which frees it when
-//    its last handle and replay are gone. A buffer id carries its slot's
-//    generation, so a freed id is an InvalidValue error rather than a
-//    use-after-free (best effort: generations wrap, see BufferSlotBits).
+//    class that the next allocation of that class takes first. A buffer
+//    id carries its slot's generation, so a freed id is an InvalidValue
+//    error rather than a use-after-free (best effort: generations wrap,
+//    see BufferSlotBits).
 //
 // Observability (both off by default; the hot path pays one predicted
 // branch):
@@ -56,15 +45,14 @@
 //  * Bounds checking records out-of-range accesses instead of corrupting
 //    memory (used to demonstrate the Section 2.3 launch-size bug).
 //
-// Failure semantics (sim/Fault.h): a kernel trap, failed allocation,
-// dropped event signal or watchdog timeout records a sticky device-level
-// ErrorCode (first error wins) and poisons the sim::Stream that carried
-// the failing operation — subsequent host-side calls on that stream fail
-// fast with the original error, and GpuDevice::reset() is the only way
-// back to a healthy device. DESCEND_FAULTS injects exactly these
-// failures deterministically; DESCEND_WATCHDOG (or setWatchdog) arms a
-// per-launch wall-clock timeout whose cancel flag every block observes
-// at phase boundaries, plus a vm instruction budget.
+// Failure semantics (sim/Fault.h): a kernel trap, failed allocation or
+// watchdog timeout records a sticky device-level ErrorCode (first error
+// wins) — the generated drivers turn it into an rt::Error after the
+// failing step, and GpuDevice::reset() is the only way back to a healthy
+// device. DESCEND_FAULTS injects exactly these failures deterministically;
+// DESCEND_WATCHDOG (or setWatchdog) arms a per-launch wall-clock timeout
+// whose cancel flag every block observes at phase boundaries, plus a vm
+// instruction budget.
 //
 //===----------------------------------------------------------------------===//
 
@@ -117,9 +105,7 @@ struct BoundsReport {
 };
 
 /// Global-memory counters (GpuDevice::memoryStats). A buffer is live from
-/// its allocation until its memory is back on a free list: at a
-/// synchronous free, when a stream-ordered free executes, or when the
-/// graph that owns it dies.
+/// its allocation until it is freed.
 struct MemoryStats {
   uint64_t LiveBuffers = 0;
   uint64_t LiveBytes = 0;     ///< requested bytes of the live buffers
@@ -157,12 +143,7 @@ constexpr unsigned BufferSlotBits = 20;
 /// one free list of blocks per power-of-two size class. A buffer's
 /// memory is a whole class block; allocation takes a block of its class
 /// from the free list first and re-zeroes only the requested bytes.
-/// Freeing is two steps, so a stream-ordered or graph-owned free can
-/// split them: retire() ends the id's validity at once, reclaim() puts
-/// the block back on its free list once nothing can touch it any more.
-/// Thread-safe. Shared (by shared_ptr) with the graphs that own buffers,
-/// so a graph that outlives its device still frees into live
-/// bookkeeping.
+/// Thread-safe.
 class DeviceMemory {
 public:
   DeviceMemory() = default;
@@ -173,26 +154,20 @@ public:
   /// A zeroed buffer of \p Bytes. Throws std::bad_alloc beyond the
   /// largest class or when every slot holds a live buffer.
   std::byte *alloc(size_t Bytes, unsigned &IdOut);
-  /// Invalidates live buffer \p Id; its memory stays reserved until
-  /// reclaim(Id). Throws DeviceError(InvalidValue), naming \p What, when
-  /// \p Id is unknown or no longer live.
-  void retire(unsigned Id, const char *What);
-  /// Returns retired buffer \p Id's block to its class free list.
-  void reclaim(unsigned Id);
+  /// Ends live buffer \p Id and returns its block to its class free
+  /// list. Throws DeviceError(InvalidValue) when \p Id is unknown or no
+  /// longer live.
+  void free(unsigned Id);
   bool live(unsigned Id) const;
   MemoryStats stats() const;
 
 private:
   struct Slot {
-    std::byte *Mem = nullptr; ///< null while the slot is unused
+    std::byte *Mem = nullptr; ///< null unless the slot's buffer is live
     size_t Bytes = 0;         ///< requested size
     unsigned Class = 0;       ///< log2 of the block size
     unsigned Gen = 0;
-    bool Live = false; ///< false once retired
   };
-  /// The slot \p Id names in its current incarnation; throws
-  /// InvalidValue otherwise.
-  Slot &slotOf(unsigned Id, const char *What);
 
   mutable std::mutex M;
   std::vector<Slot> Slots;          // slot N at index N - 1
@@ -214,27 +189,6 @@ std::byte *threadArena(size_t Bytes);
 /// present but unusable) with a one-line explanation for stderr.
 constexpr long MaxWorkerOverride = 4096;
 unsigned parseWorkerCount(const char *Text, std::string *Warning = nullptr);
-
-/// Shared state of an Event: generation counters plus parked waiters.
-/// `Recorded` counts record() calls (the generation a wait targets);
-/// `Completed` is the highest generation whose recorded work has
-/// executed. Waiters are (target generation, callback) pairs fired — in
-/// registration order, outside the lock — once Completed reaches their
-/// target; parked stream pumps re-arm through them.
-struct EventState {
-  std::mutex M;
-  std::condition_variable CV;
-  uint64_t Recorded = 0;
-  uint64_t Completed = 0;
-  std::vector<std::pair<uint64_t, std::function<void()>>> Waiters;
-};
-
-/// Marks \p Gen complete on \p St and fires every due waiter (outside
-/// the event lock).
-void signalEventGen(const std::shared_ptr<EventState> &St, uint64_t Gen);
-/// Records-and-completes a fresh generation in one step (graph replay:
-/// a captured record re-records at replay time).
-void signalEventNow(const std::shared_ptr<EventState> &St);
 
 /// Per-launch cancellation state for the wall-clock watchdog. Blocks
 /// poll cancelled() at phase boundaries — the only points where stopping
@@ -264,17 +218,15 @@ struct LaunchControl {
 /// torn down with the device (or when setWorkers resizes it). A worker
 /// that runs out of work polls the queue for IdlePoll — spinning for the
 /// first IdleSpin, then yielding between checks — before it parks, so
-/// back-to-back small operations (a graph replay per request) start
-/// without a condition-variable wake-up, which can cost more than the
-/// operation itself.
+/// back-to-back synchronous launches (a serving loop's small kernels)
+/// start without a condition-variable wake-up, which can cost more than
+/// the launch itself.
 ///
-/// Work comes in two shapes: parallelFor distributes the blocks of one
-/// launch (the calling thread participates, so small grids finish without
-/// waiting for a wake-up), and submit runs a one-off task on some worker
-/// (the sequencers of asynchronous streams). Items of a parallelFor are
-/// claimed in runs of Chunk per atomic fetch_add; callers scale Chunk to
-/// the grid so a launch costs a handful of claims per worker instead of
-/// one per block.
+/// The pool's one kind of work is parallelFor, which distributes the
+/// blocks of one launch (the calling thread participates, so small grids
+/// finish without waiting for a wake-up). Items are claimed in runs of
+/// Chunk per atomic fetch_add; callers scale Chunk to the grid so a
+/// launch costs a handful of claims per worker instead of one per block.
 class WorkerPool {
 public:
   static constexpr std::chrono::microseconds IdlePoll{50};
@@ -294,9 +246,6 @@ public:
   /// returns once every item has finished.
   void parallelFor(unsigned NumItems, unsigned Chunk,
                    const std::function<void(unsigned)> &Body);
-
-  /// Enqueues \p Task to run asynchronously on some pool worker.
-  void submit(std::function<void()> Task);
 
 private:
   struct Job;
@@ -376,13 +325,11 @@ struct ThreadCtx {
 };
 
 /// Simulated device: owns global-memory buffers, the persistent worker
-/// pool block execution runs on, and the observability state. Launches
-/// from the host are synchronous; streams (class Stream) overlap
-/// independent work on the same pool.
+/// pool block execution runs on, and the observability state. Every host
+/// operation on it is synchronous.
 class GpuDevice {
 public:
   GpuDevice();
-  ~GpuDevice();
 
   template <typename T> class Buffer;
 
@@ -400,8 +347,8 @@ public:
   /// Enables per-launch perf counters (obs::LaunchStats). Orthogonal to
   /// race detection and composable with it: under race detection the
   /// sequential schedule makes even the execution-shape fields
-  /// deterministic. Synchronizes the device first so no launch straddles
-  /// the transition. Host-side API, like setWorkers.
+  /// deterministic. Each launch reads the flag once; a launch that
+  /// another host thread runs meanwhile keeps the setting it began with.
   void setCounters(bool On);
   bool countersEnabled() const {
     return CountersOn.load(std::memory_order_relaxed);
@@ -431,20 +378,17 @@ public:
 
   /// Worker threads for block execution; 0 = the DESCEND_WORKERS
   /// environment variable if set, else hardware concurrency.
-  /// Synchronizes the device and tears down the current pool; the next
-  /// parallel launch recreates it at the new size. Host-side API — must
-  /// not be called from inside stream operations.
+  /// Tears down the current pool; the next parallel launch recreates it
+  /// at the new size. Host-side API: it does not wait for a launch that
+  /// another host thread runs on this device, so call it while none
+  /// does.
   void setWorkers(unsigned N);
   unsigned effectiveWorkers() const;
 
   /// The device's persistent worker pool, created lazily at the
   /// effective worker count. Internal: launches reach it through
-  /// detail::runBlocks and streams through their sequencer tasks.
+  /// detail::runBlocks.
   detail::WorkerPool &pool();
-
-  /// Blocks until every operation enqueued on any of this device's
-  /// streams has executed (cudaDeviceSynchronize).
-  void deviceSynchronize();
 
   // Sticky errors (see sim/Fault.h) ----------------------------------
 
@@ -459,20 +403,19 @@ public:
   bool poisoned() const { return HasErr.load(std::memory_order_acquire); }
 
   /// Internal: records \p Code / \p Msg. The first error wins (later
-  /// calls keep the original text but still bump errorSeq so in-flight
-  /// streams observe them) and emits an "error" trace instant.
+  /// calls keep the original text but still bump errorSeq) and emits an
+  /// "error" trace instant.
   void setDeviceError(ErrorCode Code, const std::string &Msg);
-  /// Internal: monotone error-observation counter. A stream snapshots it
-  /// around each operation to attribute a device error to the operation
-  /// that was in flight when the error appeared.
+  /// Internal: monotone error-observation counter. A caller snapshots it
+  /// around an operation to attribute a device error to that operation
+  /// (vm::launchKernel does so per launch).
   uint64_t errorSeq() const { return ErrSeq.load(std::memory_order_acquire); }
 
   /// The cudaDeviceReset analogue and the only path from poisoned back
-  /// to healthy: drains the device, clears the sticky error, the stats
-  /// and the logs, and tears down the worker pool (recreated lazily).
-  /// Buffers stay allocated but their contents are unspecified; streams
-  /// that were poisoned before the reset stay poisoned — create fresh
-  /// ones.
+  /// to healthy: clears the sticky error, the stats and the logs, and
+  /// tears down the worker pool (recreated lazily). Buffers stay
+  /// allocated but their contents are unspecified. Like setWorkers, it
+  /// does not wait for a launch another host thread runs meanwhile.
   void reset();
 
   // Watchdogs --------------------------------------------------------
@@ -482,14 +425,10 @@ public:
     uint64_t LaunchTimeoutMs = 0; ///< wall-clock ms per launch; 0 = off
   };
   /// Installs watchdog limits (the DESCEND_WATCHDOG environment
-  /// variable, e.g. "steps=1000000,ms=2000", seeds the default).
-  /// Synchronizes first so no in-flight launch straddles the change.
+  /// variable, e.g. "steps=1000000,ms=2000", seeds the default). Each
+  /// launch reads the limits once, when it starts.
   void setWatchdog(WatchdogConfig W);
   WatchdogConfig watchdog() const;
-
-  // Internal: stream-operation accounting (see class Stream).
-  void asyncOpBegin() { PendingOps.fetch_add(1, std::memory_order_relaxed); }
-  void asyncOpEnd();
 
   /// Analyzes the logged accesses of the last launch. One report per
   /// conflicting (buffer, offset) pair.
@@ -508,17 +447,13 @@ public:
   // Global memory ------------------------------------------------------
 
   /// Returns buffer \p Id's memory to the free list now (cudaFree). The
-  /// caller guarantees no launch or stream operation still uses it; use
-  /// Stream::free otherwise. Throws DeviceError(InvalidValue) for an
-  /// unknown or already-freed id, without poisoning the device.
+  /// caller guarantees no launch still uses it. Throws
+  /// DeviceError(InvalidValue) for an unknown or already-freed id,
+  /// without poisoning the device.
   void free(unsigned Id);
   /// True while \p Id names an allocated buffer that was not freed.
   bool isLive(unsigned Id) const;
   MemoryStats memoryStats() const;
-  /// Internal: the memory bookkeeping streams and graphs free into.
-  const std::shared_ptr<detail::DeviceMemory> &memoryState() const {
-    return Mem;
-  }
 
 private:
   bool RaceDetection = false;
@@ -534,7 +469,7 @@ private:
   uint64_t DroppedLaunches = 0;
 
   // Sticky error state: first error wins; HasErr is the lock-free
-  // poisoned() probe, ErrSeq the per-operation attribution counter.
+  // poisoned() probe, ErrSeq the per-launch attribution counter.
   mutable std::mutex ErrM;
   ErrorCode Err = ErrorCode::Ok; // guarded by ErrM
   std::string ErrMsg;            // guarded by ErrM
@@ -547,13 +482,9 @@ private:
 
   std::unique_ptr<detail::WorkerPool> Pool;
   std::mutex PoolM; // guards lazy pool creation
-  std::atomic<unsigned> PendingOps{0};
-  std::mutex SyncM;
-  std::condition_variable SyncCV;
   std::mutex BoundsM; // bounds logging may run from parallel blocks
 
-  std::shared_ptr<detail::DeviceMemory> Mem =
-      std::make_shared<detail::DeviceMemory>();
+  detail::DeviceMemory Mem;
   std::vector<detail::Access> AccessLog;
   std::vector<BoundsReport> BoundsViolations;
 };
@@ -784,211 +715,6 @@ private:
 /// variable bound in the BlockCtx.
 void launchProgram(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
                    const PhaseProgram &Prog);
-
-class Stream;
-
-/// The cudaEvent_t analogue: a reusable marker streams record and wait
-/// on. Copying an Event copies the handle, not the state — all copies
-/// observe the same record/complete history. Recording again *re-arms*
-/// the event (a new generation); query()/synchronize()/wait target the
-/// latest record at the time of the call, matching CUDA semantics.
-class Event {
-public:
-  Event() : St(std::make_shared<detail::EventState>()) {}
-
-  /// True when everything captured by the latest record() has executed.
-  /// Never-recorded events are trivially complete.
-  bool query() const;
-
-  /// Blocks the calling host thread until query() is true.
-  void synchronize() const;
-
-private:
-  friend class Stream;
-  std::shared_ptr<detail::EventState> St;
-};
-
-/// An immutable captured operation sequence (the cudaGraph analogue):
-/// the transfers, launches and event edges a stream recorded between
-/// beginCapture() and endCapture(). Copies share the captured nodes.
-class Graph {
-public:
-  Graph() = default;
-
-  /// Number of captured operations (0 for an empty/default graph).
-  size_t opCount() const { return D ? D->Nodes.size() : 0; }
-
-  /// Replays the captured sequence on \p S as a single enqueued
-  /// operation; the replay keeps the nodes alive, so the Graph handle
-  /// may die before it runs. A node that throws ends the replay and
-  /// poisons \p S with its error (nothing throws into the pool). Throws
-  /// on an empty graph handle.
-  void launch(Stream &S) const;
-
-private:
-  friend class Stream;
-  struct Data {
-    std::vector<std::function<void()>> Nodes;
-    /// Buffers freed under capture: the graph owns them and frees them
-    /// when its last handle and its last replay are gone.
-    std::shared_ptr<detail::DeviceMemory> Mem;
-    std::vector<unsigned> Owned;
-    ~Data();
-  };
-  explicit Graph(std::shared_ptr<const Data> D) : D(std::move(D)) {}
-  std::shared_ptr<const Data> D;
-};
-
-/// A CUDA-style stream: kernel launches and host<->device copies enqueue
-/// asynchronously and execute *in order within the stream* on the
-/// device's worker pool; independent streams overlap. synchronize()
-/// joins one stream, GpuDevice::deviceSynchronize() joins them all, and
-/// the destructor synchronizes, so enqueued closures may safely capture
-/// state that outlives the stream object.
-///
-/// On a single-worker device — including whenever race detection is
-/// enabled, which forces one worker — enqueued work runs immediately on
-/// the calling thread: execution stays sequential and deterministic, and
-/// findRaces() sees exactly the log a synchronous launch produces.
-///
-/// Capture (beginCapture/endCapture) is a host-thread activity: begin,
-/// the captured operations and end must all come from the thread driving
-/// the stream, and while capturing, enqueue/record/wait *record* instead
-/// of executing — also on single-worker devices, so a captured graph is
-/// identical no matter the worker count.
-class Stream {
-public:
-  explicit Stream(GpuDevice &Dev) : Dev(&Dev) {}
-  ~Stream();
-  Stream(const Stream &) = delete;
-  Stream &operator=(const Stream &) = delete;
-
-  GpuDevice &device() const { return *Dev; }
-
-  /// Enqueues an arbitrary host-side operation (a copy, a launch wrapped
-  /// in a closure, ...). The operation must not throw; anything it
-  /// captures must stay alive until the stream is synchronized. Runs
-  /// immediately when the device executes sequentially; records a graph
-  /// node while capturing.
-  void enqueue(std::function<void()> Op);
-
-  /// Enqueues a phase-program launch (the stream-side launchProgram).
-  void launch(Dim3 Grid, Dim3 Block, size_t SharedBytes, PhaseProgram Prog);
-
-  /// Stream-ordered free (cudaFreeAsync): \p Id is invalid from this call
-  /// on, and its memory returns to the free list once every operation
-  /// enqueued before it has executed — also on a poisoned stream, which
-  /// still drains what it accepted. While capturing, the buffer's
-  /// ownership moves to the captured graph instead and nothing is
-  /// recorded, so replays never free it. Throws DeviceError(InvalidValue)
-  /// for an unknown or already-freed id.
-  void free(unsigned Id);
-
-  /// Records \p E: the event completes once everything enqueued on this
-  /// stream so far has executed (cudaEventRecord). Re-recording re-arms
-  /// the event with a new generation.
-  void record(Event &E);
-
-  /// Orders everything enqueued on this stream *after* this call behind
-  /// the latest record() of \p E (cudaStreamWaitEvent) — without
-  /// draining the device: the stream parks until the event fires.
-  /// Waiting on a never-recorded event is a no-op (CUDA semantics).
-  void wait(Event &E);
-
-  /// Non-blocking completion probe: true when every operation enqueued
-  /// so far has executed (cudaStreamQuery). Throws the original
-  /// DeviceError when the stream is poisoned.
-  bool query();
-
-  /// Blocks until every operation enqueued so far has executed. Never
-  /// throws (the destructor relies on it); a poisoned stream still
-  /// drains the operations accepted before the failure.
-  void synchronize();
-
-  /// Runs \p Op as the stream's next operation, on the calling thread:
-  /// synchronizes, fails fast when poisoned, then runs \p Op with the
-  /// same error attribution as an enqueued operation (a device error
-  /// that appears meanwhile poisons the stream). What \p Op throws
-  /// reaches the caller. Work another host thread enqueues on this
-  /// stream meanwhile is not ordered after \p Op. Throws while
-  /// capturing.
-  void runInline(const std::function<void()> &Op);
-
-  // Sticky stream errors ---------------------------------------------
-
-  /// The stream's sticky error: Ok while healthy; after a failure, the
-  /// original device error the stream's operation carried (\p MsgOut
-  /// gets the original diagnostic). Poisoning is permanent for the
-  /// stream's lifetime — GpuDevice::reset() heals the device, not
-  /// existing streams.
-  ErrorCode error(std::string *MsgOut = nullptr) const;
-
-  /// Internal: marks this stream failed with \p Code / \p Msg (first
-  /// error wins). The pump calls it when a device error surfaces while
-  /// one of this stream's operations is in flight.
-  void poison(ErrorCode Code, const std::string &Msg);
-
-  // Graph capture ----------------------------------------------------
-
-  /// Enters capture mode: subsequent enqueue/record/wait calls record
-  /// graph nodes instead of executing. Throws if already capturing.
-  void beginCapture();
-
-  /// Ends capture mode and returns the immutable captured graph.
-  /// Throws without a matching beginCapture(). When buffers were freed
-  /// under the capture, first waits for the work enqueued before it
-  /// began: the graph frees them as soon as it dies.
-  Graph endCapture();
-
-  /// True between beginCapture() and endCapture().
-  bool capturing() const { return InCapture; }
-
-private:
-  void pump(); // drains Ops in order; runs on a pool worker
-
-  /// Runs \p Op inline on a sequential device, else queues it behind
-  /// everything enqueued so far.
-  void submitOp(std::function<void()> Op);
-
-  /// Throws the stream's original DeviceError when poisoned; the
-  /// fail-fast guard at the top of every mutating entry point.
-  void failFastIfPoisoned(const char *What) const;
-
-  /// Runs \p Op and poisons this stream if a device error surfaced
-  /// while it ran (errorSeq attribution), also when \p Op throws.
-  void runOpObservingErrors(const std::function<void()> &Op);
-  /// Poisons this stream if a device error surfaced since \p Seq0.
-  void poisonOnErrorSince(uint64_t Seq0);
-
-  /// One queued stream operation: a closure to run, or — when Fn is
-  /// null — an event-wait marker the pump parks on.
-  struct OpItem {
-    std::function<void()> Fn;
-    std::shared_ptr<detail::EventState> WaitSt;
-    uint64_t WaitTarget = 0;
-  };
-
-  GpuDevice *Dev;
-  mutable std::mutex M;
-  std::condition_variable CV;
-  std::deque<OpItem> Ops;
-
-  // Sticky poison state: the flag is the lock-free fast path; code and
-  // message are guarded by M.
-  std::atomic<bool> PoisonedFlag{false};
-  ErrorCode PoisonCode = ErrorCode::Ok;
-  std::string PoisonMsg;
-  /// A pump task is active (or parked on an event). Written under M;
-  /// atomic so synchronize() can spin on it locklessly before falling
-  /// back to the condition variable (completion is still confirmed
-  /// under M, which provides the happens-before for the op's effects).
-  std::atomic<bool> Running{false};
-
-  // Capture state; touched only by the host thread driving the stream.
-  bool InCapture = false;
-  std::vector<std::function<void()>> CapNodes;
-  std::vector<unsigned> CapOwned; // buffers freed under capture
-};
 
 /// Launches a straight-line phase-structured kernel: each Phase must be
 /// callable as phase(BlockCtx&, ThreadCtx&). Within a block, every phase

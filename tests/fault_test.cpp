@@ -1,9 +1,9 @@
 //===- tests/fault_test.cpp - Sticky errors, fault injection, watchdogs ---===//
 //
 // The acceptance gate for the robustness layer: a forced kernel trap at
-// launch N poisons exactly the affected stream, getLastError stays
-// sticky until GpuDevice::reset(), an infinite-loop kernel is cancelled
-// within the watchdog budget instead of hanging the suite, and every
+// launch N runs no block and latches the device's error, getLastError
+// stays sticky until GpuDevice::reset(), an infinite-loop kernel is
+// cancelled within the watchdog budget instead of hanging the suite, and every
 // DESCEND_FAULTS / DESCEND_WATCHDOG clause parses strictly (all-or-
 // nothing, like DESCEND_SIM_WORKERS). Runs under ASan and TSan in CI —
 // the injection seams sit on pool-worker code paths.
@@ -50,15 +50,13 @@ TEST(FaultPlan, ParsesFullGrammarAndRoundTrips) {
   FaultPlan P;
   std::string Err;
   ASSERT_TRUE(FaultPlan::parse(
-      "alloc:3,trap:launch=5,delay:worker=2:ms=10,drop:event=1,"
-      "compile:fail=4",
+      "alloc:3,trap:launch=5,delay:worker=2:ms=10,compile:fail=4",
       P, &Err))
       << Err;
   EXPECT_EQ(P.AllocFailAt, 3u);
   EXPECT_EQ(P.TrapAtLaunch, 5u);
   EXPECT_EQ(P.DelayWorker, 2u);
   EXPECT_EQ(P.DelayMs, 10u);
-  EXPECT_EQ(P.DropEventAt, 1u);
   EXPECT_EQ(P.CompileFailAt, 4u);
   EXPECT_TRUE(P.armed());
   // str() renders the canonical spelling, which re-parses to the same
@@ -85,16 +83,26 @@ TEST(FaultPlan, RejectsMalformedPlansWholesale) {
       "trap:5",          // trap wants launch=N
       "trap:launch=",    // empty ordinal
       "delay:worker=1",  // delay wants both worker= and ms=
-      "drop:3",          // drop wants event=N
+      "drop:3",          // unknown kind
       "compile:3",       // compile wants fail=N
       "bogus:3",         // unknown kind
       "alloc:3,bogus:1", // one bad clause poisons the whole plan
+      "drop:event=1",         // unknown kind
+      "alloc:1,drop:event=1", // ...rejects the whole plan
   };
   for (const char *Text : Bad) {
     FaultPlan P;
     std::string Err;
     EXPECT_FALSE(FaultPlan::parse(Text, P, &Err)) << Text;
     EXPECT_FALSE(Err.empty()) << Text;
+  }
+  for (const char *Text : {"drop:event=1", "alloc:1,drop:event=1"}) {
+    FaultPlan P;
+    P.AllocFailAt = 7; // untouched on failure
+    std::string Err;
+    EXPECT_FALSE(FaultPlan::parse(Text, P, &Err)) << Text;
+    EXPECT_EQ(Err, "unknown fault kind 'drop' in 'drop:event=1'") << Text;
+    EXPECT_EQ(P.AllocFailAt, 7u) << Text;
   }
 }
 
@@ -179,80 +187,42 @@ TEST(StickyError, AllocInjectionFailsNthAllocationOnly) {
   EXPECT_EQ(Dev.getLastError(), ErrorCode::Ok);
 }
 
-TEST(StickyError, TrapAtLaunchPoisonsExactlyTheAffectedStream) {
+TEST(StickyError, TrapAtLaunchLatchesUntilReset) {
   FaultGuard G;
   G.arm("trap:launch=1");
   GpuDevice Dev;
   Dev.setWorkers(2);
   auto Buf = Dev.alloc<double>(64);
-
-  Stream Victim(Dev), Bystander(Dev);
-  Victim.enqueue([&] {
-    launchPhases(Dev, Dim3{1}, Dim3{64}, 0, [&](BlockCtx &B, ThreadCtx &T) {
-      Buf.store(B, T.X, 1.0);
+  auto Fill = [&](double V) {
+    launchPhases(Dev, Dim3{2}, Dim3{32}, 0, [&](BlockCtx &B, ThreadCtx &T) {
+      Buf.store(B, B.X * 32 + T.X, V);
     });
-  });
-  Victim.synchronize(); // never throws, even on a poisoned stream
+  };
 
-  // The trapped launch poisons its stream and the device...
-  EXPECT_EQ(Victim.error(), ErrorCode::KernelTrap);
+  // The trapped launch runs no block and latches the device's error...
+  Fill(1.0);
+  for (size_t I = 0; I != 64; ++I)
+    ASSERT_EQ(Buf.data()[I], 0.0) << "element " << I;
+  std::string Msg;
+  EXPECT_EQ(Dev.getLastError(&Msg), ErrorCode::KernelTrap);
+  EXPECT_NE(Msg.find("forced at launch 1"), std::string::npos) << Msg;
+  EXPECT_TRUE(Dev.poisoned());
+
+  // ...the next launch, past the armed ordinal, runs, and the error
+  // stays latched...
+  Fill(2.0);
+  for (size_t I = 0; I != 64; ++I)
+    ASSERT_EQ(Buf.data()[I], 2.0) << "element " << I;
   EXPECT_EQ(Dev.getLastError(), ErrorCode::KernelTrap);
-  EXPECT_THROW(Victim.enqueue([] {}), DeviceError);
-  EXPECT_THROW(Victim.query(), DeviceError);
-  try {
-    Victim.enqueue([] {});
-    FAIL();
-  } catch (const DeviceError &E) {
-    EXPECT_EQ(E.code(), ErrorCode::KernelTrap);
-    EXPECT_NE(std::string(E.what()).find("stream poisoned"),
-              std::string::npos)
-        << E.what();
-  }
 
-  // ...but ONLY that stream: the bystander keeps working (its launch is
-  // past the armed ordinal, so it runs clean).
-  EXPECT_EQ(Bystander.error(), ErrorCode::Ok);
-  Bystander.enqueue([&] {
-    launchPhases(Dev, Dim3{1}, Dim3{64}, 0, [&](BlockCtx &B, ThreadCtx &T) {
-      Buf.store(B, T.X, 2.0);
-    });
-  });
-  Bystander.synchronize();
-  EXPECT_EQ(Bystander.error(), ErrorCode::Ok);
-  EXPECT_EQ(Buf.data()[0], 2.0);
-
-  // reset() heals the device; already-poisoned streams stay poisoned,
-  // fresh streams work.
+  // ...until reset() heals the device; a launch after it writes.
   Dev.reset();
   EXPECT_EQ(Dev.getLastError(), ErrorCode::Ok);
-  EXPECT_THROW(Victim.enqueue([] {}), DeviceError);
-  Stream Fresh(Dev);
-  Fresh.enqueue([&] {
-    launchPhases(Dev, Dim3{1}, Dim3{64}, 0, [&](BlockCtx &B, ThreadCtx &T) {
-      Buf.store(B, T.X, 3.0);
-    });
-  });
-  Fresh.synchronize();
-  EXPECT_EQ(Fresh.error(), ErrorCode::Ok);
-  EXPECT_EQ(Buf.data()[0], 3.0);
-}
-
-TEST(StickyError, DropEventReportsButStillCompletesGeneration) {
-  FaultGuard G;
-  G.arm("drop:event=1");
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  Stream S(Dev);
-  Event E;
-  S.enqueue([] {});
-  S.record(E);
-  // The detected fault must never become an undetectable hang: the
-  // generation still completes, so synchronize() returns...
-  E.synchronize();
-  S.synchronize();
-  // ...and the drop is reported as the device's sticky error.
-  EXPECT_EQ(Dev.getLastError(), ErrorCode::EventDropped);
-  Dev.reset();
+  EXPECT_FALSE(Dev.poisoned());
+  Fill(3.0);
+  for (size_t I = 0; I != 64; ++I)
+    ASSERT_EQ(Buf.data()[I], 3.0) << "element " << I;
+  EXPECT_EQ(Dev.getLastError(), ErrorCode::Ok);
 }
 
 TEST(StickyError, WorkerDelayInjectionOnlySlowsExecution) {
@@ -502,12 +472,11 @@ template <typename CallT> void expectTrapFreesEverything(CallT Call) {
   FaultGuard G;
   GpuDevice Dev;
   Dev.setWorkers(4);
-  Stream S(Dev);
   const MemoryStats Start = Dev.memoryStats();
   rt::HostBuffer<double> Host(2048, 1.0);
   G.arm("trap:launch=1");
   try {
-    Call(Dev, S, Host);
+    Call(Dev, Host);
     ADD_FAILURE() << "expected the trapped launch's rt::Error";
   } catch (const rt::Error &E) {
     EXPECT_EQ(E.code(), ErrorCode::KernelTrap);
@@ -522,20 +491,8 @@ template <typename CallT> void expectTrapFreesEverything(CallT Call) {
 }
 
 TEST(FailurePaths, GeneratedDriverFreesOnTrappedLaunch) {
-  expectTrapFreesEverything([](GpuDevice &Dev, Stream &, auto &Host) {
-    gen::run(Dev, Host);
-  });
-}
-
-TEST(FailurePaths, RunOnStreamFreesOnTrappedLaunchAndPoisonsTheStream) {
-  expectTrapFreesEverything([](GpuDevice &, Stream &S, auto &Host) {
-    try {
-      rt::runOnStream(S, gen::run, Host);
-    } catch (...) {
-      EXPECT_EQ(S.error(), ErrorCode::KernelTrap) << "a device error";
-      throw;
-    }
-  });
+  expectTrapFreesEverything(
+      [](GpuDevice &Dev, auto &Host) { gen::run(Dev, Host); });
 }
 
 TEST(FailurePaths, AllocCopyInALoopReusesOneBlock) {

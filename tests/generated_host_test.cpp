@@ -5,8 +5,7 @@
 // equivalent handwritten host code over runtime/HostRuntime.h — the
 // acceptance gate for the host-program subsystem: the driver Descend
 // generates must be indistinguishable from the driver a careful human
-// writes. The same driver run on a stream (rt::runOnStream) must match it
-// too, and every driver rejects wrongly sized arguments at entry.
+// writes, and every driver rejects wrongly sized arguments at entry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 using namespace descend;
 
@@ -100,119 +97,6 @@ TEST(GeneratedHost, DriverIsRerunnable) {
   descend::gen::run(D2, B);
   EXPECT_EQ(0, std::memcmp(A.data(), B.data(), N * sizeof(double)));
   EXPECT_EQ(A[0], 4.5);
-}
-
-//===----------------------------------------------------------------------===//
-// The same driver on a stream: rt::runOnStream runs it as the stream's
-// next operation, on the calling thread.
-//===----------------------------------------------------------------------===//
-
-TEST(GeneratedHost, RunOnStreamBitIdenticalToSync) {
-  // Fresh host buffers on every call, the reduction's host tail included.
-  const unsigned NB = 8;
-  const size_t N = static_cast<size_t>(NB) * 256;
-  sim::GpuDevice DevStream, DevSync;
-  DevStream.setWorkers(4);
-  sim::Stream S(DevStream);
-  for (int Round = 0; Round != 5; ++Round) {
-    rt::HostBuffer<double> Vec(N, 0.0), SVec(N, 0.0);
-    rt::HostBuffer<double> Data(N, 0.0), Partials(NB, 0.0), Total(1, 0.0);
-    rt::HostBuffer<double> SData(N, 0.0), SPartials(NB, 0.0), STotal(1, 0.0);
-    for (size_t I = 0; I != N; ++I) {
-      Vec[I] = SVec[I] = static_cast<double>((I * 31 + Round) % 977) * 0.5;
-      Data[I] = SData[I] = static_cast<double>((I + Round * 7) % 1000) * 0.001;
-    }
-    rt::runOnStream(S, descend::gen::run, Vec);
-    rt::runOnStream(S, descend::gen::run_small, Data, Partials, Total);
-    descend::gen::run(DevSync, SVec);
-    descend::gen::run_small(DevSync, SData, SPartials, STotal);
-    ASSERT_EQ(0, std::memcmp(Vec.data(), SVec.data(), N * sizeof(double)))
-        << "round " << Round;
-    ASSERT_EQ(0, std::memcmp(Partials.data(), SPartials.data(),
-                             NB * sizeof(double)))
-        << "round " << Round;
-    ASSERT_EQ(0, std::memcmp(Total.data(), STotal.data(), sizeof(double)))
-        << "round " << Round;
-  }
-  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
-  EXPECT_EQ(DevStream.memoryStats().LiveBuffers, 0u);
-}
-
-TEST(GeneratedHost, RunOnStreamRethrowsTheDriverErrorAfterTheJoin) {
-  // A non-sticky error reaches the caller unchanged and leaves the stream
-  // usable.
-  const size_t N = 8 * 256;
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  sim::Stream S(Dev);
-  rt::HostBuffer<double> Wrong(N / 2, 1.0), Right(N, 1.0);
-  std::string SyncText;
-  try {
-    descend::gen::run(Dev, Wrong);
-  } catch (const rt::Error &E) {
-    SyncText = E.what();
-  }
-  ASSERT_FALSE(SyncText.empty());
-  try {
-    rt::runOnStream(S, descend::gen::run, Wrong);
-    FAIL() << "expected the driver's rt::Error";
-  } catch (const rt::Error &E) {
-    EXPECT_EQ(E.code(), sim::ErrorCode::InvalidValue);
-    EXPECT_EQ(std::string(E.what()), SyncText);
-  }
-  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
-  rt::runOnStream(S, descend::gen::run, Right);
-  EXPECT_EQ(Right[0], 3.0);
-}
-
-TEST(GeneratedHost, RunOnStreamRunsAfterEarlierWorkAndNotOnAPoisonedStream) {
-  // The driver is the stream's next operation: it sees what the work
-  // enqueued before it wrote, and a poisoned stream refuses it.
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  sim::Stream S(Dev);
-  rt::HostBuffer<double> Vec(8 * 256, 1.0);
-  S.enqueue([&Vec] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    Vec[0] = 10.0;
-  });
-  rt::runOnStream(S, descend::gen::run, Vec);
-  EXPECT_EQ(Vec[0], 30.0);
-  EXPECT_EQ(Vec[1], 3.0);
-
-  S.poison(sim::ErrorCode::KernelTrap, "an earlier trap");
-  try {
-    rt::runOnStream(S, descend::gen::run, Vec);
-    FAIL() << "a poisoned stream must refuse the driver";
-  } catch (const rt::Error &E) {
-    EXPECT_EQ(E.code(), sim::ErrorCode::KernelTrap);
-    EXPECT_EQ(std::string(E.what()),
-              "Stream::runInline: stream poisoned by earlier kernel_trap: "
-              "an earlier trap");
-  }
-  EXPECT_EQ(Vec[0], 30.0) << "the driver never ran";
-  EXPECT_EQ(Dev.memoryStats().FreshAllocs, 1u);
-}
-
-TEST(GeneratedHost, ACapturedDriverThatFailsPoisonsTheReplayingStream) {
-  // Under capture the call is one node; the driver runs, and fails, at
-  // replay, on a pool worker.
-  sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  rt::HostBuffer<double> Wrong(1024, 1.0);
-  S.beginCapture();
-  rt::runOnStream(S, descend::gen::run, Wrong);
-  sim::Graph G = S.endCapture();
-  EXPECT_EQ(G.opCount(), 1u);
-  G.launch(S);
-  S.synchronize();
-  std::string Msg;
-  EXPECT_EQ(S.error(&Msg), sim::ErrorCode::InvalidValue);
-  EXPECT_EQ(Msg,
-            "argument 0 of host `main` must be a host array of 2048 x f64");
-  EXPECT_FALSE(Dev.poisoned());
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 0u);
 }
 
 //===----------------------------------------------------------------------===//

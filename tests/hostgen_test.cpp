@@ -172,8 +172,8 @@ fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
 //===----------------------------------------------------------------------===//
 
 TEST(HostGen, EverySimArtifactPrintsEachHostFunctionOnce) {
-  // Streams and graphs take the synchronous driver whole
-  // (rt::runOnStream), so no sim artifact knows either.
+  // The sim artifact is the synchronous driver alone: no stream or graph
+  // type appears in it.
   std::vector<std::string> Paths = {std::string(DESCEND_KERNEL_DIR) +
                                     "/scale2.descend"};
   for (const auto &E : std::filesystem::directory_iterator(DESCEND_PROGRAM_DIR))

@@ -5,28 +5,21 @@
 // free-list reuse, ids with generations, the memoryStats counters, ASan
 // poisoning of freed blocks) and every consumer of hostgen's release
 // statement: the vm serving the perfbench mix for 10k requests on one
-// device, the generated driver called directly and on a stream, a
-// generated driver captured into a user graph and replayed, handwritten
-// stream drivers freeing in stream order and under a capture (the graph
-// owns those buffers until its last handle and replay are gone), a
-// stream-ordered free racing a host allocation (also under capture), and
-// four host threads sharing one device. Runs under ASan and TSan in CI.
+// device, the generated driver called directly, and four host threads
+// sharing one device. Runs under ASan and TSan in CI.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HostRuntime.h"
 #include "service/CompileService.h"
-#include "sim/Fault.h"
 #include "sim/Sim.h"
 #include "vm/Interp.h"
 
-#include "gen_quickstart_host.h"      // scale_vec + run          (nb=8)
-#include "gen_reduction_host_small.h" // reduce_small + run_small (nb=8)
+#include "gen_quickstart_host.h" // scale_vec + run (nb=8)
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -302,319 +295,6 @@ TEST(GeneratedDriverMemory, SyncDriverFreesAtScopeEnd) {
     ASSERT_EQ(Dev.memoryStats().LiveBuffers, 0u) << "call " << Call;
   }
   EXPECT_EQ(Dev.memoryStats().FreshAllocs, 1u);
-}
-
-TEST(GeneratedDriverMemory, RunOnStreamFreesEveryCall) {
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  sim::Stream S(Dev);
-  for (int Call = 0; Call != 10; ++Call) {
-    rt::HostBuffer<double> Data(QuickN, 0.5), Partials(8, 0.0), Total(1, 0.0);
-    rt::runOnStream(S, gen::run_small, Data, Partials, Total);
-    ASSERT_EQ(Total[0], 0.5 * QuickN) << "call " << Call;
-    ASSERT_EQ(Dev.memoryStats().LiveBuffers, 0u) << "call " << Call;
-    ASSERT_EQ(Dev.memoryStats().LiveBytes, 0u) << "call " << Call;
-  }
-  EXPECT_EQ(Dev.memoryStats().FreshAllocs, 2u);
-}
-
-TEST(GeneratedDriverMemory, DriversCapturedInAUserGraph) {
-  // The bench_throughput pipeline shape: generated drivers recorded into
-  // one user graph. Each call is one node that re-runs the whole driver,
-  // so every replay allocates, frees and runs the host tail again; after
-  // the first replay the device serves every allocation from its free
-  // lists.
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  rt::HostBuffer<double> Vec(QuickN, 0.0);
-  rt::HostBuffer<double> Data(QuickN, 0.0), Partials(8, 0.0), Total(1, 0.0);
-  sim::Stream S(Dev);
-  S.beginCapture();
-  rt::runOnStream(S, gen::run, Vec);
-  rt::runOnStream(S, gen::run_small, Data, Partials, Total);
-  sim::Graph G = S.endCapture();
-  EXPECT_EQ(G.opCount(), 2u) << "one node per driver call";
-  EXPECT_EQ(Dev.memoryStats().FreshAllocs, 0u) << "capture allocates nothing";
-  sim::MemoryStats First;
-  for (int Replay = 0; Replay != 100; ++Replay) {
-    for (size_t I = 0; I != QuickN; ++I) {
-      Vec[I] = static_cast<double>(I % 17 + Replay);
-      Data[I] = 0.25 * static_cast<double>(Replay % 4 + 1);
-    }
-    G.launch(S);
-    S.synchronize();
-    ASSERT_EQ(S.error(), sim::ErrorCode::Ok);
-    for (size_t I = 0; I != QuickN; ++I)
-      ASSERT_EQ(Vec[I], 3.0 * static_cast<double>(I % 17 + Replay))
-          << "replay " << Replay << " element " << I;
-    for (size_t B = 0; B != 8; ++B)
-      ASSERT_EQ(Partials[B], 256 * 0.25 * (Replay % 4 + 1))
-          << "replay " << Replay << " block " << B;
-    // The host tail replays too: no hand patch of Total.
-    ASSERT_EQ(Total[0], QuickN * 0.25 * (Replay % 4 + 1))
-        << "replay " << Replay;
-    const sim::MemoryStats Now = Dev.memoryStats();
-    ASSERT_EQ(Now.LiveBuffers, 0u) << "replay " << Replay;
-    if (Replay == 0)
-      First = Now;
-    ASSERT_EQ(Now.FreshAllocs, First.FreshAllocs)
-        << "fresh allocation in replay " << Replay;
-  }
-  EXPECT_GT(First.FreshAllocs, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Handwritten stream drivers
-//===----------------------------------------------------------------------===//
-
-// quickstart and the reduction written by hand against the rt::*Async
-// API, one stream operation per step (bench_throughput's pipeline has the
-// same shape): alloc-copy, enqueued launch, copy-to-host and a
-// stream-ordered free per device buffer; the reduction joins before its
-// host tail. Under capture they record 3 and 4 nodes, and their frees
-// hand the buffers to the graph.
-
-void quickstartAsync(sim::Stream &S, rt::HostBuffer<double> &Vec) {
-  sim::GpuDevice &Dev = S.device();
-  auto D = rt::allocCopyAsync(S, Vec);
-  S.enqueue([&Dev, D] { gen::scale_vec(Dev, D); });
-  rt::copyToHostAsync(S, Vec, D);
-  rt::freeAsync(S, D);
-}
-
-void reductionAsync(sim::Stream &S, rt::HostBuffer<double> &Data,
-                    rt::HostBuffer<double> &Partials,
-                    rt::HostBuffer<double> &Total) {
-  sim::GpuDevice &Dev = S.device();
-  auto In = rt::allocCopyAsync(S, Data);
-  auto Out = rt::allocCopyAsync(S, Partials);
-  S.enqueue([&Dev, In, Out] { gen::reduce_small(Dev, In, Out); });
-  rt::copyToHostAsync(S, Partials, Out);
-  S.synchronize();
-  Total[0] = 0.0;
-  for (size_t I = 0; I != Partials.size(); ++I)
-    Total[0] += Partials[I];
-  rt::freeAsync(S, Out);
-  rt::freeAsync(S, In);
-}
-
-/// The pipeline's inputs for replay \p Replay.
-void fillPipeline(int Replay, rt::HostBuffer<double> &Vec,
-                  rt::HostBuffer<double> &Data) {
-  for (size_t I = 0; I != QuickN; ++I) {
-    Vec[I] = static_cast<double>(I % 17 + Replay);
-    Data[I] = 0.25 * static_cast<double>(Replay % 4 + 1);
-  }
-}
-
-/// Whether the device work of replay \p Replay ran on its inputs.
-::testing::AssertionResult pipelineRan(int Replay,
-                                       const rt::HostBuffer<double> &Vec,
-                                       const rt::HostBuffer<double> &Partials) {
-  for (size_t I = 0; I != QuickN; ++I)
-    if (Vec[I] != 3.0 * static_cast<double>(I % 17 + Replay))
-      return ::testing::AssertionFailure()
-             << "replay " << Replay << " element " << I << ": " << Vec[I];
-  for (size_t B = 0; B != 8; ++B)
-    if (Partials[B] != 256 * 0.25 * (Replay % 4 + 1))
-      return ::testing::AssertionFailure()
-             << "replay " << Replay << " block " << B << ": " << Partials[B];
-  return ::testing::AssertionSuccess();
-}
-
-TEST(GeneratedDriverMemory, StreamDriverFreesInStreamOrder) {
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  sim::Stream S(Dev);
-  for (int Call = 0; Call != 10; ++Call) {
-    rt::HostBuffer<double> Data(QuickN, 0.5), Partials(8, 0.0), Total(1, 0.0);
-    reductionAsync(S, Data, Partials, Total);
-    ASSERT_EQ(Total[0], 0.5 * QuickN) << "call " << Call;
-  }
-  S.synchronize(); // a driver may return with its frees still queued
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 0u);
-}
-
-TEST(GeneratedDriverMemory, StreamDriversCapturedInAUserGraph) {
-  // The bench_throughput pipeline: stream drivers run inside a user
-  // capture. Their frees move the buffers to the graph instead of
-  // recording a node, so 100 replays free nothing (a recorded free would
-  // free on the first replay and again on the second).
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  const sim::MemoryStats Start = Dev.memoryStats();
-  rt::HostBuffer<double> Vec(QuickN, 0.0);
-  rt::HostBuffer<double> Data(QuickN, 0.0), Partials(8, 0.0), Total(1, 0.0);
-  {
-    sim::Stream S(Dev);
-    sim::Graph Captured;
-    S.beginCapture();
-    quickstartAsync(S, Vec);
-    reductionAsync(S, Data, Partials, Total);
-    Captured = S.endCapture();
-    EXPECT_EQ(Captured.opCount(), 3u + 4u) << "a free is no graph node";
-    EXPECT_EQ(Dev.memoryStats().LiveBuffers, 3u);
-    for (int Replay = 0; Replay != 100; ++Replay) {
-      fillPipeline(Replay, Vec, Data);
-      Captured.launch(S);
-      S.synchronize();
-      ASSERT_EQ(S.error(), sim::ErrorCode::Ok);
-      ASSERT_TRUE(pipelineRan(Replay, Vec, Partials));
-    }
-    EXPECT_EQ(Dev.memoryStats().LiveBuffers, 3u);
-    EXPECT_EQ(Dev.memoryStats().FreshAllocs, 3u);
-  } // the Graph and the stream die here
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
-  EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
-
-  // A replay still queued when the last Graph handle dies keeps the
-  // graph's buffers until it has run, and frees them after.
-  sim::Stream S(Dev);
-  S.beginCapture();
-  quickstartAsync(S, Vec);
-  reductionAsync(S, Data, Partials, Total);
-  sim::Graph Captured = S.endCapture();
-  std::atomic<bool> Go{false};
-  S.enqueue([&Go] {
-    while (!Go.load(std::memory_order_acquire))
-      std::this_thread::yield();
-  });
-  fillPipeline(100, Vec, Data);
-  Captured.launch(S);
-  Captured = sim::Graph(); // the replay is queued behind the gate
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 3u);
-  Go.store(true, std::memory_order_release);
-  S.synchronize();
-  ASSERT_EQ(S.error(), sim::ErrorCode::Ok);
-  EXPECT_TRUE(pipelineRan(100, Vec, Partials));
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, Start.LiveBuffers);
-  EXPECT_EQ(Dev.memoryStats().LiveBytes, Start.LiveBytes);
-  EXPECT_EQ(Dev.memoryStats().FreshAllocs, 3u) << "the free lists served it";
-}
-
-//===----------------------------------------------------------------------===//
-// Stream order
-//===----------------------------------------------------------------------===//
-
-/// Arms a fault plan for one test and disarms it on every exit path.
-struct FaultGuard {
-  explicit FaultGuard(const char *Text) {
-    sim::FaultPlan Plan;
-    EXPECT_TRUE(sim::FaultPlan::parse(Text, Plan));
-    sim::FaultInjector::global().setPlanForTest(Plan);
-  }
-  ~FaultGuard() {
-    sim::FaultInjector::global().setPlanForTest(sim::FaultPlan{});
-  }
-};
-
-TEST(StreamFree, HostAllocationBeforeTheFreeRunsGetsFreshMemory) {
-  FaultGuard Faults("delay:worker=1:ms=2");
-  {
-    sim::GpuDevice Dev;
-    Dev.setWorkers(4);
-    const size_t N = 1024;
-    auto X = Dev.alloc<double>(N);
-    double *XMem = X.data();
-    std::atomic<bool> Gate{false};
-    double Seen = 0.0;
-    sim::Stream A(Dev);
-    // A slow launch on X: the stream cannot reach the free before the
-    // host opens the gate.
-    A.enqueue([&] {
-      while (!Gate.load())
-        std::this_thread::yield();
-      sim::launchPhases(Dev, sim::Dim3{4}, sim::Dim3{256}, 0,
-                        [&](sim::BlockCtx &B, sim::ThreadCtx &T) {
-                          X.store(B, B.X * 256 + T.X, 1.5);
-                        });
-      Seen = XMem[N - 1];
-    });
-    rt::freeAsync(A, X);
-    EXPECT_FALSE(Dev.isLive(X.id())) << "the id dies at the call";
-    EXPECT_THROW(rt::freeAsync(A, X), rt::Error);
-
-    // X is still in flight, so a same-sized host allocation must not
-    // get its memory.
-    auto Y = Dev.alloc<double>(N);
-    EXPECT_NE(Y.data(), XMem);
-    EXPECT_EQ(Dev.memoryStats().LiveBuffers, 2u);
-
-    Gate = true;
-    A.synchronize();
-    EXPECT_EQ(A.error(), sim::ErrorCode::Ok);
-    EXPECT_EQ(Seen, 1.5) << "the launch ran before the free";
-    EXPECT_EQ(Dev.memoryStats().LiveBuffers, 1u);
-    auto Z = Dev.alloc<double>(N);
-    EXPECT_EQ(Z.data(), XMem) << "once the free ran, the block is reused";
-    EXPECT_EQ(Z.data()[N - 1], 0.0);
-  }
-}
-
-TEST(StreamFree, FreeUnderCaptureWaitsForWorkBeforeTheCapture) {
-  // The captured graph owns X and frees it when it dies, which may be
-  // right after endCapture; a launch enqueued before the capture must
-  // not write into whatever allocation gets X's block next.
-  sim::GpuDevice Dev;
-  Dev.setWorkers(4);
-  const size_t N = 1024;
-  auto X = Dev.alloc<double>(N);
-  double *XMem = X.data();
-  std::atomic<bool> Gate{false}, LaunchDone{false};
-  sim::Stream A(Dev);
-  A.enqueue([&] {
-    while (!Gate.load())
-      std::this_thread::yield();
-    sim::launchPhases(Dev, sim::Dim3{4}, sim::Dim3{256}, 0,
-                      [&](sim::BlockCtx &B, sim::ThreadCtx &T) {
-                        X.store(B, B.X * 256 + T.X, 1.5);
-                      });
-    LaunchDone = true;
-  });
-  std::thread Opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Gate = true;
-  });
-  {
-    A.beginCapture();
-    rt::freeAsync(A, X);
-    sim::Graph G = A.endCapture();
-    EXPECT_TRUE(LaunchDone.load())
-        << "endCapture returned before the pre-capture launch ran";
-  } // the graph dies and frees X
-  auto Y = Dev.alloc<double>(N);
-  EXPECT_EQ(Y.data(), XMem);
-  Opener.join();
-  A.synchronize();
-  EXPECT_EQ(A.error(), sim::ErrorCode::Ok);
-  for (size_t I = 0; I != N; ++I)
-    ASSERT_EQ(Y.data()[I], 0.0) << "element " << I;
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 1u);
-}
-
-TEST(StreamFree, PoisonedStreamStillReturnsTheMemory) {
-  sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  auto X = Dev.alloc<double>(64);
-  Dev.setDeviceError(sim::ErrorCode::KernelTrap, "test trap");
-  S.poison(sim::ErrorCode::KernelTrap, "test trap");
-  EXPECT_THROW(S.enqueue([] {}), rt::Error);
-  rt::freeAsync(S, X); // no fail-fast for a free
-  S.synchronize();
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 0u);
-}
-
-TEST(StreamFree, AbandonedCaptureReturnsWhatItOwned) {
-  sim::GpuDevice Dev;
-  {
-    sim::Stream S(Dev);
-    auto X = Dev.alloc<double>(64);
-    S.beginCapture();
-    rt::freeAsync(S, X);
-    EXPECT_EQ(Dev.memoryStats().LiveBuffers, 1u);
-  } // destroyed mid-capture
-  EXPECT_EQ(Dev.memoryStats().LiveBuffers, 0u);
 }
 
 } // namespace

@@ -4,10 +4,11 @@
 // pins the matmul (nt=4) profile to exact values — every load, store,
 // barrier and modeled bank conflict — and proves the numbers are
 // bit-identical across every execution path that can run a kernel:
-// sim-generated C++, the vm interpreter, graph replay, one worker or
-// many, race detection on or off. The bank-conflict model itself is
-// unit-tested on handwritten phases with known access patterns. The
-// trace half checks the Chrome-trace-event JSON structure.
+// sim-generated C++ and the vm interpreter, one worker or many, race
+// detection on or off. The bank-conflict model itself is unit-tested on
+// handwritten phases with known access patterns. The trace half checks
+// the Chrome-trace-event JSON structure and the hardened DESCEND_TRACE
+// parse.
 //
 //===----------------------------------------------------------------------===//
 
@@ -265,41 +266,6 @@ TEST(ObsCounters, TunedMatmulEliminatesInnerConflictsBitIdentically) {
   EXPECT_EQ(Tuned.barriers(), Def.barriers());
 }
 
-TEST(ObsCounters, GraphReplayMatchesSyncLaunch) {
-  const size_t N = 2048;
-
-  sim::GpuDevice SyncDev;
-  SyncDev.setCounters(true);
-  rt::HostBuffer<double> SyncHost(N, 1.0);
-  gen::run(SyncDev, SyncHost);
-  sim::LaunchStats Sync = SyncDev.lastLaunchStats();
-  EXPECT_EQ(Sync.globalLoads(), N);
-  EXPECT_EQ(Sync.globalStores(), N);
-  EXPECT_EQ(Sync.Blocks, 8u);
-  EXPECT_EQ(Sync.barriers(), 8u);
-
-  // A user capture of the same driver run on a stream, replayed twice.
-  sim::GpuDevice GraphDev;
-  GraphDev.setCounters(true);
-  sim::Stream S(GraphDev);
-  rt::HostBuffer<double> GraphHost(N, 1.0);
-  S.beginCapture();
-  rt::runOnStream(S, gen::run, GraphHost);
-  sim::Graph Graph = S.endCapture();
-  EXPECT_EQ(GraphDev.totalStats().Launches, 0u) << "capture runs nothing";
-  Graph.launch(S);
-  Graph.launch(S);
-  S.synchronize();
-  EXPECT_EQ(GraphHost[0], 9.0); // scaled by 3.0 twice
-
-  // The replayed launch counts exactly like the synchronous one.
-  sim::LaunchStats Replay = GraphDev.lastLaunchStats();
-  EXPECT_EQ(Sync, Replay);
-  EXPECT_EQ(GraphDev.totalStats().Launches, 2u);
-  ASSERT_EQ(GraphDev.launchLog().size(), 2u);
-  EXPECT_EQ(GraphDev.launchLog()[0], GraphDev.launchLog()[1]);
-}
-
 TEST(ObsCounters, CountersOffByDefaultAndCostNothingToSkip) {
   sim::GpuDevice Dev;
   EXPECT_FALSE(Dev.countersEnabled());
@@ -494,6 +460,47 @@ TEST(ObsTrace, TracedLaunchEmitsSimSpan) {
   EXPECT_NE(J.find("\"cat\":\"sim\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"name\":\"launch\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"blocks\":8"), std::string::npos) << J;
+}
+
+//===----------------------------------------------------------------------===//
+// DESCEND_TRACE parsing (the DESCEND_WORKERS strictness discipline)
+//===----------------------------------------------------------------------===//
+
+TEST(TraceEnv, UnsetAndExplicitOffAreSilent) {
+  std::string Path, W = "sentinel";
+  EXPECT_FALSE(descend::obs::parseTraceEnv(nullptr, &Path, &W));
+  EXPECT_TRUE(W.empty());
+  EXPECT_FALSE(descend::obs::parseTraceEnv("0", &Path, &W));
+  EXPECT_TRUE(W.empty());
+  EXPECT_FALSE(descend::obs::parseTraceEnv("off", &Path, &W));
+  EXPECT_TRUE(W.empty());
+}
+
+TEST(TraceEnv, OnSelectsTheDefaultPath) {
+  for (const char *On : {"1", "on"}) {
+    std::string Path, W;
+    EXPECT_TRUE(descend::obs::parseTraceEnv(On, &Path, &W)) << On;
+    EXPECT_EQ(Path, descend::obs::DefaultTracePath) << On;
+    EXPECT_TRUE(W.empty()) << On;
+  }
+}
+
+TEST(TraceEnv, CleanTokenIsTheOutputPath) {
+  std::string Path, W;
+  EXPECT_TRUE(descend::obs::parseTraceEnv("/tmp/my_trace.json", &Path, &W));
+  EXPECT_EQ(Path, "/tmp/my_trace.json");
+  EXPECT_TRUE(W.empty());
+}
+
+TEST(TraceEnv, GarbageDisablesWithWarning) {
+  for (const char *Bad : {"", " ", "a b", "x\ty", "p\nq", " on", "on "}) {
+    std::string Path, W;
+    EXPECT_FALSE(descend::obs::parseTraceEnv(Bad, &Path, &W))
+        << "input: '" << Bad << "'";
+    EXPECT_NE(W.find("DESCEND_TRACE"), std::string::npos)
+        << "input: '" << Bad << "' warning: " << W;
+    EXPECT_NE(W.find("tracing is off"), std::string::npos) << W;
+  }
 }
 
 } // namespace

@@ -2,11 +2,10 @@
 //
 // Dedicated tests for runtime/HostRuntime.h: the checked CPU<->GPU
 // transfer and launch-configuration API that handwritten host code uses
-// (and that the hostgen-generated sim drivers call into), the release
-// helpers with their stale-handle errors, and how rt::runOnStream holds a
-// captured driver's arguments. The checks here are the
-// *runtime* mirror of what the type checker proves statically for
-// .descend host programs.
+// (and that the hostgen-generated sim drivers call into), and the release
+// helper with its stale-handle errors. The checks here are the *runtime*
+// mirror of what the type checker proves statically for .descend host
+// programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -172,23 +171,15 @@ TEST(HostRuntime, FreedHandleIsAnInvalidValueError) {
                      "copy_mem_to_host: device buffer `d` (id 1) was freed");
   expectInvalidValue([&] { rt::copyToGpu(Buf, Host, "d", "h"); },
                      "copy_to_gpu: device buffer `d` (id 1) was freed");
-  sim::Stream S(Dev);
-  expectInvalidValue([&] { rt::copyToHostAsync(S, Host, Buf); },
-                     "device buffer `?` (id 1)");
-  expectInvalidValue([&] { rt::copyToGpuAsync(S, Buf, Host); },
-                     "device buffer `?` (id 1)");
-  // ...and a second free of it is an error, synchronous or stream-ordered.
+  // ...and a second free of it is an error.
   expectInvalidValue([&] { rt::free(Dev, Buf); },
-                     "buffer id 1 was already freed");
-  expectInvalidValue([&] { rt::freeAsync(S, Buf); },
                      "buffer id 1 was already freed");
   expectInvalidValue([&] { Dev.free(12345); }, "was never allocated");
   expectInvalidValue([&] { Dev.free(0); }, "was never allocated");
 
-  // InvalidValue is not sticky: the device and the stream stay healthy.
+  // InvalidValue is not sticky: the device stays healthy.
   EXPECT_FALSE(Dev.poisoned());
   EXPECT_EQ(Dev.getLastError(), sim::ErrorCode::Ok);
-  EXPECT_EQ(S.error(), sim::ErrorCode::Ok);
   auto Fresh = rt::allocCopy(Dev, Host);
   rt::copyToHost(Host, Fresh);
   EXPECT_EQ(Host[63], 1.0);
@@ -202,9 +193,6 @@ TEST(HostRuntime, FreeOnAnotherDeviceIsRefused) {
   ASSERT_EQ(Mine.id(), Theirs.id());
   expectInvalidValue([&] { rt::free(Other, Mine); },
                      "free: buffer id 1 was not allocated on this device");
-  sim::Stream S(Other);
-  expectInvalidValue([&] { rt::freeAsync(S, Mine); },
-                     "freeAsync: buffer id 1 was not allocated on this device");
   EXPECT_TRUE(Other.isLive(Theirs.id()));
   EXPECT_TRUE(Dev.isLive(Mine.id()));
 }
@@ -214,28 +202,6 @@ TEST(HostRuntime, DefaultHandleIsNoDeviceBuffer) {
   sim::GpuDevice::Buffer<double> None;
   expectInvalidValue([&] { rt::copyToHost(Host, None); },
                      "was freed or never allocated");
-}
-
-TEST(HostRuntime, CapturedDriverHoldsScalarsByValue) {
-  // A replay sees the scalar as it was at capture; the host buffer is the
-  // caller's, so every replay writes into it.
-  sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  rt::HostBuffer<double> Host(4, 0.0);
-  auto AddFirst = [](sim::GpuDevice &, rt::HostBuffer<double> &H, double V) {
-    H[0] = H[0] + V;
-  };
-  double Step = 2.5;
-  S.beginCapture();
-  rt::runOnStream(S, AddFirst, Host, Step);
-  sim::Graph G = S.endCapture();
-  EXPECT_EQ(Host[0], 0.0) << "capture runs nothing";
-  Step = 100.0;
-  G.launch(S);
-  G.launch(S);
-  S.synchronize();
-  EXPECT_EQ(Host[0], 5.0);
 }
 
 } // namespace

@@ -47,10 +47,9 @@
 // or as one JSON object with `=json`. --time-passes=json prints the
 // stage table as one JSON object on stdout (the plain form keeps its
 // stderr table). --trace-json=FILE records a Chrome-trace-event JSON of
-// the whole invocation (pipeline stages, launches, stream ops, pool
-// activity), equivalent to DESCEND_TRACE=FILE. Exit codes keep the
-// driver contract: 0 success, 1 compile/runtime diagnostic, 2 usage
-// error.
+// the whole invocation (pipeline stages, launches, pool activity),
+// equivalent to DESCEND_TRACE=FILE. Exit codes keep the driver contract:
+// 0 success, 1 compile/runtime diagnostic, 2 usage error.
 //
 //===----------------------------------------------------------------------===//
 
