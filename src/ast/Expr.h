@@ -458,8 +458,7 @@ public:
 /// Invokes \p Fn on every direct child of \p E (pre-order building block).
 void forEachChild(Expr &E, const std::function<void(Expr &)> &Fn);
 
-/// Renders any expression with the surface syntax (used in diagnostics and
-/// --emit=ast).
+/// Renders any expression with the surface syntax (used in diagnostics).
 std::string exprToString(const Expr &E);
 
 } // namespace descend

@@ -9,13 +9,11 @@ using namespace descend::codegen;
 
 namespace descend::codegen {
 // Factories defined in the per-backend translation units.
-std::unique_ptr<Backend> createAstBackend();
 std::unique_ptr<Backend> createCudaBackend();
 std::unique_ptr<Backend> createSimBackend();
 std::unique_ptr<Backend> createVmBackend();
 
 void registerBuiltinBackends(BackendRegistry &R) {
-  R.registerBackend(createAstBackend());
   R.registerBackend(createCudaBackend());
   R.registerBackend(createSimBackend());
   R.registerBackend(createVmBackend());

@@ -10,7 +10,6 @@
 // Builtin backends:
 //   cuda  CUDA C++ (kernels + host functions, Section 5)
 //   sim   phase-structured simulator C++ against sim/Sim.h
-//   ast   type-checked surface-syntax dump of the module
 //   vm    register bytecode for the in-process interpreter (vm/Interp.h)
 //
 //===----------------------------------------------------------------------===//
@@ -65,7 +64,7 @@ public:
 };
 
 /// Name-keyed backend collection. The process-wide instance() comes with
-/// the builtin backends (ast, cuda, sim) pre-registered; tests may build
+/// the builtin backends (cuda, sim, vm) pre-registered; tests may build
 /// private registries.
 class BackendRegistry {
 public:

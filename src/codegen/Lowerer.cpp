@@ -7,6 +7,7 @@
 #include "views/IndexSpace.h"
 
 #include <cassert>
+#include <limits>
 
 using namespace descend;
 using namespace descend::codegen;
@@ -33,9 +34,14 @@ bool descend::codegen::arrayNest(const TypeRef &T, std::vector<Nat> &Dims,
   }
 }
 
-bool descend::codegen::launchExtents(const FnDef &Fn, const Dim &D,
-                                     std::array<unsigned, 3> &Out,
-                                     std::string &Err) {
+namespace {
+
+/// launchExtents for one dimension; \p What is "grid" or "block" and
+/// \p Unit what it counts ("blocks" or "threads").
+bool dimExtents(const FnDef &Fn, const Dim &D, const char *What,
+                const char *Unit, std::array<unsigned, 3> &Out,
+                std::string &Err) {
+  const unsigned long long Max = std::numeric_limits<unsigned>::max();
   const Axis Axes[3] = {Axis::X, Axis::Y, Axis::Z};
   for (unsigned I = 0; I != 3; ++I) {
     Out[I] = 1;
@@ -47,9 +53,35 @@ bool descend::codegen::launchExtents(const FnDef &Fn, const Dim &D,
             Fn.Name + "` is not instantiated (pass -D)";
       return false;
     }
+    if (*E < 1 || static_cast<unsigned long long>(*E) > Max) {
+      Err = std::string(What) + " extent " + axisName(Axes[I]) + " of `" +
+            Fn.Name + "` is " + std::to_string(*E) +
+            "; a launch extent must lie in [1, " + std::to_string(Max) + "]";
+      return false;
+    }
     Out[I] = static_cast<unsigned>(*E);
   }
+  // sim::Dim3::total() counts in unsigned; each factor is at most Max,
+  // so neither product below wraps once the first is checked.
+  const unsigned long long XY = 1ull * Out[0] * Out[1];
+  if (XY > Max || XY * Out[2] > Max) {
+    Err = std::string(What) + " of `" + Fn.Name + "` spans " +
+          std::to_string(Out[0]) + " x " + std::to_string(Out[1]) + " x " +
+          std::to_string(Out[2]) + " " + Unit + "; a launch holds at most " +
+          std::to_string(Max);
+    return false;
+  }
   return true;
+}
+
+} // namespace
+
+bool descend::codegen::launchExtents(const FnDef &Fn,
+                                     std::array<unsigned, 3> &Grid,
+                                     std::array<unsigned, 3> &Block,
+                                     std::string &Err) {
+  return dimExtents(Fn, Fn.Exec.GridDim, "grid", "blocks", Grid, Err) &&
+         dimExtents(Fn, Fn.Exec.BlockDim, "block", "threads", Block, Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -68,11 +68,14 @@ inline bool containsPow(const Nat &N) { return kir::containsPow(N); }
 /// parameter / allocation type.
 bool arrayNest(const TypeRef &T, std::vector<Nat> &Dims, ScalarKind &Elem);
 
-/// The {x, y, z} extents of launch dimension \p D of kernel \p Fn (an
-/// absent axis is 1). Fails, naming the extent, when one is not
-/// instantiated: the sim and vm backends both need concrete launches.
-bool launchExtents(const FnDef &Fn, const Dim &D,
-                   std::array<unsigned, 3> &Out, std::string &Err);
+/// The {x, y, z} extents of the grid and the block of kernel \p Fn (an
+/// absent axis is 1). Fails, naming the dimension and the value, when an
+/// extent is not instantiated or lies outside [1, 2^32 - 1], or when the
+/// blocks of the grid or the threads of the block overflow
+/// sim::Dim3::total(): the sim and vm backends both need concrete
+/// launches, and share these texts.
+bool launchExtents(const FnDef &Fn, std::array<unsigned, 3> &Grid,
+                   std::array<unsigned, 3> &Block, std::string &Err);
 
 /// A lowering-time symbol.
 struct Sym {

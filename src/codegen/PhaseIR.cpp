@@ -33,7 +33,7 @@ unsigned depthOf(const std::vector<PhaseNode> &Nodes) {
 }
 
 void dumpNodes(const std::vector<PhaseNode> &Nodes, unsigned Indent,
-               unsigned &PhaseIdx, bool FullStmts, std::ostringstream &OS) {
+               unsigned &PhaseIdx, std::ostringstream &OS) {
   auto Pad = [&] {
     for (unsigned I = 0; I != Indent; ++I)
       OS << "  ";
@@ -41,19 +41,14 @@ void dumpNodes(const std::vector<PhaseNode> &Nodes, unsigned Indent,
   for (const PhaseNode &Node : Nodes) {
     Pad();
     if (Node.K == PhaseNode::Straight) {
-      if (FullStmts) {
-        OS << "phase #" << PhaseIdx++ << ":\n";
-        OS << kir::dump(Node.Body, Indent + 1);
-      } else {
-        OS << "phase #" << PhaseIdx++ << " (" << Node.Body.size()
-           << " stmts)\n";
-      }
+      OS << "phase #" << PhaseIdx++ << ":\n";
+      OS << kir::dump(Node.Body, Indent + 1);
       continue;
     }
     OS << "loop " << Node.Var << " in [" << Node.Lo.simplified().str()
        << ".." << Node.Hi.simplified().str() << ") slot " << Node.Slot
        << "\n";
-    dumpNodes(Node.Children, Indent + 1, PhaseIdx, FullStmts, OS);
+    dumpNodes(Node.Children, Indent + 1, PhaseIdx, OS);
   }
 }
 
@@ -66,37 +61,8 @@ unsigned PhaseProgramIR::maxLoopDepth() const { return depthOf(Nodes); }
 std::string PhaseProgramIR::dump() const {
   std::ostringstream OS;
   unsigned PhaseIdx = 0;
-  dumpNodes(Nodes, 0, PhaseIdx, /*FullStmts=*/false, OS);
+  dumpNodes(Nodes, 0, PhaseIdx, OS);
   return OS.str();
-}
-
-std::string PhaseProgramIR::dumpStmts() const {
-  std::ostringstream OS;
-  unsigned PhaseIdx = 0;
-  dumpNodes(Nodes, 0, PhaseIdx, /*FullStmts=*/true, OS);
-  return OS.str();
-}
-
-bool codegen::dumpPhasePrograms(const Module &M, std::string &Out,
-                                std::string &Error,
-                                const kir::PassConfig &Passes) {
-  std::ostringstream OS;
-  for (const auto &FnPtr : M.Fns) {
-    const FnDef &Fn = *FnPtr;
-    if (!Fn.isGpuFn())
-      continue;
-    Lowerer L(M, LowerTarget::Sim, Passes);
-    if (!L.runKernel(Fn)) {
-      Error = "while lowering `" + Fn.Name + "`: " + L.Error;
-      return false;
-    }
-    OS << "phase program for `" << Fn.Name << "` (straight phases: "
-       << L.Program.straightCount() << ", max loop depth: "
-       << L.Program.maxLoopDepth() << ")\n";
-    OS << L.Program.dump() << "\n";
-  }
-  Out = OS.str();
-  return true;
 }
 
 bool codegen::dumpKernelIRs(const Module &M, std::string &Out,
@@ -117,7 +83,7 @@ bool codegen::dumpKernelIRs(const Module &M, std::string &Out,
        << L.Program.straightCount() << ", max loop depth: "
        << L.Program.maxLoopDepth() << ", shared bytes: " << L.SharedBytes
        << ", local bytes/thread: " << L.LocalBytesPerThread << ")\n";
-    OS << L.Program.dumpStmts() << "\n";
+    OS << L.Program.dump() << "\n";
   }
   Out = OS.str();
   return true;

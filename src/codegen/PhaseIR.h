@@ -86,33 +86,26 @@ struct PhaseProgramIR {
   /// Deepest PhaseLoop nesting (0 = no loops).
   unsigned maxLoopDepth() const;
 
-  /// Human-readable tree, e.g.
-  ///   phase #0 (3 stmts)
+  /// Human-readable tree with every phase body rendered statement by
+  /// statement in the backend-neutral kir::dump spelling, e.g.
+  ///   phase #0:
+  ///     let double acc_0 = 0.0
   ///   loop t in [0..nt) slot 0
-  ///     phase #1 (5 stmts)
-  /// Used by `descendc --dump-phase-ir`.
+  ///     phase #1:
+  ///       st shared asub[_i0] = ld global a[...]
+  /// Used by `descendc --dump-kir`.
   std::string dump() const;
-
-  /// Like dump(), but every phase body is rendered statement by statement
-  /// in the backend-neutral kir::dump spelling. Used by `--dump-kir` and
-  /// the ast backend's `// kir:` block.
-  std::string dumpStmts() const;
 
   void clear() { Nodes.clear(); }
 };
 
 /// Lowers every GPU grid function of \p M (which must have passed the
-/// type checker) and renders the phase-program IR of each, separated by
-/// blank lines. On failure returns false with the lowering error in
-/// \p Error. Backs `descendc --dump-phase-ir`. \p Passes selects the
-/// opt-in schedule passes to run before dumping (none by default, so
-/// `--dump-kir=pre` and the historical output are identical).
-bool dumpPhasePrograms(const Module &M, std::string &Out, std::string &Error,
-                       const kir::PassConfig &Passes = {});
-
-/// Like dumpPhasePrograms, but renders every phase body of the
-/// phase-structured (sim-target) lowering as the backend-neutral
-/// kernel-IR statement dump. Backs `descendc --dump-kir[=pre|post]`.
+/// type checker) for the simulator and renders the phase-program IR of
+/// each (PhaseProgramIR::dump), separated by blank lines. On failure
+/// returns false with the lowering error in \p Error. \p Passes selects
+/// the opt-in schedule passes to run before dumping (none by default, so
+/// `--dump-kir=pre` and the historical output are identical). Backs
+/// `descendc --dump-kir[=pre|post]`.
 bool dumpKernelIRs(const Module &M, std::string &Out, std::string &Error,
                    const kir::PassConfig &Passes = {});
 

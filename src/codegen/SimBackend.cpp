@@ -147,8 +147,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     }
 
     std::array<unsigned, 3> Grid, Block;
-    if (!launchExtents(Fn, Fn.Exec.GridDim, Grid, R.Error) ||
-        !launchExtents(Fn, Fn.Exec.BlockDim, Block, R.Error))
+    if (!launchExtents(Fn, Grid, Block, R.Error))
       return R;
     auto Dim3Of = [](const std::array<unsigned, 3> &E) {
       return strfmt("descend::sim::Dim3{%u, %u, %u}", E[0], E[1], E[2]);

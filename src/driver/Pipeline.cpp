@@ -159,8 +159,20 @@ bool Session::parse(const std::string &Source) {
 
 bool Session::instantiate() {
   return timed(Stage::Instantiate, [&] {
-    instantiateNats(*Mod, Inv.Defines);
-    return true;
+    // A nat is a natural number: one rule for every front end that
+    // passes -D bindings (descendc, descendd, the service, the
+    // autotuner).
+    bool Ok = true;
+    for (const auto &[Name, Value] : Inv.Defines)
+      if (Value < 0) {
+        Diags.error(DiagCode::NegativeDefine, SourceRange(),
+                    strfmt("-D %s=%lld: a nat cannot be negative",
+                           Name.c_str(), Value));
+        Ok = false;
+      }
+    if (Ok)
+      instantiateNats(*Mod, Inv.Defines);
+    return Ok;
   });
 }
 

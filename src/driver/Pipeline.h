@@ -57,10 +57,11 @@ struct CompilerInvocation {
 
   /// Instantiates generic nat parameters (and free size variables) before
   /// type checking, e.g. {"n", 1024}. Mirrors how the call side fixes grid
-  /// size variables (Section 3.5), but at compile-tool granularity.
+  /// size variables (Section 3.5), but at compile-tool granularity. A
+  /// negative value fails the instantiate stage with a diagnostic.
   std::map<std::string, long long> Defines;
 
-  /// Registry name of the code-generation backend ("cuda", "sim", "ast").
+  /// Registry name of the code-generation backend ("cuda", "sim", "vm").
   std::string BackendName = "cuda";
 
   /// Appended to every emitted function name (see BackendOptions).

@@ -4,12 +4,10 @@
 
 #include "driver/Pipeline.h"
 #include "obs/Trace.h"
-#include "sim/Fault.h"
 
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 using namespace descend;
 using namespace descend::service;
@@ -76,17 +74,6 @@ std::string CompileService::makeKey(const CompileRequest &Req) {
 
 CompileReply CompileService::doCompile(const CompileRequest &Req) {
   CompileReply Rep;
-  // Deterministic fault seam (DESCEND_FAULTS compile:fail=N): the N-th
-  // cold compile fails transiently, exactly once — what descendd's
-  // retry-with-backoff is tested against. Ahead of the real work so the
-  // failure is cheap and the ordinal deterministic.
-  if (sim::FaultInjector::global().armed() &&
-      sim::FaultInjector::global().shouldFailCompile()) {
-    Rep.Transient = true;
-    Rep.Diagnostics = "transient compile failure (fault injection, "
-                      "compile:fail)";
-    return Rep;
-  }
   try {
     CompilerInvocation Inv;
     Inv.BufferName = Req.BufferName;
@@ -158,53 +145,42 @@ CompileReply CompileService::compile(const CompileRequest &Req) {
   };
 
   const std::string Key = makeKey(Req);
-  std::shared_future<CompileReply> Wait;
-  std::promise<CompileReply> Mine;
-  bool Owner = false;
-  std::optional<CompileReply> HitRep;
-
+  CompileReply Rep;
+  bool Hit = false;
   {
     std::lock_guard<std::mutex> G(M);
     if (auto It = Cache.find(Key); It != Cache.end()) {
       Lru.splice(Lru.begin(), Lru, It->second); // refresh recency
       ++Stats.Hits;
-      HitRep = It->second->second;
-      HitRep->CacheHit = true;
-    } else if (auto IfIt = InFlight.find(Key); IfIt != InFlight.end()) {
-      ++Stats.Coalesced;
-      Wait = IfIt->second;
-    } else {
-      Owner = true;
-      InFlight.emplace(Key, Mine.get_future().share());
-      Stats.InFlight = InFlight.size();
+      Rep = It->second->second;
+      Hit = true;
     }
   }
-
-  if (HitRep)
-    return Finish(std::move(*HitRep), "hit");
-
-  if (!Owner) {
-    // An identical compile is running; its result serves this request
-    // too (but it is not a cache hit — the latency is a cold compile's).
-    CompileReply Rep = Wait.get();
-    Rep.CacheHit = false;
-    return Finish(std::move(Rep), "coalesced");
+  if (Hit) {
+    Rep.CacheHit = true;
+    return Finish(std::move(Rep), "hit");
   }
 
-  CompileReply Rep = doCompile(Req); // outside the lock; never throws
+  Rep = doCompile(Req); // outside the lock; never throws
 
   {
     std::lock_guard<std::mutex> G(M);
-    InFlight.erase(Key);
-    Stats.InFlight = InFlight.size();
     if (Rep.Ok) {
       ++Stats.Misses;
-      Lru.emplace_front(Key, Rep);
-      Cache[Key] = Lru.begin();
-      while (Lru.size() > Capacity) {
-        Cache.erase(Lru.back().first);
-        Lru.pop_back();
-        ++Stats.Evictions;
+      auto [It, Inserted] = Cache.try_emplace(Key);
+      if (!Inserted) {
+        // Another request compiled the same key meanwhile: refresh its
+        // entry. A second node for the key would outlive its map entry,
+        // which evicting either node erases.
+        Lru.splice(Lru.begin(), Lru, It->second);
+      } else {
+        Lru.emplace_front(Key, Rep);
+        It->second = Lru.begin();
+        while (Lru.size() > Capacity) {
+          Cache.erase(Lru.back().first);
+          Lru.pop_back();
+          ++Stats.Evictions;
+        }
       }
     } else {
       // Failures are never cached: a later identical request recompiles
@@ -215,8 +191,6 @@ CompileReply CompileService::compile(const CompileRequest &Req) {
     Stats.Entries = Lru.size();
   }
 
-  Mine.set_value(Rep); // always reached: doCompile never throws
-  Rep.CacheHit = false;
   const char *How = Rep.Ok ? "miss" : "fail";
   return Finish(std::move(Rep), How);
 }

@@ -9,8 +9,10 @@
 // kernel at the same specialization is a cache probe instead of a
 // recompile, and requesting the same source at a different `-D` binding
 // or schedule-pass configuration is a distinct entry — the autotuner
-// leans on this to sweep tile sizes and pass configs. Identical requests arriving concurrently are coalesced onto one
-// compilation (the others wait for its result).
+// leans on this to sweep tile sizes and pass configs. One mutex guards
+// the LRU; compiles run outside it, so two requests that miss the same
+// key at once both compile and the second to finish refreshes the entry
+// the first inserted.
 //
 // Error discipline: malformed or hostile sources produce a reply with
 // structured diagnostics; failures are never cached (they do not poison
@@ -26,7 +28,6 @@
 #include "vm/Bytecode.h"
 
 #include <cstdint>
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -51,12 +52,6 @@ struct CompileReply {
   bool CacheHit = false; ///< served from the LRU without compiling
   double CompileMs = 0.0; ///< wall-clock serve time of this request
 
-  /// Failure was environmental (resource pressure, injected fault), not
-  /// a property of the source: retrying the identical request may
-  /// succeed. Source diagnostics keep this false — retrying a parse
-  /// error is pointless. descendd's bounded retry keys off this.
-  bool Transient = false;
-
   /// Rendered diagnostics when !Ok. Never empty on failure.
   std::string Diagnostics;
 
@@ -71,11 +66,9 @@ struct CompileReply {
 struct ServiceStats {
   uint64_t Hits = 0;      ///< served from cache
   uint64_t Misses = 0;    ///< compiled successfully (cold)
-  uint64_t Coalesced = 0; ///< waited on an identical in-flight compile
   uint64_t Failures = 0;  ///< requests that produced diagnostics
   uint64_t Evictions = 0; ///< entries dropped by the LRU policy
   size_t Entries = 0;     ///< current cache size
-  size_t InFlight = 0;    ///< compiles running right now
 };
 
 /// Serve-latency histogram over every finished request (hits included —
@@ -131,8 +124,6 @@ private:
       std::string,
       std::list<std::pair<std::string, CompileReply>>::iterator>
       Cache;
-  /// Identical requests currently compiling, for coalescing.
-  std::unordered_map<std::string, std::shared_future<CompileReply>> InFlight;
   ServiceStats Stats;
   LatencyHistogram Latency;
 };

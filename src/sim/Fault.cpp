@@ -109,11 +109,6 @@ bool FaultPlan::parse(const std::string &Text, FaultPlan &Out,
           !parseOrdinal(Parts[2].substr(3), P.DelayMs))
         return setErr(Err,
                       "bad clause '" + Clause + "' (want delay:worker=K:ms=M)");
-    } else if (Key == "compile") {
-      // compile:fail=N
-      if (Parts.size() != 2 || Parts[1].rfind("fail=", 0) != 0 ||
-          !parseOrdinal(Parts[1].substr(5), P.CompileFailAt))
-        return setErr(Err, "bad clause '" + Clause + "' (want compile:fail=N)");
     } else {
       return setErr(Err, "unknown fault kind '" + Key + "' in '" + Clause +
                              "'");
@@ -139,8 +134,6 @@ std::string FaultPlan::str() const {
   if (DelayWorker)
     Append("delay:worker=" + std::to_string(DelayWorker) +
            ":ms=" + std::to_string(DelayMs));
-  if (CompileFailAt)
-    Append("compile:fail=" + std::to_string(CompileFailAt));
   return S;
 }
 
@@ -175,7 +168,6 @@ void FaultInjector::setPlanForTest(const FaultPlan &P) {
   Plan = P;
   AllocSeen.store(0, std::memory_order_relaxed);
   LaunchSeen.store(0, std::memory_order_relaxed);
-  CompileSeen.store(0, std::memory_order_relaxed);
   Armed.store(P.armed(), std::memory_order_relaxed);
 }
 
@@ -213,16 +205,6 @@ bool FaultInjector::shouldDelayWorker(uint64_t WorkerOrdinal,
     return false;
   DelayMsOut = P.DelayMs;
   return true;
-}
-
-bool FaultInjector::shouldFailCompile() {
-  if (!armed())
-    return false;
-  FaultPlan P = plan();
-  if (!P.CompileFailAt)
-    return false;
-  return CompileSeen.fetch_add(1, std::memory_order_relaxed) + 1 ==
-         P.CompileFailAt;
 }
 
 } // namespace sim

@@ -20,8 +20,6 @@
 //        alloc:N              fail the N-th device allocation (1-based)
 //        trap:launch=N        force a kernel trap at the N-th launch
 //        delay:worker=K:ms=M  delay pool worker K by M ms per work batch
-//        compile:fail=N       make the N-th compile request fail with a
-//                             transient, retryable diagnostic
 //        e.g. DESCEND_FAULTS=alloc:3,trap:launch=5,delay:worker=2:ms=10
 //
 //    Parsing follows the same strictness discipline as
@@ -100,11 +98,8 @@ struct FaultPlan {
   uint64_t TrapAtLaunch = 0;  ///< trap:launch=N
   uint64_t DelayWorker = 0;   ///< delay:worker=K (1-based worker ordinal)
   uint64_t DelayMs = 0;       ///< delay:worker=K:ms=M
-  uint64_t CompileFailAt = 0; ///< compile:fail=N
 
-  bool armed() const {
-    return AllocFailAt || TrapAtLaunch || DelayWorker || CompileFailAt;
-  }
+  bool armed() const { return AllocFailAt || TrapAtLaunch || DelayWorker; }
 
   /// Strictly parses \p Text (the DESCEND_FAULTS grammar above) into
   /// \p Out. Returns false — leaving \p Out untouched — on any malformed
@@ -123,9 +118,9 @@ struct FaultPlan {
 // The injector singleton
 //===----------------------------------------------------------------------===//
 
-/// Process-wide fault injector. The runtime seams (allocRaw, runBlocks,
-/// worker loop, CompileService::doCompile) call the should*() probes;
-/// each probe advances its own atomic occurrence counter and fires
+/// Process-wide fault injector. The three runtime seams (allocRaw,
+/// runBlocks, the worker loop) call the should*() probes; the alloc and
+/// trap probes advance their own atomic occurrence counter and fire
 /// exactly once, on the configured ordinal.
 class FaultInjector {
 public:
@@ -151,7 +146,6 @@ public:
   bool shouldTrapLaunch();
   /// \p WorkerOrdinal is 1-based; on a hit sets \p DelayMsOut.
   bool shouldDelayWorker(uint64_t WorkerOrdinal, uint64_t &DelayMsOut);
-  bool shouldFailCompile();
 
 private:
   FaultInjector();
@@ -162,7 +156,6 @@ private:
 
   std::atomic<uint64_t> AllocSeen{0};
   std::atomic<uint64_t> LaunchSeen{0};
-  std::atomic<uint64_t> CompileSeen{0};
 };
 
 } // namespace sim

@@ -86,6 +86,8 @@ const char *descend::diagCodeHeadline(DiagCode Code) {
     return "view applied to incompatible shape";
   case DiagCode::NatCannotProve:
     return "cannot statically prove size constraint";
+  case DiagCode::NegativeDefine:
+    return "negative nat binding";
   case DiagCode::UnknownBackend:
     return "unknown code-generation backend";
   case DiagCode::BackendFailed:

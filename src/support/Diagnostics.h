@@ -74,6 +74,7 @@ enum class DiagCode {
   // Nat solving.
   NatCannotProve,
   // Driver / pipeline.
+  NegativeDefine,
   UnknownBackend,
   BackendFailed,
 };

@@ -911,15 +911,11 @@ bool compileKernel(const Module &M, const FnDef &Fn,
   }
 
   K.Name = Fn.Name;
-  auto DimOf = [&](const Dim &D, sim::Dim3 &Out) -> bool {
-    std::array<unsigned, 3> E;
-    if (!codegen::launchExtents(Fn, D, E, Err))
-      return false;
-    Out = sim::Dim3{E[0], E[1], E[2]};
-    return true;
-  };
-  if (!DimOf(Fn.Exec.GridDim, K.Grid) || !DimOf(Fn.Exec.BlockDim, K.Block))
+  std::array<unsigned, 3> Grid, Block;
+  if (!codegen::launchExtents(Fn, Grid, Block, Err))
     return false;
+  K.Grid = sim::Dim3{Grid[0], Grid[1], Grid[2]};
+  K.Block = sim::Dim3{Block[0], Block[1], Block[2]};
 
   unsigned Threads = K.Block.total();
   K.SharedBytes = L.SharedBytes;

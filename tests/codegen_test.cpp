@@ -300,6 +300,46 @@ fn k<nb: nat>(arr: &uniq gpu.global [f64; nb*256])
   }
 }
 
+std::string readKernelFile(const std::string &Name); // kernels/<Name>
+
+TEST(SimGen, RejectsAnOutOfRangeGrid) {
+  // A nat is natural and a launch fits sim::Dim3's unsigned: sim and vm
+  // refuse the same bindings with the same text. n = 2^21 gives
+  // transpose a 65536 x 65536 grid, whose extents fit but whose 2^32
+  // blocks do not.
+  const struct {
+    const char *File, *Nat;
+    long long Value;
+    const char *Text;
+  } Rows[] = {
+      {"scale_vec.descend", "nb", -1, "-D nb=-1: a nat cannot be negative"},
+      {"scale_vec.descend", "nb", 0,
+       "grid extent X of `scale_vec` is 0; a launch extent must lie in "
+       "[1, 4294967295]"},
+      {"scale_vec.descend", "nb", 4294967297,
+       "grid extent X of `scale_vec` is 4294967297; a launch extent must "
+       "lie in [1, 4294967295]"},
+      {"transpose.descend", "n", 2097152,
+       "grid of `transpose` spans 65536 x 65536 x 1 blocks; a launch holds "
+       "at most 4294967295"},
+  };
+  for (const auto &Row : Rows)
+    for (const char *Backend : {"sim", "vm"}) {
+      SCOPED_TRACE(std::string(Backend) + " " + Row.File + " " + Row.Nat +
+                   "=" + std::to_string(Row.Value));
+      CompilerInvocation Inv;
+      Inv.BufferName = Row.File;
+      Inv.BackendName = Backend;
+      Inv.Defines[Row.Nat] = Row.Value;
+      Session S(Inv);
+      CompileResult R = S.run(readKernelFile(Row.File));
+      EXPECT_FALSE(R.Ok);
+      EXPECT_TRUE(R.Artifact.empty());
+      EXPECT_NE(S.renderDiagnostics().find(Row.Text), std::string::npos)
+          << S.renderDiagnostics();
+    }
+}
+
 /// Counts the phase lambdas of a generated sim artifact.
 size_t phaseLambdaCount(const std::string &Sim) {
   size_t Count = 0, Pos = 0;
@@ -483,7 +523,7 @@ TEST(PhaseIR, DumpPrintsLoopBounds) {
   ASSERT_TRUE(S.run(readKernelFile("matmul.descend")).Ok)
       << S.renderDiagnostics();
   std::string Dump, Error;
-  ASSERT_TRUE(codegen::dumpPhasePrograms(*S.module(), Dump, Error)) << Error;
+  ASSERT_TRUE(codegen::dumpKernelIRs(*S.module(), Dump, Error)) << Error;
   EXPECT_NE(Dump.find("straight phases: 4"), std::string::npos) << Dump;
   EXPECT_NE(Dump.find("max loop depth: 1"), std::string::npos) << Dump;
   EXPECT_NE(Dump.find("loop t in [0..4) slot 0"), std::string::npos) << Dump;

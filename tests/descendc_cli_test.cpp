@@ -193,10 +193,25 @@ TEST(DescendcCli, DumpKirRejectsEmitCombination) {
 TEST(DescendcCli, ListBackendsPrintsRegistry) {
   RunResult R = runDescendc("--list-backends");
   EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_NE(R.Stdout.find("cuda"), std::string::npos);
-  EXPECT_NE(R.Stdout.find("sim"), std::string::npos);
-  EXPECT_NE(R.Stdout.find("ast"), std::string::npos);
-  EXPECT_NE(R.Stdout.find("vm"), std::string::npos);
+  EXPECT_EQ(R.Stdout, "cuda sim vm\n");
+}
+
+TEST(DescendcCli, RetiredIrViewsAreRefused) {
+  // --dump-kir is the one IR dump: --emit=ast and --dump-phase-ir fail
+  // as any unknown backend or flag does.
+  RunResult Ast =
+      runDescendc(kernel("scale_vec.descend") + " --emit=ast -D nb=4");
+  EXPECT_EQ(Ast.ExitCode, 2);
+  EXPECT_NE(Ast.Stderr.find("unknown backend 'ast'"), std::string::npos)
+      << Ast.Stderr;
+  EXPECT_TRUE(Ast.Stdout.empty()) << Ast.Stdout;
+
+  RunResult Phase =
+      runDescendc(kernel("matmul.descend") + " --dump-phase-ir -D nt=4");
+  EXPECT_EQ(Phase.ExitCode, 2);
+  EXPECT_NE(Phase.Stderr.find("unrecognized option '--dump-phase-ir'"),
+            std::string::npos)
+      << Phase.Stderr;
 }
 
 //===----------------------------------------------------------------------===//

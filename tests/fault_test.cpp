@@ -29,11 +29,13 @@ using namespace descend::sim;
 
 namespace {
 
-/// Every test arming the global FaultInjector must disarm it on exit —
-/// the injector outlives the test, the plan must not.
+/// Every test arming the global FaultInjector must restore it on exit —
+/// the injector outlives the test, the plan must not. The guard puts back
+/// the plan it found, so a DESCEND_FAULTS plan (the CI worker-delay
+/// stress) stays armed for every later test.
 struct FaultGuard {
-  FaultGuard() { FaultInjector::global().setPlanForTest(FaultPlan{}); }
-  ~FaultGuard() { FaultInjector::global().setPlanForTest(FaultPlan{}); }
+  FaultPlan Found = FaultInjector::global().plan();
+  ~FaultGuard() { FaultInjector::global().setPlanForTest(Found); }
   void arm(const std::string &Text) {
     FaultPlan P;
     std::string Err;
@@ -49,15 +51,13 @@ struct FaultGuard {
 TEST(FaultPlan, ParsesFullGrammarAndRoundTrips) {
   FaultPlan P;
   std::string Err;
-  ASSERT_TRUE(FaultPlan::parse(
-      "alloc:3,trap:launch=5,delay:worker=2:ms=10,compile:fail=4",
-      P, &Err))
+  ASSERT_TRUE(FaultPlan::parse("alloc:3,trap:launch=5,delay:worker=2:ms=10",
+                               P, &Err))
       << Err;
   EXPECT_EQ(P.AllocFailAt, 3u);
   EXPECT_EQ(P.TrapAtLaunch, 5u);
   EXPECT_EQ(P.DelayWorker, 2u);
   EXPECT_EQ(P.DelayMs, 10u);
-  EXPECT_EQ(P.CompileFailAt, 4u);
   EXPECT_TRUE(P.armed());
   // str() renders the canonical spelling, which re-parses to the same
   // plan.
@@ -84,11 +84,13 @@ TEST(FaultPlan, RejectsMalformedPlansWholesale) {
       "trap:launch=",    // empty ordinal
       "delay:worker=1",  // delay wants both worker= and ms=
       "drop:3",          // unknown kind
-      "compile:3",       // compile wants fail=N
+      "compile:3",       // unknown kind
       "bogus:3",         // unknown kind
       "alloc:3,bogus:1", // one bad clause poisons the whole plan
       "drop:event=1",         // unknown kind
       "alloc:1,drop:event=1", // ...rejects the whole plan
+      "compile:fail=1",         // unknown kind
+      "alloc:1,compile:fail=1", // ...rejects the whole plan
   };
   for (const char *Text : Bad) {
     FaultPlan P;
@@ -104,6 +106,25 @@ TEST(FaultPlan, RejectsMalformedPlansWholesale) {
     EXPECT_EQ(Err, "unknown fault kind 'drop' in 'drop:event=1'") << Text;
     EXPECT_EQ(P.AllocFailAt, 7u) << Text;
   }
+  for (const char *Text : {"compile:fail=1", "alloc:1,compile:fail=1"}) {
+    FaultPlan P;
+    std::string Err;
+    EXPECT_FALSE(FaultPlan::parse(Text, P, &Err)) << Text;
+    EXPECT_EQ(Err, "unknown fault kind 'compile' in 'compile:fail=1'")
+        << Text;
+  }
+}
+
+TEST(FaultPlan, GuardRestoresThePlanItFound) {
+  FaultGuard Outer;
+  Outer.arm("delay:worker=1:ms=1");
+  {
+    FaultGuard Inner;
+    Inner.arm("alloc:5");
+    EXPECT_EQ(FaultInjector::global().plan().str(), "alloc:5");
+  }
+  EXPECT_EQ(FaultInjector::global().plan().str(), "delay:worker=1:ms=1");
+  EXPECT_TRUE(FaultInjector::global().armed());
 }
 
 TEST(Watchdog, ParsesConfigStrictly) {
@@ -171,7 +192,7 @@ TEST(StickyError, AllocInjectionFailsNthAllocationOnly) {
   auto First = Dev.alloc<double>(16); // allocation #1 succeeds
   (void)First;
   try {
-    auto Second = Dev.alloc<double>(16); // #2 is the injected failure
+    (void)Dev.alloc<double>(16); // #2 is the injected failure
     FAIL() << "allocation #2 should have thrown";
   } catch (const DeviceError &E) {
     EXPECT_EQ(E.code(), ErrorCode::AllocFailed);
@@ -522,48 +543,6 @@ fn main(h: &uniq cpu.mem [f64; 256]) -[t: cpu.thread]-> () {
   EXPECT_EQ(End.ReservedBytes, 256u * sizeof(double)) << "one class block";
   EXPECT_EQ(End.FreshAllocs, 1u);
   EXPECT_EQ(End.ReusedAllocs, 63u);
-}
-
-//===----------------------------------------------------------------------===//
-// Transient compile failures feed the service retry path
-//===----------------------------------------------------------------------===//
-
-TEST(FaultService, InjectedCompileFailureIsTransientAndUncached) {
-  FaultGuard G;
-  G.arm("compile:fail=1");
-  service::CompileService Service(8);
-  service::CompileRequest Req;
-  Req.Backend = "vm";
-  Req.Defines["nb"] = 2;
-  Req.Source = R"(
-fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
-  }
-}
-)";
-
-  service::CompileReply First = Service.compile(Req);
-  EXPECT_FALSE(First.Ok);
-  EXPECT_TRUE(First.Transient);
-  EXPECT_NE(First.Diagnostics.find("fault injection"), std::string::npos)
-      << First.Diagnostics;
-
-  // Failures are never cached; the identical retry compiles cleanly and
-  // a genuine source error stays non-transient.
-  service::CompileReply Second = Service.compile(Req);
-  EXPECT_TRUE(Second.Ok) << Second.Diagnostics;
-  EXPECT_FALSE(Second.Transient);
-
-  service::CompileRequest Broken = Req;
-  Broken.Source = "fn nonsense(";
-  service::CompileReply Bad = Service.compile(Broken);
-  EXPECT_FALSE(Bad.Ok);
-  EXPECT_FALSE(Bad.Transient);
 }
 
 } // namespace

@@ -44,7 +44,7 @@ CompilerInvocation scaleVecInvocation(const std::string &Backend) {
 TEST(BackendRegistry, BuiltinsRegisteredSorted) {
   std::vector<std::string> Names =
       codegen::BackendRegistry::instance().names();
-  EXPECT_EQ(Names, (std::vector<std::string>{"ast", "cuda", "sim", "vm"}));
+  EXPECT_EQ(Names, (std::vector<std::string>{"cuda", "sim", "vm"}));
   for (const std::string &N : Names) {
     const codegen::Backend *B =
         codegen::BackendRegistry::instance().lookup(N);
@@ -67,7 +67,7 @@ TEST(BackendRegistry, UnknownBackendYieldsDiagnosticNotCrash) {
   EXPECT_TRUE(S.diagnostics().contains(DiagCode::UnknownBackend))
       << S.renderDiagnostics();
   // The message names the registered alternatives.
-  EXPECT_NE(S.renderDiagnostics().find("ast cuda sim"), std::string::npos)
+  EXPECT_NE(S.renderDiagnostics().find("cuda sim vm"), std::string::npos)
       << S.renderDiagnostics();
 }
 
@@ -205,18 +205,6 @@ TEST(Pipeline, StagesRunIndividually) {
 //===----------------------------------------------------------------------===//
 // Backends through the Session
 //===----------------------------------------------------------------------===//
-
-TEST(Pipeline, AstBackendDumpsInstantiatedModule) {
-  Session S(scaleVecInvocation("ast"));
-  CompileResult R = S.run(ScaleVec);
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  // The dump is surface syntax of the *instantiated* module.
-  EXPECT_NE(R.Artifact.find("fn scale_vec"), std::string::npos) << R.Artifact;
-  EXPECT_NE(R.Artifact.find("sched(X) thread in block"), std::string::npos);
-  EXPECT_NE(R.Artifact.find("[f64; 1024]"), std::string::npos)
-      << "nb*256 must have been instantiated to 1024:\n"
-      << R.Artifact;
-}
 
 TEST(Pipeline, FnSuffixReachesBackend) {
   CompilerInvocation Inv = scaleVecInvocation("sim");

@@ -7,15 +7,15 @@ Checks that the file parses, is shaped like a Chrome trace ("traceEvents"
 list whose entries carry name/cat/ph/ts), and — when requirements are
 given on the command line — that at least one matching event exists per
 requirement. A requirement is either a bare category ("compile") or
-"category:name" ("service:retry", "error:device_error") to pin a specific
-instant emitted by the error/retry hardening paths. Categories after
+"category:name" ("compile:miss", "error:kernel_trap") to pin a specific
+event, such as the instant a sticky device error emits. Categories after
 --forbid must have NO events: a clean, fault-free run asserting
 "--forbid error" fails loudly if a device error sneaked into the trace.
 
 CI runs this over a traced --run so a broken exporter (malformed JSON,
 missing spans) fails the build instead of silently producing an
-unloadable trace, and over fault-injected runs so the error/retry
-instants are known to reach the trace.
+unloadable trace, and over fault-injected runs so the error instants
+are known to reach the trace.
 
 Exit code 0 on success, 1 with a diagnostic on any failure.
 """

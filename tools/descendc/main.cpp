@@ -2,7 +2,7 @@
 //
 // Usage:
 //   descendc INPUT.descend [--emit=check|<backend>] [-D name=value]...
-//            [--fn-suffix=SUFFIX] [--time-passes[=json]] [--dump-phase-ir]
+//            [--fn-suffix=SUFFIX] [--time-passes[=json]]
 //            [--dump-kir[=pre|post]] [--pad-shared=N] [--vectorize]
 //            [--trace-json=FILE] [-o OUTPUT]
 //   descendc --run INPUT.descend [-D name=value]... [--args N...]
@@ -14,15 +14,15 @@
 //   descendc --help | -h
 //
 // --emit=check only type-checks (default); any registered backend name
-// (ast, cuda, sim, ...) runs the full pipeline and writes the artifact to
+// (cuda, sim, vm) runs the full pipeline and writes the artifact to
 // OUTPUT (or stdout). -D instantiates generic nat parameters, mirroring
 // the launch-site instantiation of Section 3.5. --time-passes reports the
-// wall-clock time of every executed stage. --dump-phase-ir type-checks,
+// wall-clock time of every executed stage. --dump-kir type-checks,
 // lowers every kernel for the simulator and prints the structured phase
-// program (StraightPhase / PhaseLoop tree, see codegen/PhaseIR.h) instead
-// of an artifact; --dump-kir prints the same tree with every phase body
-// rendered statement by statement in the typed kernel IR (kir::dump).
-// --list-backends prints the registered backend names.
+// program (StraightPhase / PhaseLoop tree, see codegen/PhaseIR.h) with
+// every phase body rendered statement by statement in the typed kernel
+// IR (kir::dump) instead of an artifact. --list-backends prints the
+// registered backend names.
 //
 // --pad-shared=N and --vectorize enable the opt-in, semantics-preserving
 // schedule passes (kir/Schedule.h) for every mode that lowers kernels;
@@ -74,7 +74,7 @@ static void printUsage(std::FILE *Out) {
   std::fprintf(Out,
                "usage: descendc INPUT.descend [--emit=%s] "
                "[-D name=value]... [--fn-suffix=SUFFIX] [--time-passes[=json]] "
-               "[--dump-phase-ir] [--dump-kir[=pre|post]] [--pad-shared=N] "
+               "[--dump-kir[=pre|post]] [--pad-shared=N] "
                "[--vectorize] [--trace-json=FILE] [-o OUTPUT]\n"
                "       descendc --run INPUT.descend [-D name=value]... "
                "[--args N...]\n"
@@ -197,7 +197,7 @@ static int listBackends() {
 int main(int argc, char **argv) {
   std::string Input, Output, Emit = "check";
   bool TimePasses = false, TimePassesJson = false;
-  bool DumpPhaseIR = false, DumpKIR = false, DumpKIRPre = false;
+  bool DumpKIR = false, DumpKIRPre = false;
   bool Run = false, EmitSeen = false;
   bool KernelStats = false, KernelStatsJson = false;
   bool Autotune = false, AutotuneJson = false;
@@ -254,8 +254,6 @@ int main(int argc, char **argv) {
     } else if (Arg == "--trace-json") {
       return usageError("--trace-json expects a file path: "
                         "--trace-json=FILE");
-    } else if (Arg == "--dump-phase-ir") {
-      DumpPhaseIR = true;
     } else if (Arg == "--dump-kir" || Arg == "--dump-kir=post") {
       DumpKIR = true;
     } else if (Arg == "--dump-kir=pre") {
@@ -317,10 +315,9 @@ int main(int argc, char **argv) {
   if (Input.empty())
     return usageError("no input file");
   if (Autotune) {
-    if (EmitSeen || Run || KernelStats || DumpPhaseIR || DumpKIR ||
-        !Output.empty())
+    if (EmitSeen || Run || KernelStats || DumpKIR || !Output.empty())
       return usageError("--autotune cannot be combined with --emit, --run, "
-                        "--kernel-stats, --dump-phase-ir, --dump-kir or -o");
+                        "--kernel-stats, --dump-kir or -o");
     if (Inv.Passes.any())
       return usageError("--autotune sweeps the schedule passes itself; drop "
                         "--pad-shared/--vectorize");
@@ -339,10 +336,9 @@ int main(int argc, char **argv) {
       return usageError(std::string(Mode) +
                         " cannot be combined with --emit (it always "
                         "executes through the vm backend)");
-    if (DumpPhaseIR || DumpKIR)
+    if (DumpKIR)
       return usageError(std::string(Mode) +
-                        " cannot be combined with --dump-phase-ir or "
-                        "--dump-kir");
+                        " cannot be combined with --dump-kir");
     if (!Output.empty())
       return usageError(std::string(Mode) +
                         " cannot be combined with -o (results go to "
@@ -351,13 +347,9 @@ int main(int argc, char **argv) {
   if (!RunArgs.empty() && !Run && !Autotune)
     return usageError("--args requires --run, --kernel-stats or "
                       "--autotune");
-  if ((DumpPhaseIR || DumpKIR) && Emit != "check") {
-    std::fprintf(stderr, "descendc: error: --dump-%s cannot be "
-                         "combined with --emit=%s\n",
-                 DumpPhaseIR ? "phase-ir" : "kir", Emit.c_str());
-    return usage();
-  }
-  if (Emit == "check" || DumpPhaseIR || DumpKIR) {
+  if (DumpKIR && Emit != "check")
+    return usageError("--dump-kir cannot be combined with --emit=" + Emit);
+  if (Emit == "check" || DumpKIR) {
     Inv.RunUntil = Stage::Typecheck;
   } else {
     Inv.RunUntil = Stage::Codegen;
@@ -474,26 +466,15 @@ int main(int argc, char **argv) {
     return 1;
 
   std::string Payload = R.Artifact;
-  if (DumpPhaseIR || DumpKIR) {
-    std::string Dump, Error;
-    if (DumpPhaseIR) {
-      if (!codegen::dumpPhasePrograms(*S.module(), Dump, Error,
-                                      Inv.Passes)) {
-        std::fprintf(stderr, "descendc: error: %s\n", Error.c_str());
-        return 1;
-      }
-      Payload += Dump;
-    }
-    if (DumpKIR) {
-      // =pre dumps with every pass off (the historical output); =post —
-      // the default — applies the invocation's passes.
-      if (!codegen::dumpKernelIRs(*S.module(), Dump, Error,
-                                  DumpKIRPre ? kir::PassConfig{}
-                                             : Inv.Passes)) {
-        std::fprintf(stderr, "descendc: error: %s\n", Error.c_str());
-        return 1;
-      }
-      Payload += Dump;
+  if (DumpKIR) {
+    // =pre dumps with every pass off (the historical output); =post —
+    // the default — applies the invocation's passes.
+    std::string Error;
+    if (!codegen::dumpKernelIRs(*S.module(), Payload, Error,
+                                DumpKIRPre ? kir::PassConfig{}
+                                           : Inv.Passes)) {
+      std::fprintf(stderr, "descendc: error: %s\n", Error.c_str());
+      return 1;
     }
   } else if (Emit == "check") {
     return 0;

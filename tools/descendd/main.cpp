@@ -4,7 +4,7 @@
 // wrapping service::CompileService. One process keeps the LRU of compiled
 // artifacts warm across requests, so editors and build drivers pay the
 // cold compile once per (source, -D binding, backend) and a cache probe
-// thereafter.
+// thereafter. Requests are answered one at a time, in arrival order.
 //
 // Protocol (one request per line, length-prefixed payload):
 //
@@ -14,16 +14,15 @@
 //     -> ERR <bytes>\n<diagnostics bytes>
 //
 //   STATS
-//     -> STATS hits=<n> misses=<n> coalesced=<n> failures=<n>
-//              evictions=<n> entries=<n> hit_rate=<r>
+//     -> STATS hits=<n> misses=<n> failures=<n> evictions=<n>
+//              entries=<n> hit_rate=<r>
 //        (hit_rate = hits / all requests; 0.000 before the first request)
 //
 //   METRICS
-//     -> METRICS requests=<n> hits=<n> misses=<n> coalesced=<n>
-//                failures=<n> evictions=<n> entries=<n> inflight=<n>
-//                hit_rate=<r> latency_count=<n> latency_mean_ms=<ms>
+//     -> METRICS requests=<n> hits=<n> misses=<n> failures=<n>
+//                evictions=<n> entries=<n> hit_rate=<r>
+//                latency_count=<n> latency_mean_ms=<ms>
 //                latency_p50_ms=<ms> latency_p95_ms=<ms> latency_max_ms=<ms>
-//                timeouts=<n> retries=<n> sheds=<n>
 //        (one line; the latency quantiles are conservative log2-bucket
 //        upper bounds over every served request, hits included. All
 //        fields are zero before the first COMPILE — the reply is always
@@ -35,42 +34,35 @@
 //   QUIT (or EOF)
 //     -> exits 0
 //
-// Robustness contract: a malformed request line gets
-// `ERR <bytes>\n<message>` and the daemon keeps serving — hostile input
-// must never take the service down. A request truncated mid-payload
-// (the client died) is answered with ERR and the daemon exits 0: a dead
-// stdin is an orderly shutdown, not a crash. SIGPIPE is ignored — a
-// client that closes its read end surfaces as a write error, not a
-// silent kill. With --request-timeout-ms=N, a compile that exceeds N ms
-// is answered `ERR ... request timeout` while the work finishes in the
-// background; when --max-queue such background compiles have piled up,
-// new COMPILEs are shed with `BUSY <bytes>\n<message>` instead of
-// queueing without bound. Transient compile failures (fault injection,
-// resource pressure) are retried up to 3 times with 1/2/4 ms backoff
-// before the ERR is sent.
+// Robustness contract: a malformed request line, a malformed define or a
+// payload larger than MaxPayloadBytes gets `ERR <bytes>\n<message>`; the
+// payload that follows is drained and the daemon keeps serving — hostile
+// input must never take the service down. A request truncated
+// mid-payload (the client died) is answered with ERR and the daemon exits
+// 0: a dead stdin is an orderly shutdown, not a crash. SIGPIPE is ignored
+// — a client that closes its read end surfaces as a write error, not a
+// silent kill.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/Trace.h"
 #include "service/CompileService.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 using namespace descend;
 
 namespace {
+
+/// Largest COMPILE payload served. The largest fixture
+/// (kernels/scan.descend) is about 4 KB; a larger declared size is
+/// refused before anything is allocated for it.
+constexpr long long MaxPayloadBytes = 1 << 20;
 
 void reply(const std::string &Head, const std::string &Payload) {
   std::fprintf(stdout, "%s %zu\n", Head.c_str(), Payload.size());
@@ -80,29 +72,37 @@ void reply(const std::string &Head, const std::string &Payload) {
 
 void replyErr(const std::string &Msg) { reply("ERR", Msg + "\n"); }
 
-void noteInstant(const char *Name) {
-  if (obs::TraceCollector::global().enabled()) [[unlikely]]
-    obs::TraceCollector::global().addInstant("service", Name);
+/// Strictly parses a positive decimal integer: digits only, no sign,
+/// nonzero, no overflow.
+bool parsePositive(const std::string &S, size_t &Out) {
+  if (S.empty() || S[0] < '0' || S[0] > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
+  if (errno == ERANGE || *End != '\0' || V == 0)
+    return false;
+  Out = V;
+  return true;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   size_t Capacity = 64;
-  unsigned long long TimeoutMs = 0; // 0 = no per-request timeout
-  size_t MaxQueue = 8; // shed when this many timed-out compiles linger
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--cache-capacity=", 0) == 0) {
-      Capacity = std::strtoull(Arg.c_str() + 17, nullptr, 10);
-    } else if (Arg.rfind("--request-timeout-ms=", 0) == 0) {
-      TimeoutMs = std::strtoull(Arg.c_str() + 21, nullptr, 10);
-    } else if (Arg.rfind("--max-queue=", 0) == 0) {
-      MaxQueue = std::strtoull(Arg.c_str() + 12, nullptr, 10);
+      if (!parsePositive(Arg.substr(17), Capacity)) {
+        std::fprintf(stderr,
+                     "descendd: error: --cache-capacity expects a positive "
+                     "integer, got '%s'\n",
+                     Arg.c_str() + 17);
+        return 2;
+      }
     } else if (Arg == "--help" || Arg == "-h") {
       std::printf(
-          "usage: descendd [--cache-capacity=N] [--request-timeout-ms=N]\n"
-          "                [--max-queue=N]\n"
+          "usage: descendd [--cache-capacity=N]\n"
           "Serves COMPILE/STATS/METRICS/PING/QUIT requests on stdin; see\n"
           "the protocol comment in tools/descendd/main.cpp.\n");
       return 0;
@@ -121,40 +121,6 @@ int main(int argc, char **argv) {
 
   service::CompileService Service(Capacity);
 
-  // Service-level hardening counters (reported by METRICS).
-  unsigned long long Timeouts = 0, Sheds = 0;
-  std::atomic<unsigned long long> Retries{0};
-
-  // Compiles that outlived their request timeout, still running on a
-  // detached-by-policy thread. Reaped opportunistically; bounded by the
-  // shed policy.
-  std::vector<std::future<service::CompileReply>> Zombies;
-  auto ReapZombies = [&Zombies] {
-    Zombies.erase(
-        std::remove_if(Zombies.begin(), Zombies.end(),
-                       [](std::future<service::CompileReply> &F) {
-                         return F.wait_for(std::chrono::seconds(0)) ==
-                                std::future_status::ready;
-                       }),
-        Zombies.end());
-  };
-
-  // One request's compile, including the bounded retry-with-backoff for
-  // transient failures (injected faults, resource pressure). Source
-  // diagnostics are never retried.
-  auto ServeCompile = [&Service, &Retries](service::CompileRequest Req) {
-    service::CompileReply Rep = Service.compile(Req);
-    for (unsigned Attempt = 0; !Rep.Ok && Rep.Transient && Attempt < 3;
-         ++Attempt) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(1ull << Attempt));
-      Retries.fetch_add(1, std::memory_order_relaxed);
-      noteInstant("retry");
-      Rep = Service.compile(Req);
-    }
-    return Rep;
-  };
-
   std::string Line;
   while (std::getline(std::cin, Line)) {
     std::istringstream LS(Line);
@@ -171,16 +137,13 @@ int main(int argc, char **argv) {
     }
     if (Cmd == "STATS") {
       service::ServiceStats St = Service.stats();
-      const unsigned long long Requests =
-          St.Hits + St.Misses + St.Coalesced + St.Failures;
+      const unsigned long long Requests = St.Hits + St.Misses + St.Failures;
       const double HitRate =
           Requests ? static_cast<double>(St.Hits) / Requests : 0.0;
       std::fprintf(stdout,
-                   "STATS hits=%llu misses=%llu coalesced=%llu "
-                   "failures=%llu evictions=%llu entries=%zu "
-                   "hit_rate=%.3f\n",
+                   "STATS hits=%llu misses=%llu failures=%llu "
+                   "evictions=%llu entries=%zu hit_rate=%.3f\n",
                    (unsigned long long)St.Hits, (unsigned long long)St.Misses,
-                   (unsigned long long)St.Coalesced,
                    (unsigned long long)St.Failures,
                    (unsigned long long)St.Evictions, St.Entries, HitRate);
       std::fflush(stdout);
@@ -189,28 +152,22 @@ int main(int argc, char **argv) {
     if (Cmd == "METRICS") {
       service::ServiceStats St = Service.stats();
       service::LatencyHistogram L = Service.latency();
-      const unsigned long long Requests =
-          St.Hits + St.Misses + St.Coalesced + St.Failures;
+      const unsigned long long Requests = St.Hits + St.Misses + St.Failures;
       const double HitRate =
           Requests ? static_cast<double>(St.Hits) / Requests : 0.0;
       const double MeanMs = L.Total ? L.SumMs / L.Total : 0.0;
       std::fprintf(stdout,
                    "METRICS requests=%llu hits=%llu misses=%llu "
-                   "coalesced=%llu failures=%llu evictions=%llu "
-                   "entries=%zu inflight=%zu hit_rate=%.3f "
-                   "latency_count=%llu latency_mean_ms=%.3f "
+                   "failures=%llu evictions=%llu entries=%zu "
+                   "hit_rate=%.3f latency_count=%llu latency_mean_ms=%.3f "
                    "latency_p50_ms=%.3f latency_p95_ms=%.3f "
-                   "latency_max_ms=%.3f timeouts=%llu retries=%llu "
-                   "sheds=%llu\n",
+                   "latency_max_ms=%.3f\n",
                    Requests, (unsigned long long)St.Hits,
                    (unsigned long long)St.Misses,
-                   (unsigned long long)St.Coalesced,
                    (unsigned long long)St.Failures,
-                   (unsigned long long)St.Evictions, St.Entries, St.InFlight,
-                   HitRate, (unsigned long long)L.Total, MeanMs,
-                   L.quantileUpperMs(0.5), L.quantileUpperMs(0.95), L.MaxMs,
-                   Timeouts, Retries.load(std::memory_order_relaxed),
-                   Sheds);
+                   (unsigned long long)St.Evictions, St.Entries, HitRate,
+                   (unsigned long long)L.Total, MeanMs,
+                   L.quantileUpperMs(0.5), L.quantileUpperMs(0.95), L.MaxMs);
       std::fflush(stdout);
       continue;
     }
@@ -227,9 +184,13 @@ int main(int argc, char **argv) {
                "`COMPILE <backend> <bytes> [name=value]...`");
       continue;
     }
-    bool DefsOk = true;
+    std::string Refusal;
+    if (Bytes > MaxPayloadBytes)
+      Refusal = "payload of " + std::to_string(Bytes) +
+                " bytes exceeds the limit of " +
+                std::to_string(MaxPayloadBytes) + " bytes";
     std::string Def;
-    while (LS >> Def) {
+    while (Refusal.empty() && LS >> Def) {
       size_t Eq = Def.find('=');
       char *End = nullptr;
       long long V = Eq == std::string::npos
@@ -237,16 +198,15 @@ int main(int argc, char **argv) {
                         : std::strtoll(Def.c_str() + Eq + 1, &End, 10);
       if (Eq == std::string::npos || Eq == 0 || End == Def.c_str() + Eq + 1 ||
           *End != '\0') {
-        replyErr("malformed define `" + Def + "`: expected name=value");
-        DefsOk = false;
+        Refusal = "malformed define `" + Def + "`: expected name=value";
         break;
       }
       Req.Defines[Def.substr(0, Eq)] = V;
     }
-    if (!DefsOk) {
+    if (!Refusal.empty()) {
+      replyErr(Refusal);
       // The payload still follows; drain it to stay in sync.
-      for (long long I = 0; I < Bytes && std::cin.get() != EOF; ++I)
-        ;
+      std::cin.ignore(Bytes);
       continue;
     }
 
@@ -262,36 +222,7 @@ int main(int argc, char **argv) {
       return 0;
     }
 
-    // Overload shedding: the payload is consumed (the protocol stays in
-    // sync), but with too many timed-out compiles still running, taking
-    // on more work only digs the hole deeper. A structured BUSY tells
-    // the client to back off; it is not an error in the request.
-    ReapZombies();
-    if (TimeoutMs && MaxQueue && Zombies.size() >= MaxQueue) {
-      ++Sheds;
-      noteInstant("shed");
-      reply("BUSY", "server overloaded: " + std::to_string(Zombies.size()) +
-                        " compiles still running; retry later\n");
-      continue;
-    }
-
-    service::CompileReply Rep;
-    if (TimeoutMs == 0) {
-      Rep = ServeCompile(std::move(Req));
-    } else {
-      auto Fut = std::async(std::launch::async, ServeCompile, std::move(Req));
-      if (Fut.wait_for(std::chrono::milliseconds(TimeoutMs)) !=
-          std::future_status::ready) {
-        ++Timeouts;
-        noteInstant("timeout");
-        Zombies.push_back(std::move(Fut));
-        replyErr("request timeout: compile exceeded " +
-                 std::to_string(TimeoutMs) +
-                 " ms (still finishing in the background)");
-        continue;
-      }
-      Rep = Fut.get();
-    }
+    service::CompileReply Rep = Service.compile(Req);
     if (!Rep.Ok) {
       reply("ERR", Rep.Diagnostics);
       continue;
