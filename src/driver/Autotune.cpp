@@ -145,8 +145,11 @@ std::string AutotuneResult::table() const {
   for (const AutotuneRow &R : Rows) {
     ++Rank;
     if (!R.Ok) {
+      // One row per candidate: the rendered diagnostic's first line.
+      const std::string Why(
+          trim(std::string_view(R.Error).substr(0, R.Error.find('\n'))));
       std::snprintf(Buf, sizeof(Buf), "%-4s %-51s %s  [failed: %s]\n", "-",
-                    "", R.label().c_str(), R.Error.c_str());
+                    "", R.label().c_str(), Why.c_str());
       OS << Buf;
       continue;
     }

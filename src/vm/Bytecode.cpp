@@ -45,6 +45,10 @@ VK vkOf(ScalarKind K) {
   }
 }
 
+/// Names of the coordinates a Coord or Range instruction reads, by index.
+const char *const CoordNames[7] = {"_bx", "_by", "_bz", "_tx",
+                                   "_ty", "_tz", "_lin"};
+
 /// One enclosing PhaseLoop binding visible to the code being compiled.
 struct LoopBinding {
   std::string Var;
@@ -71,10 +75,13 @@ struct LoopBinding {
 /// mutable register for its scope.
 class CodeBuilder {
 public:
+  /// \p Block is the kernel's block; without \p AllowCoords (a host-side
+  /// loop bound) no coordinate may appear.
   CodeBuilder(const std::vector<LoopBinding> &Enclosing,
               const std::map<std::string, unsigned> &ParamIdx,
-              bool AllowCoords)
-      : Enclosing(Enclosing), ParamIdx(ParamIdx), AllowCoords(AllowCoords) {
+              bool AllowCoords, sim::Dim3 Block)
+      : Enclosing(Enclosing), ParamIdx(ParamIdx), AllowCoords(AllowCoords),
+        Block(Block) {
     Chunks.resize(2); // the prologue, then the body
     Chunks[0].reserve(16);
     Chunks[1].reserve(32);
@@ -152,6 +159,7 @@ private:
   const std::vector<LoopBinding> &Enclosing;
   const std::map<std::string, unsigned> &ParamIdx;
   bool AllowCoords;
+  sim::Dim3 Block;
 
   bool fail(const std::string &Msg) {
     if (Err.empty())
@@ -262,7 +270,7 @@ private:
         I.B = Sh.ReadsB ? Map[B.B] : static_cast<uint16_t>(B.B < 0 ? 0 : B.B);
         I.C = Sh.ReadsC ? Map[B.C] : static_cast<uint16_t>(B.C < 0 ? 0 : B.C);
         I.Imm = B.Imm;
-        if (B.K == Op::Jmp || B.K == Op::Jz)
+        if (B.K == Op::Jmp || B.K == Op::Jz || B.K == Op::Range)
           I.Imm = static_cast<int32_t>(Start[Labels[B.Imm].first] +
                                        Labels[B.Imm].second);
         C.Instrs.push_back(I);
@@ -371,12 +379,25 @@ private:
 
   /// Coordinate index of a lowering variable, or -1.
   static int coordIndex(const std::string &Name) {
-    static const char *Coords[7] = {"_bx", "_by", "_bz", "_tx",
-                                    "_ty", "_tz", "_lin"};
     for (int I = 0; I != 7; ++I)
-      if (Name == Coords[I])
+      if (Name == CoordNames[I])
         return I;
     return -1;
+  }
+
+  /// The lane coordinate \p N names, when the block's threads with that
+  /// coordinate below a bound are one run of linear ids (rangeStride);
+  /// else -1. A name that a local or an enclosing loop binds is no
+  /// coordinate (compileNat resolves those first).
+  int rangeAxis(const Nat &N) {
+    if (!AllowCoords || N.isNull() || N.kind() != NatKind::Var ||
+        lookupLocal(N.varName()))
+      return -1;
+    for (const LoopBinding &L : Enclosing)
+      if (L.Var == N.varName())
+        return -1;
+    const int CI = coordIndex(N.varName());
+    return CI >= 3 && rangeStride(static_cast<unsigned>(CI), Block) ? CI : -1;
   }
 
   /// Compiles a Nat to an i64 register. Variables resolve, innermost
@@ -771,17 +792,31 @@ private:
       }
       return compileStore(S.Ref, S.Index, *S.Value);
     case kir::StmtKind::If: {
-      int L = compileNat(S.CondL);
-      int R = compileNat(S.CondR);
-      int Cond = L < 0 || R < 0 ? -1 : pure(Op::LtI, L, R, 0);
+      // `lane < bound` along a coordinate that numbers the threads in one
+      // run, with a uniform bound, selects a prefix of every lane group: a
+      // uniform range op. Any other predicate is computed (per lane when
+      // varying) and tested by jz.
+      const int Axis = rangeAxis(S.CondL);
+      int L = Axis < 0 ? compileNat(S.CondL) : -1;
+      const int R = compileNat(S.CondR);
+      if (R < 0 || (Axis < 0 && L < 0))
+        return false;
+      const bool Range = Axis >= 0 && Regs[R].Uniform;
+      if (!Range && L < 0) {
+        // A varying bound: the coordinate is compared per lane after all.
+        L = compileNat(S.CondL);
+        if (L < 0)
+          return false;
+      }
+      const int Cond = Range ? R : pure(Op::LtI, L, R, 0);
       if (Cond < 0)
         return false;
-      // A uniform condition sends the whole group one way; a varying one
-      // splits it, and the branches are divergent.
+      // A uniform jz sends the whole group one way; a range op or a
+      // varying jz splits it, and the branches are divergent.
       const bool U = Regs[Cond].Uniform;
-      const bool Div = divergent() || !U;
+      const bool Div = divergent() || Range || !U;
       const int Else = newLabel();
-      emit(Op::Jz, U, Cond, -1, -1, Else);
+      emit(Range ? Op::Range : Op::Jz, U, Cond, -1, Range ? Axis : -1, Else);
       pushScope(Div, -1);
       bool Ok = compileStmts(S.Then);
       const int Join = S.Else.empty() ? -1 : newLabel();
@@ -855,13 +890,13 @@ private:
 bool compileNodes(const std::vector<codegen::PhaseNode> &Nodes,
                   std::vector<LoopBinding> &Enclosing,
                   const std::map<std::string, unsigned> &ParamIdx,
-                  std::vector<VmNode> &Out, unsigned &StraightPhases,
-                  std::string &Err) {
+                  sim::Dim3 Block, std::vector<VmNode> &Out,
+                  unsigned &StraightPhases, std::string &Err) {
   for (const codegen::PhaseNode &N : Nodes) {
     VmNode V;
     if (N.K == codegen::PhaseNode::Straight) {
       V.K = VmNode::Straight;
-      CodeBuilder B(Enclosing, ParamIdx, /*AllowCoords=*/true);
+      CodeBuilder B(Enclosing, ParamIdx, /*AllowCoords=*/true, Block);
       if (!B.run(N.Body, V.Body)) {
         Err = B.error();
         return false;
@@ -873,20 +908,20 @@ bool compileNodes(const std::vector<codegen::PhaseNode> &Nodes,
     V.K = VmNode::Loop;
     V.Slot = N.Slot;
     {
-      CodeBuilder BL(Enclosing, ParamIdx, /*AllowCoords=*/false);
+      CodeBuilder BL(Enclosing, ParamIdx, /*AllowCoords=*/false, Block);
       if (!BL.runBound(N.Lo, V.Lo)) {
         Err = BL.error();
         return false;
       }
-      CodeBuilder BH(Enclosing, ParamIdx, /*AllowCoords=*/false);
+      CodeBuilder BH(Enclosing, ParamIdx, /*AllowCoords=*/false, Block);
       if (!BH.runBound(N.Hi, V.Hi)) {
         Err = BH.error();
         return false;
       }
     }
     Enclosing.push_back(LoopBinding{N.Var, N.Slot});
-    bool Ok = compileNodes(N.Children, Enclosing, ParamIdx, V.Children,
-                           StraightPhases, Err);
+    bool Ok = compileNodes(N.Children, Enclosing, ParamIdx, Block,
+                           V.Children, StraightPhases, Err);
     Enclosing.pop_back();
     if (!Ok)
       return false;
@@ -951,7 +986,7 @@ bool compileKernel(const Module &M, const FnDef &Fn,
 
   std::vector<LoopBinding> Enclosing;
   std::string NodeErr;
-  if (!compileNodes(L.Program.Nodes, Enclosing, ParamIdx, K.Nodes,
+  if (!compileNodes(L.Program.Nodes, Enclosing, ParamIdx, K.Block, K.Nodes,
                     K.StraightPhases, NodeErr)) {
     Err = "while compiling `" + Fn.Name + "`: " + NodeErr;
     return false;
@@ -1023,6 +1058,11 @@ void disasmCode(std::ostringstream &OS, const Code &C, const char *Indent) {
     OS << Indent << I << ": " << (In.U ? "u " : "v ") << opName(In.K);
     if (In.K == Op::Jmp) {
       OS << " -> " << In.Imm << "\n";
+      continue;
+    }
+    if (In.K == Op::Range) {
+      OS << " " << (In.C < 7 ? CoordNames[In.C] : "?") << " < r" << In.A
+         << " -> " << In.Imm << "\n";
       continue;
     }
     if (In.K == Op::Ret) {
@@ -1156,6 +1196,7 @@ const char *vm::opName(Op O) {
   case Op::F2F32: return "f2f32";
   case Op::Jmp: return "jmp";
   case Op::Jz: return "jz";
+  case Op::Range: return "range";
   case Op::Ret: return "ret";
   case Op::RetVal: return "retval";
   }
@@ -1197,6 +1238,7 @@ OpShape vm::opShape(Op O) {
     S.WritesA = S.ReadsB = true;
     break;
   case Op::Jz:
+  case Op::Range:
   case Op::RetVal:
     S.ReadsA = true;
     break;
@@ -1208,6 +1250,21 @@ OpShape vm::opShape(Op O) {
     break;
   }
   return S;
+}
+
+uint64_t vm::rangeStride(unsigned Coord, sim::Dim3 Block) {
+  switch (Coord) {
+  case 3: // _tx
+    return Block.Y == 1 && Block.Z == 1 ? 1 : 0;
+  case 4: // _ty
+    return Block.Z == 1 ? Block.X : 0;
+  case 5: // _tz
+    return static_cast<uint64_t>(Block.X) * Block.Y;
+  case 6: // _lin
+    return 1;
+  default:
+    return 0;
+  }
 }
 
 size_t vm::scalarSize(ScalarKind K) {

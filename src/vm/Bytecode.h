@@ -44,6 +44,16 @@
 // marks are checked before every launch (vm::validateKernel), never
 // trusted.
 //
+// A split of the block (KIR's coordinate predicate `if (lane < bound)`)
+// becomes one uniform Range instruction when its lane coordinate numbers
+// the threads in one run — _lin, _tx of a 1-D block, _ty of a block with
+// Z = 1, _tz (rangeStride) — and its bound is uniform. The lanes of a group
+// that take the `then` arm are then a prefix of the group, found by
+// arithmetic: no lane computes a coordinate, compares or branches. Every
+// other predicate (_tx of an XY block, a varying bound) keeps the per-lane
+// `coord`/`lt.i`/`jz`. A Range marked varying compares each lane with its
+// own copy of the bound, so bytecode stripped of its marks still runs.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef DESCEND_VM_BYTECODE_H
@@ -112,6 +122,8 @@ enum class Op : uint8_t {
 
   Jmp,    ///< pc = Imm
   Jz,     ///< if (r[A].I == 0) pc = Imm
+  Range,  ///< lanes whose lane coordinate C (3 _tx, 4 _ty, 5 _tz, 6 _lin)
+          ///< is below r[A] run on; the rest continue at Imm (forward)
   Ret,    ///< end of a phase body
   RetVal, ///< end of a bound program; result is r[A].I
 };
@@ -144,6 +156,14 @@ struct OpShape {
   bool Memory = false, Wide = false;
 };
 OpShape opShape(Op O);
+
+/// How many consecutive linear thread ids of a \p Block share one value of
+/// lane coordinate \p Coord (3 _tx, 4 _ty, 5 _tz, 6 _lin) when the threads
+/// with that coordinate below any bound b are exactly the linear ids below
+/// b times it: 1 for _lin and for _tx of a 1-D block, X for _ty of a block
+/// with Z = 1, X * Y for _tz. 0 for every other coordinate or block shape
+/// (_tx of an XY block, say), whose threads below a bound are no one run.
+uint64_t rangeStride(unsigned Coord, sim::Dim3 Block);
 
 /// One executable code object: a phase body or a loop-bound program.
 struct Code {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <type_traits>
 
@@ -188,6 +189,27 @@ std::string arenaFault(const char *What, long long Idx, size_t ES,
 /// code.
 float f32(double X) { return static_cast<float>(X); }
 
+// i64 arithmetic wraps modulo 2^64, through uint64_t, where C++'s signed
+// overflow would be undefined.
+long long addWrap(long long X, long long Y) {
+  return static_cast<long long>(static_cast<uint64_t>(X) +
+                                static_cast<uint64_t>(Y));
+}
+long long subWrap(long long X, long long Y) {
+  return static_cast<long long>(static_cast<uint64_t>(X) -
+                                static_cast<uint64_t>(Y));
+}
+long long mulWrap(long long X, long long Y) {
+  return static_cast<long long>(static_cast<uint64_t>(X) *
+                                static_cast<uint64_t>(Y));
+}
+
+/// Whether X / Y (and X % Y) overflows: the one quotient outside the i64
+/// range, which the hardware divide faults on.
+bool divOverflows(long long X, long long Y) {
+  return Y == -1 && X == std::numeric_limits<long long>::min();
+}
+
 /// Base^Exp modulo 2^64 by square-and-multiply: O(log Exp) steps, so one
 /// instruction cannot outrun the watchdogs, and unsigned, so it wraps
 /// instead of overflowing.
@@ -217,11 +239,13 @@ struct LaneSet {
 
 /// r[A] = Fn(r[B], r[C]) for lanes \p S. A zero mask marks a uniform
 /// operand, read once. Contiguous lanes get plain loops over the register
-/// rows.
+/// rows. Cache-line aligned, like runGroup: when code added elsewhere in
+/// the file moved these loops against 32/64-byte boundaries, matmul's
+/// and add_sums' vm launches in `perfbench` kernels ran about 11% slower.
 template <typename FnT>
-[[gnu::noinline]] void laneBin(Value *Ra, const Value *Rb, size_t Mb,
-                               const Value *Rc, size_t Mc, LaneSet S,
-                               FnT Fn) {
+[[gnu::noinline, gnu::aligned(64)]] void
+laneBin(Value *Ra, const Value *Rb, size_t Mb, const Value *Rc, size_t Mc,
+        LaneSet S, FnT Fn) {
   if (!S.Contig) {
     for (unsigned J = 0; J != S.NA; ++J) {
       const unsigned L = S.Act[J];
@@ -280,21 +304,20 @@ template <typename FnT>
   return S.NA;
 }
 
-/// Splits lanes \p S on r[A] == 0: the lanes whose answer is \p TakenRun
-/// stay and become \p S (written to Act in order unless they are
-/// contiguous); every lane's pc is set to \p ParkAt, since a lane that
-/// stays gets its pc rewritten before anything reads it. A split of
-/// contiguous lanes that keeps a contiguous range, like `_tx < k`, costs
-/// one fill and one scan.
-[[gnu::noinline]] void splitLanes(const Value *Ra, size_t Ma, bool TakenRun,
-                                  uint32_t ParkAt, LaneSet &S, uint32_t *Act,
-                                  uint32_t *PCs) {
+/// Splits lanes \p S: the lanes L with Stays(L) stay and become \p S
+/// (written to Act in order unless they are contiguous); every lane's pc
+/// is set to \p ParkAt, since a lane that stays gets its pc rewritten
+/// before anything reads it. A split of contiguous lanes that keeps a
+/// contiguous range, like `_tx < k`, costs one fill and one scan.
+template <typename StaysT>
+[[gnu::noinline]] void splitLanes(StaysT Stays, uint32_t ParkAt, LaneSet &S,
+                                  uint32_t *Act, uint32_t *PCs) {
   unsigned Kept = 0;
   if (S.Contig) {
     std::fill(PCs + S.Lo, PCs + S.Lo + S.NA, ParkAt);
     unsigned First = S.Lo, Last = S.Lo;
     for (unsigned L = S.Lo; L != S.Lo + S.NA; ++L)
-      if ((Ra[L & Ma].I == 0) == TakenRun) {
+      if (Stays(L)) {
         First = Kept ? First : L;
         Last = L;
         ++Kept;
@@ -306,7 +329,7 @@ template <typename FnT>
     }
     for (unsigned L = S.Lo, J = 0; L != S.Lo + S.NA; ++L) {
       Act[J] = L;
-      J += (Ra[L & Ma].I == 0) == TakenRun;
+      J += Stays(L);
     }
   } else {
     // Filtered in place; when no lane stays, the list is left as it was.
@@ -314,7 +337,7 @@ template <typename FnT>
     for (unsigned J = 0; J != S.NA; ++J) {
       const unsigned L = S.Act[J];
       Act[Kept] = L;
-      Kept += (Ra[L & Ma].I == 0) == TakenRun;
+      Kept += Stays(L);
       PCs[L] = ParkAt;
     }
     if (Kept == 0) {
@@ -326,6 +349,55 @@ template <typename FnT>
   S.Contig = Kept != 0 && Act[Kept - 1] - Act[0] == Kept - 1;
   S.Lo = Kept ? Act[0] : 0;
   S.NA = Kept;
+}
+
+/// Whether the thread with linear id \p Lin takes the `then` arm of a
+/// range op: its lane coordinate, Lin / \p Stride (rangeStride), is below
+/// \p Bound.
+bool inRange(uint64_t Lin, long long Bound, uint64_t Stride) {
+  return Bound > 0 && Lin / Stride < static_cast<uint64_t>(Bound);
+}
+
+/// How many leading lanes of the \p G threads from linear id \p First
+/// take the `then` arm of a range op, by inRange, computed without a lane
+/// loop: the threads with coordinate below \p Bound are the linear ids
+/// below Bound * Stride.
+unsigned rangeCut(long long Bound, uint64_t Stride, unsigned First,
+                  unsigned G) {
+  if (Bound <= 0 || G == 0)
+    return 0;
+  const uint64_t Last = static_cast<uint64_t>(First) + G - 1;
+  if (static_cast<uint64_t>(Bound) > Last / Stride)
+    return G;
+  // Bound * Stride <= Last here, so it cannot wrap.
+  const uint64_t Cut = static_cast<uint64_t>(Bound) * Stride;
+  return Cut <= First ? 0 : static_cast<unsigned>(Cut - First);
+}
+
+/// Keeps the lanes of \p S below lane \p Cut running and parks the rest
+/// at \p ParkAt. Running lanes ascend, so the ones that stay are a prefix
+/// of them: a range keeps a range, a list a prefix of its list. When no
+/// lane stays, \p S is left as it was but for NA = 0.
+void narrowLanes(unsigned Cut, uint32_t ParkAt, LaneSet &S, uint32_t *PCs) {
+  if (S.Contig) {
+    const unsigned End = S.Lo + S.NA;
+    const unsigned Mid = std::clamp(Cut, S.Lo, End);
+    if (Mid != S.Lo)
+      std::fill(PCs + Mid, PCs + End, ParkAt);
+    S.NA = Mid - S.Lo;
+    return;
+  }
+  const unsigned Kept = static_cast<unsigned>(
+      std::lower_bound(S.Act, S.Act + S.NA, Cut) - S.Act);
+  if (Kept == 0) {
+    S.NA = 0;
+    return;
+  }
+  for (unsigned J = Kept; J != S.NA; ++J)
+    PCs[S.Act[J]] = ParkAt;
+  S.NA = Kept;
+  S.Contig = S.Act[Kept - 1] - S.Act[0] == Kept - 1;
+  S.Lo = S.Act[0];
 }
 
 // Runs the statements once per lane L of the running group, in ascending
@@ -423,6 +495,23 @@ template <typename FnT>
         Limit = std::min(Limit, PCs[L]);
     }
     SetRange();
+    return true;
+  };
+  // After a split the lanes of \p Stay run on and the others wait at
+  // \p Other, or have finished (\p Retire). When no lane stays, the whole
+  // group moves to \p Other instead; false then.
+  auto Narrow = [&](const LaneSet &Stay, uint32_t Other, bool Retire) {
+    if (Stay.NA == 0) {
+      PC = Other;
+      return false;
+    }
+    if (Stay.NA != NA) {
+      NA = Stay.NA;
+      Lo = Stay.Lo;
+      Contig = Stay.Contig;
+      if (!Retire)
+        Limit = std::min(Limit, Other);
+    }
     return true;
   };
   // Register Ix and the lane mask its reads use: all lanes of a varying
@@ -756,19 +845,22 @@ template <typename FnT>
             });                                                                \
     break;
 
-      BIN(AddI, I, X.I + Y.I)
-      BIN(SubI, I, X.I - Y.I)
-      BIN(MulI, I, X.I * Y.I)
+      BIN(AddI, I, addWrap(X.I, Y.I))
+      BIN(SubI, I, subWrap(X.I, Y.I))
+      BIN(MulI, I, mulWrap(X.I, Y.I))
 
     UNIFORM(DivI):
     UNIFORM(ModI): {
       UNIFORM_WRITE
       const bool Div = I.K == Op::DivI;
-      const long long Y = R[I.C].I;
+      const long long X = R[I.B].I, Y = R[I.C].I;
       if (Y == 0)
         return Trap(Div ? "integer division by zero"
                         : "integer modulo by zero");
-      R[I.A].I = Div ? R[I.B].I / Y : R[I.B].I % Y;
+      if (divOverflows(X, Y))
+        return Trap(Div ? "integer division overflow"
+                        : "integer modulo overflow");
+      R[I.A].I = Div ? X / Y : X % Y;
       break;
     }
     VARYING(DivI):
@@ -778,11 +870,14 @@ template <typename FnT>
       const Value *Rb = Reg(I.B), *Rc = Reg(I.C);
       const size_t Mb = Mask(I.B), Mc = Mask(I.C);
       EACH_LANE(
-        const long long Y = Rc[L & Mc].I;
+        const long long X = Rb[L & Mb].I, Y = Rc[L & Mc].I;
         if (Y == 0)
           return Trap(Div ? "integer division by zero"
                           : "integer modulo by zero");
-        Ra[L].I = Div ? Rb[L & Mb].I / Y : Rb[L & Mb].I % Y;
+        if (divOverflows(X, Y))
+          return Trap(Div ? "integer division overflow"
+                          : "integer modulo overflow");
+        Ra[L].I = Div ? X / Y : X % Y;
       )
       break;
     }
@@ -832,7 +927,7 @@ template <typename FnT>
       BIN(AndI, I, (X.I != 0 && Y.I != 0) ? 1 : 0)
       BIN(OrI, I, (X.I != 0 || Y.I != 0) ? 1 : 0)
       UN(NotI, I, X.I == 0 ? 1 : 0)
-      UN(NegI, I, -X.I)
+      UN(NegI, I, subWrap(0, X.I))
       UN(NegF, F, -X.F)
       UN(NegF32, F, static_cast<double>(-f32(X.F)))
       UN(I2F, F, static_cast<double>(X.I))
@@ -866,21 +961,39 @@ template <typename FnT>
       const bool Retire = Retires(Other);
       const uint32_t ParkAt = Retire ? LaneDone : Other;
       LaneSet Stay = Lanes();
-      splitLanes(Ra, Ma, TakenRun, ParkAt, Stay, Act, PCs);
-      if (Stay.NA == 0) {
-        // Nobody stays: the whole group moves to the other side.
-        PC = Other;
-      } else if (Stay.NA != NA) {
-        NA = Stay.NA;
-        Lo = Stay.Lo;
-        Contig = Stay.Contig;
-        if (!Retire)
-          Limit = std::min(Limit, Other);
-        if (TakenRun)
-          PC = Target;
-      } else if (TakenRun) {
+      splitLanes(
+          [Ra, Ma, TakenRun](unsigned L) {
+            return (Ra[L & Ma].I == 0) == TakenRun;
+          },
+          ParkAt, Stay, Act, PCs);
+      if (Narrow(Stay, Other, Retire) && TakenRun)
         PC = Target;
+      break;
+    }
+    UNIFORM(Range):
+    VARYING(Range): {
+      // The lanes whose coordinate is below the bound run on into the
+      // `then` arm; the others park at the forward target, or finish at
+      // once when it is a `ret`. Uniform, the bound is one value and the
+      // `then` lanes are a prefix of the running ones, cut by arithmetic;
+      // varying, each lane compares against its own bound register.
+      const uint32_t Target = static_cast<uint32_t>(I.Imm);
+      const bool Retire = Retires(Target);
+      const uint32_t ParkAt = Retire ? LaneDone : Target;
+      const uint64_t Stride = rangeStride(I.C, E.K.Block);
+      LaneSet Stay = Lanes();
+      if (I.U) {
+        narrowLanes(rangeCut(R[I.A].I, Stride, First, G), ParkAt, Stay, PCs);
+      } else {
+        const Value *Ra = Reg(I.A);
+        const size_t Ma = Mask(I.A);
+        splitLanes(
+            [Ra, Ma, Stride, First](unsigned L) {
+              return inRange(First + L, Ra[L & Ma].I, Stride);
+            },
+            ParkAt, Stay, Act, PCs);
       }
+      Narrow(Stay, Target, Retire);
       break;
     }
     UNIFORM(RetVal):
@@ -1025,6 +1138,22 @@ std::string validateCode(const Code &C, const VmKernel &K,
       if (!JumpOk())
         return Bad("jump target " + std::to_string(I.Imm) +
                    " out of range [0, " + std::to_string(N) + "]");
+      break;
+    case Op::Range:
+      // The `then` lanes run on at pc + 1, below the others, which keeps
+      // the running lanes at the group's lowest pc.
+      if (!RegOk(I.A))
+        return Bad("register out of range");
+      if (I.Imm <= static_cast<int64_t>(PC) || !JumpOk())
+        return Bad("jump target " + std::to_string(I.Imm) +
+                   " out of range [" + std::to_string(PC + 1) + ", " +
+                   std::to_string(N) + "]");
+      if (rangeStride(I.C, K.Block) == 0)
+        return Bad("lane coordinate " + std::to_string(I.C) +
+                   " of a block(" + std::to_string(K.Block.X) + ", " +
+                   std::to_string(K.Block.Y) + ", " +
+                   std::to_string(K.Block.Z) +
+                   ") is not one run of threads below a bound");
       break;
     case Op::Ret:
       break;
@@ -1263,11 +1392,15 @@ Value evalHost(const HostExpr &E, const std::vector<HostVal> &Frame) {
       return Out;
     }
     long long A = asI(L, LK), C = asI(R, RK);
-    if ((BO == BinOpKind::Div || BO == BinOpKind::Mod) && C == 0)
-      hostFail("integer division by zero in host code");
-    Out.I = BO == BinOpKind::Add   ? A + C
-            : BO == BinOpKind::Sub ? A - C
-            : BO == BinOpKind::Mul ? A * C
+    if (BO == BinOpKind::Div || BO == BinOpKind::Mod) {
+      if (C == 0)
+        hostFail("integer division by zero in host code");
+      if (divOverflows(A, C))
+        hostFail("integer division overflow in host code");
+    }
+    Out.I = BO == BinOpKind::Add   ? addWrap(A, C)
+            : BO == BinOpKind::Sub ? subWrap(A, C)
+            : BO == BinOpKind::Mul ? mulWrap(A, C)
             : BO == BinOpKind::Div ? A / C
                                    : A % C;
     return Out;
@@ -1285,7 +1418,7 @@ Value evalHost(const HostExpr &E, const std::vector<HostVal> &Frame) {
       if (X.Ty == ScalarKind::F32)
         Out.F = static_cast<double>(-static_cast<float>(S.F));
     } else {
-      Out.I = -asI(S, X.Ty);
+      Out.I = subWrap(0, asI(S, X.Ty));
     }
     return Out;
   }

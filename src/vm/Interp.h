@@ -26,19 +26,28 @@
 // device serving many requests reuses the same memory; a failure partway
 // frees the failing frames' live device buffers on its way out.
 //
-// Error discipline: kernel runtime faults (division by zero, arena or
-// shared accesses outside the block's allocation, out-of-range global
-// accesses with bounds checking off) trip a shared trap flag and halt
-// the launch — they never throw on pool workers. A tripped trap is also
+// A uniform range op (a split along a lane coordinate that numbers the
+// threads in one run, vm/Bytecode.h) keeps the lanes below its cut
+// running, a prefix of the group found by arithmetic, and parks the rest
+// the way a varying jz would: each arm gets the lanes, and runs in the
+// order, that a per-lane compare and jz would give it.
+//
+// Error discipline: kernel runtime faults (integer division by zero or
+// overflow, arena or shared accesses outside the block's allocation,
+// out-of-range global accesses with bounds checking off; i64 +, -, * and
+// negation wrap instead) trip a shared trap flag and halt the launch —
+// they never throw on pool workers. A tripped trap is also
 // recorded as the device's sticky error (sim::ErrorCode::KernelTrap, or
 // KernelTimeout when the watchdog step budget expired), so subsequent
 // launches fail fast until GpuDevice::reset(). Bytecode is structurally
 // validated before every launch (validateKernel): truncated or
-// bit-flipped artifacts, out-of-range register indices and uniform marks
-// that break the register classes produce a RunStatus error, never
-// undefined behavior; a uniform write while lanes are parked, which no
-// static check rules out, traps. Host-side faults surface
-// as a RunStatus error; nothing escapes these entry points as an
+// bit-flipped artifacts, out-of-range register indices, uniform marks
+// that break the register classes, and range ops without a forward
+// target or over a coordinate that is no run of the kernel's block
+// produce a RunStatus error, never undefined behavior; a uniform write
+// while lanes are parked, which no static check rules out, traps.
+// Host-side faults (integer division by zero or overflow among them)
+// surface as a RunStatus error; nothing escapes these entry points as an
 // exception.
 //
 //===----------------------------------------------------------------------===//

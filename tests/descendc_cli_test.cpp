@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -56,6 +57,14 @@ std::string kernel(const std::string &Name) {
 }
 std::string program(const std::string &Name) {
   return std::string(DESCEND_PROGRAM_DIR) + "/" + Name;
+}
+
+/// Writes \p Text to a file named \p Name in the test's temporary
+/// directory and returns its path.
+std::string tempSource(const std::string &Name, const std::string &Text) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::ofstream(Path) << Text;
+  return Path;
 }
 
 TEST(DescendcCli, HelpPrintsUsageToStdoutAndExitsZero) {
@@ -140,6 +149,29 @@ TEST(DescendcCli, MalformedDefineNonIntegerExitsTwo) {
   EXPECT_EQ(R.ExitCode, 2);
   EXPECT_NE(R.Stderr.find("'eight' is not an integer"), std::string::npos)
       << R.Stderr;
+}
+
+TEST(DescendcCli, OutOfRangeDefineExitsTwo) {
+  // strtoll saturates both to the 64-bit limits; neither may reach the
+  // compiler as a different number.
+  for (const char *Def :
+       {"nb=99999999999999999999", "nb=-99999999999999999999"}) {
+    SCOPED_TRACE(Def);
+    RunResult R = runDescendc(kernel("scale_vec.descend") +
+                              " --emit=check -D " + Def);
+    EXPECT_EQ(R.ExitCode, 2);
+    EXPECT_NE(R.Stderr.find(std::string("-D argument '") + Def +
+                            "': '" + (Def + 3) +
+                            "' is out of range for a 64-bit integer"),
+              std::string::npos)
+        << R.Stderr;
+  }
+  RunResult T = runDescendc("--autotune " + program("matmul_host.descend") +
+                            " --tune nt=1,99999999999999999999");
+  EXPECT_EQ(T.ExitCode, 2);
+  EXPECT_NE(T.Stderr.find("is out of range for a 64-bit integer"),
+            std::string::npos)
+      << T.Stderr;
 }
 
 TEST(DescendcCli, InlineDefineFormIsValidatedToo) {
@@ -254,6 +286,54 @@ TEST(DescendcCli, RunWithoutDefinesReportsUninstantiatedGeometry) {
   EXPECT_EQ(R.ExitCode, 1);
   EXPECT_NE(R.Stderr.find("descendc: error:"), std::string::npos)
       << R.Stderr;
+}
+
+TEST(DescendcCli, RunIntegerDivisionOverflowIsAnError) {
+  // LLONG_MIN / -1 has no i64 quotient and faults the hardware divide. In
+  // a kernel and in host code alike it is a diagnostic and exit 1, never
+  // a signal.
+  const std::string Kernel = tempSource("int_div_kernel.descend", R"(
+fn divide(a: &uniq gpu.global [i64; 1], b: & gpu.global [i64; 1])
+-[grid: gpu.grid<X<1>, X<1>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      a.group::<1>[[block]][[thread]] =
+        a.group::<1>[[block]][[thread]] / b.group::<1>[[block]][[thread]]
+    }
+  }
+}
+fn main(ha: &uniq cpu.mem [i64; 1], hb: & cpu.mem [i64; 1])
+-[t: cpu.thread]-> () {
+  let da = GpuGlobal::alloc_copy(&*ha);
+  let db = GpuGlobal::alloc_copy(&*hb);
+  divide::<<<X<1>, X<1>>>>(&uniq da, &db);
+  copy_mem_to_host(&uniq *ha, &da)
+}
+)");
+  const std::string Host = tempSource("int_div_host.descend", R"(
+fn main(ha: &uniq cpu.mem [i64; 1], hb: & cpu.mem [i64; 1])
+-[t: cpu.thread]-> () {
+  (*ha)[0] = (*ha)[0] / (*hb)[0]
+}
+)");
+  struct Case {
+    std::string Path;
+    const char *Msg;
+  } const Cases[] = {
+      {Kernel, "in host `main`: in kernel `divide`: integer division overflow"},
+      {Host, "in host `main`: integer division overflow in host code"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Path);
+    RunResult R = runDescendc("--run " + C.Path +
+                              " --args -9223372036854775808 -1");
+    EXPECT_EQ(R.ExitCode, 1);
+    EXPECT_NE(R.Stderr.find(C.Msg), std::string::npos) << R.Stderr;
+    RunResult Ok = runDescendc("--run " + C.Path + " --args 7 -2");
+    EXPECT_EQ(Ok.ExitCode, 0) << Ok.Stderr;
+    EXPECT_NE(Ok.Stdout.find("RESULT ha n=1 sum=-3"), std::string::npos)
+        << Ok.Stdout;
+  }
 }
 
 TEST(DescendcCli, RunRejectsEmitCombination) {
@@ -457,6 +537,30 @@ TEST(DescendcCli, AutotuneJsonIsOneObjectWithRankedCandidates) {
       << R.Stdout;
   // One JSON object only: no table rows in the machine-readable mode.
   EXPECT_EQ(R.Stdout.find("best: "), std::string::npos) << R.Stdout;
+}
+
+TEST(DescendcCli, AutotuneTableHasOneLinePerCandidate) {
+  // A failed candidate's row carries its diagnostic's first line only.
+  RunResult R = runDescendc("--autotune " + program("matmul_host.descend") +
+                            " --tune nt=-1,2");
+  EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
+  std::vector<std::string> Lines;
+  std::istringstream In(R.Stdout);
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  ASSERT_GE(Lines.size(), 3u) << R.Stdout;
+  EXPECT_EQ(Lines[0], "autotune: 8 candidates") << R.Stdout;
+  // The title, the column header, eight rows and the verdict.
+  ASSERT_EQ(Lines.size(), 11u) << R.Stdout;
+  EXPECT_EQ(Lines[10].rfind("best: -D nt=2", 0), 0u) << R.Stdout;
+  unsigned Failed = 0;
+  for (size_t I = 2; I != 10; ++I)
+    if (Lines[I].find("[failed: ") != std::string::npos) {
+      ++Failed;
+      EXPECT_NE(Lines[I].find("-D nt=-1"), std::string::npos) << Lines[I];
+      EXPECT_EQ(Lines[I].back(), ']') << Lines[I];
+    }
+  EXPECT_EQ(Failed, 4u) << R.Stdout;
 }
 
 TEST(DescendcCli, AutotuneFlagConflictsExitTwo) {

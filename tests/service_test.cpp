@@ -454,6 +454,24 @@ TEST(DescenddProtocol, CacheCapacityMustBeAPositiveInteger) {
   EXPECT_EQ(runDaemon("QUIT\n", " --cache-capacity=3").ExitCode, 0);
 }
 
+TEST(DescenddProtocol, OutOfRangeDefineIsRefusedAndServingGoesOn) {
+  // strtoll saturates 10^20 to 2^63 - 1; the daemon refuses the value it
+  // cannot represent instead of compiling with another one, drains the
+  // payload, and serves the next request.
+  std::string Src = tinyKernel("4.0");
+  std::string Size = std::to_string(Src.size());
+  std::string Out = runDescendd("COMPILE vm " + Size +
+                                " nb=99999999999999999999\n" + Src +
+                                "COMPILE vm " + Size + " nb=2\n" + Src +
+                                "QUIT\n");
+  const std::string Msg = "define `nb=99999999999999999999` is out of range "
+                          "for a 64-bit integer\n";
+  EXPECT_EQ(Out.rfind("ERR " + std::to_string(Msg.size()) + "\n" + Msg, 0),
+            0u)
+      << Out;
+  EXPECT_NE(Out.find("OK hit=0"), std::string::npos) << Out;
+}
+
 TEST(DescenddProtocol, RetiredOptionsAreRefused) {
   // descendd answers one request at a time: there is no request timeout
   // and no queue to bound.

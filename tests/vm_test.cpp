@@ -24,6 +24,7 @@
 #include "gen_reduce_small.h"         // reduce                   (nb=8)
 #include "gen_reduction_host_small.h" // reduce_small + run_small (nb=8)
 #include "gen_scan_small.h"           // scan_blocks + add_sums   (nb=8)
+#include "gen_split_2d.h"             // split_2d                 (nb=2)
 #include "gen_transpose_small.h"      // transpose                (n=128)
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 using namespace descend;
@@ -217,6 +219,44 @@ TEST(VmKernel, ScaleVecBitIdenticalToGeneratedSim) {
   EXPECT_EQ(0, std::memcmp(Vec.data(), VVec.Data, N * sizeof(double)));
 }
 
+TEST(VmKernel, Split2dBitIdenticalToGeneratedSim) {
+  // The Y split of a 16 x 8 block selects its top rows as one run of
+  // lanes, a range op; the X split's left columns are no run, so every
+  // lane compares its _tx.
+  const int NB = 2, N = NB * 128;
+  auto P = compileVm(DESCEND_FIXTURE_DIR "/split_2d.descend", {{"nb", NB}});
+  ASSERT_TRUE(P);
+  const vm::VmKernel *K = P->findKernel("split_2d");
+  ASSERT_NE(K, nullptr);
+  ASSERT_EQ(K->Nodes.size(), 2u);
+  auto Has = [](const vm::Code &C, vm::Op O) {
+    return std::any_of(C.Instrs.begin(), C.Instrs.end(),
+                       [O](const vm::Instr &I) { return I.K == O; });
+  };
+  EXPECT_TRUE(Has(K->Nodes[0].Body, vm::Op::Range));
+  EXPECT_FALSE(Has(K->Nodes[0].Body, vm::Op::Jz));
+  EXPECT_FALSE(Has(K->Nodes[1].Body, vm::Op::Range));
+  EXPECT_TRUE(Has(K->Nodes[1].Body, vm::Op::Jz));
+  const std::string L = vm::disassemble(*P);
+  EXPECT_NE(L.find(": u range _ty < r"), std::string::npos) << L;
+
+  sim::GpuDevice DG;
+  auto Vec = DG.alloc<double>(N);
+  sim::GpuDevice DV;
+  vm::DevBuf VVec = vm::allocDev(DV, ScalarKind::F64, N);
+  for (int I = 0; I != N; ++I)
+    Vec.data()[I] = devData(VVec)[I] = fillVal(I);
+
+  descend::gen::split_2d(DG, Vec);
+  vm::RunStatus St = vm::launchKernel(DV, *K, {VVec});
+  ASSERT_TRUE(St.Ok) << St.Error;
+  EXPECT_EQ(0, std::memcmp(Vec.data(), VVec.Data, N * sizeof(double)));
+  // Row 2 doubled, row 3 incremented, column 3 of both tripled.
+  EXPECT_EQ(devData(VVec)[2 * 16 + 3], fillVal(2 * 16 + 3) * 2.0 * 3.0);
+  EXPECT_EQ(devData(VVec)[3 * 16 + 3], (fillVal(3 * 16 + 3) + 1.0) * 3.0);
+  EXPECT_EQ(devData(VVec)[3 * 16 + 4], fillVal(3 * 16 + 4) + 1.0);
+}
+
 TEST(VmKernel, HonorsRaceDetectorSequentialMode) {
   // The interpreter logs shared/global accesses through the same
   // BlockCtx/GpuDevice hooks as generated code, so a race-free kernel
@@ -299,6 +339,23 @@ vm::Value imm(long long V) {
 vm::Instr uniform(vm::Instr I) {
   I.U = 1;
   return I;
+}
+
+/// \p K with every mark stripped: every instruction and register varying.
+vm::VmKernel stripMarks(vm::VmKernel K) {
+  std::function<void(std::vector<vm::VmNode> &)> Walk =
+      [&](std::vector<vm::VmNode> &Nodes) {
+        for (vm::VmNode &N : Nodes) {
+          for (vm::Code *C : {&N.Body, &N.Lo, &N.Hi}) {
+            C->NumUniform = 0;
+            for (vm::Instr &I : C->Instrs)
+              I.U = 0;
+          }
+          Walk(N.Children);
+        }
+      };
+  Walk(K.Nodes);
+  return K;
 }
 } // namespace
 
@@ -407,6 +464,56 @@ TEST(VmValidate, RejectsMisMarkedInstructions) {
   EXPECT_FALSE(vm::validateKernel(corruptKernel({Ret}, 1)).Ok);
 }
 
+TEST(VmValidate, RangeOpsNeedAUniformBoundAForwardTargetAndOneRun) {
+  using vm::Op;
+  // r0 is uniform, r1 varying; the block is 1-D unless a case says not.
+  struct Case {
+    const char *Rule;
+    vm::Instr I;
+    sim::Dim3 Block;
+    const char *Why; ///< nullptr: valid
+  } const Cases[] = {
+      {"a uniform range reads a uniform bound",
+       uniform(instr(Op::Range, 1, 0, 3, 1)), sim::Dim3{64},
+       "uses varying register r1"},
+      {"the bound register exists", instr(Op::Range, 5, 0, 3, 1),
+       sim::Dim3{64}, "register out of range"},
+      {"the target lies within the code",
+       uniform(instr(Op::Range, 0, 0, 3, 9)), sim::Dim3{64},
+       "jump target 9 out of range [1, 2]"},
+      {"the target lies ahead", uniform(instr(Op::Range, 0, 0, 3, 0)),
+       sim::Dim3{64}, "jump target 0 out of range [1, 2]"},
+      {"_tx of an XY block is no run", uniform(instr(Op::Range, 0, 0, 3, 1)),
+       sim::Dim3{16, 4}, "lane coordinate 3 of a block(16, 4, 1) is not"},
+      {"_ty of an XYZ block is no run", uniform(instr(Op::Range, 0, 0, 4, 1)),
+       sim::Dim3{4, 4, 4}, "lane coordinate 4 of a block(4, 4, 4) is not"},
+      {"a block coordinate is no lane range",
+       uniform(instr(Op::Range, 0, 0, 0, 1)), sim::Dim3{64},
+       "lane coordinate 0 of a block(64, 1, 1) is not"},
+      {"_tx of a 1-D block", uniform(instr(Op::Range, 0, 0, 3, 1)),
+       sim::Dim3{64}, nullptr},
+      {"_ty of an XY block", uniform(instr(Op::Range, 0, 0, 4, 2)),
+       sim::Dim3{16, 4}, nullptr},
+      {"_tz of any block", uniform(instr(Op::Range, 0, 0, 5, 1)),
+       sim::Dim3{4, 4, 4}, nullptr},
+      {"a varying range may read any register", instr(Op::Range, 1, 0, 6, 1),
+       sim::Dim3{4, 4, 4}, nullptr},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Rule);
+    auto K = corruptKernel({C.I, uniform(instr(Op::Ret))}, /*NumRegs=*/2);
+    K.Block = C.Block;
+    K.Nodes[0].Body.NumUniform = 1;
+    vm::RunStatus V = vm::validateKernel(K);
+    if (!C.Why) {
+      EXPECT_TRUE(V.Ok) << V.Error;
+      continue;
+    }
+    EXPECT_FALSE(V.Ok);
+    EXPECT_NE(V.Error.find(C.Why), std::string::npos) << V.Error;
+  }
+}
+
 TEST(VmKernel, UniformWriteWhileLanesAreParkedTraps) {
   // Lane 0 runs on past a varying split while lanes 1..63 wait at pc 5;
   // a uniform write then would change r1 under them. The marks pass
@@ -495,6 +602,75 @@ TEST(VmKernel, NatPowerWrapsInLogarithmicTime) {
   uint64_t Got;
   std::memcpy(&Got, Out.Data, sizeof(Got));
   EXPECT_EQ(Got, Want);
+}
+
+TEST(VmKernel, IntegerOverflowWrapsAndDivisionOverflowTraps) {
+  // Uniform and varying alike: add, sub, mul and neg wrap modulo 2^64;
+  // LLONG_MIN / -1 and % -1, whose quotient has no i64, trap where the
+  // hardware divide would kill the process.
+  using vm::Op;
+  const long long Min = std::numeric_limits<long long>::min();
+  const long long Max = std::numeric_limits<long long>::max();
+  const uint16_t I64 = static_cast<uint16_t>(ScalarKind::I64);
+  auto Wraps = corruptKernel(
+      {uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: max
+       uniform(instr(Op::Const, 1, 0, 0, 1)), // 1: 1
+       uniform(instr(Op::Const, 2, 0, 0, 2)), // 2: min
+       uniform(instr(Op::Const, 3, 0, 0, 3)), // 3: 2
+       uniform(instr(Op::Const, 8, 0, 0, 4)), // 4: 0
+       uniform(instr(Op::Const, 9, 0, 0, 5)), // 5: 3
+       uniform(instr(Op::AddI, 4, 0, 1)),     // 6: max + 1
+       uniform(instr(Op::SubI, 5, 2, 1)),     // 7: min - 1
+       uniform(instr(Op::MulI, 6, 0, 3)),     // 8: max * 2
+       uniform(instr(Op::NegI, 7, 2)),        // 9: -min
+       instr(Op::StoreGlobal, 4, 8, I64, 0),  // out[0]
+       instr(Op::StoreGlobal, 5, 1, I64, 0),  // out[1]
+       instr(Op::StoreGlobal, 6, 3, I64, 0),  // out[2]
+       instr(Op::StoreGlobal, 7, 9, I64, 0),  // out[3]
+       uniform(instr(Op::Ret))},
+      /*NumRegs=*/10);
+  for (long long V : {Max, 1ll, Min, 2ll, 0ll, 3ll})
+    Wraps.Nodes[0].Body.Consts.push_back(imm(V));
+  Wraps.Nodes[0].Body.NumUniform = 10;
+  Wraps.Params.push_back({"out", ScalarKind::I64, 4});
+  for (bool Strip : {false, true}) {
+    SCOPED_TRACE(Strip ? "varying" : "uniform");
+    const vm::VmKernel K = Strip ? stripMarks(Wraps) : Wraps;
+    ASSERT_TRUE(vm::validateKernel(K).Ok) << vm::validateKernel(K).Error;
+    sim::GpuDevice DV;
+    vm::DevBuf Out = vm::allocDev(DV, ScalarKind::I64, 4);
+    vm::RunStatus St = vm::launchKernel(DV, K, {Out});
+    ASSERT_TRUE(St.Ok) << St.Error;
+    long long Got[4];
+    std::memcpy(Got, Out.Data, sizeof(Got));
+    EXPECT_EQ(Got[0], Min);
+    EXPECT_EQ(Got[1], Max);
+    EXPECT_EQ(Got[2], -2);
+    EXPECT_EQ(Got[3], Min);
+  }
+
+  for (Op O : {Op::DivI, Op::ModI})
+    for (bool Strip : {false, true}) {
+      SCOPED_TRACE(std::string(vm::opName(O)) +
+                   (Strip ? " varying" : " uniform"));
+      auto K = corruptKernel({uniform(instr(Op::Const, 0, 0, 0, 0)), // min
+                              uniform(instr(Op::Const, 1, 0, 0, 1)), // -1
+                              uniform(instr(O, 2, 0, 1)),
+                              uniform(instr(Op::Ret))},
+                             /*NumRegs=*/3);
+      K.Nodes[0].Body.Consts = {imm(Min), imm(-1)};
+      K.Nodes[0].Body.NumUniform = 3;
+      if (Strip)
+        K = stripMarks(std::move(K));
+      ASSERT_TRUE(vm::validateKernel(K).Ok) << vm::validateKernel(K).Error;
+      sim::GpuDevice DV;
+      vm::RunStatus St = vm::launchKernel(DV, K, {});
+      EXPECT_FALSE(St.Ok);
+      EXPECT_EQ(St.Error, O == Op::DivI
+                              ? "in kernel `corrupt`: integer division overflow"
+                              : "in kernel `corrupt`: integer modulo overflow");
+      EXPECT_EQ(DV.getLastError(), sim::ErrorCode::KernelTrap);
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -799,6 +975,123 @@ TEST(VmLaneGroups, ScatteredGroupBranchesTogether) {
   }
 }
 
+TEST(VmLaneGroups, RangeOpsMatchClosedFormsAtEveryWidth) {
+  // Each body marks r0 (and r1 where it says) uniform; each case also runs
+  // with its marks stripped, where every lane reads its own bound.
+  using vm::Op;
+  auto Marked = [](vm::VmKernel K, unsigned NumUniform, sim::Dim3 Block) {
+    K.Nodes[0].Body.NumUniform = NumUniform;
+    K.Block = Block;
+    return K;
+  };
+  const std::vector<vm::Instr> ThenElse = {
+      uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: 40
+      uniform(instr(Op::Range, 0, 0, 3, 5)), // 1: _tx < 40, else 5
+      instr(Op::Coord, 1, 0, 0, 3),          // 2: tx
+      instr(Op::AddI, 2, 1, 1),              // 3: tx + tx
+      instr(Op::Jmp, 0, 0, 0, 7),            // 4
+      instr(Op::Coord, 1, 0, 0, 3),          // 5: tx
+      instr(Op::MulI, 2, 1, 1)};             // 6: tx * tx
+  auto ThenElseWant = [](long long Lin) {
+    return Lin < 40 ? 2 * Lin : Lin * Lin;
+  };
+  /// `coordinate C < 3 ? C + 3 : 3 * _tx`.
+  auto Axis = [](uint16_t Coord) {
+    return std::vector<vm::Instr>{
+        uniform(instr(Op::Const, 0, 0, 0, 0)),     // 0: 3
+        uniform(instr(Op::Range, 0, 0, Coord, 5)), // 1
+        instr(Op::Coord, 1, 0, 0, Coord),          // 2
+        instr(Op::AddI, 2, 1, 0),                  // 3
+        instr(Op::Jmp, 0, 0, 0, 7),                // 4
+        instr(Op::Coord, 1, 0, 0, 3),              // 5: tx
+        instr(Op::MulI, 2, 1, 0)};                 // 6
+  };
+  struct Case {
+    const char *Name;
+    vm::VmKernel K;
+    long long (*Want)(long long Lin);
+  };
+  const std::vector<Case> Cases = {
+      {"_tx with an else arm",
+       Marked(laneKernel(ThenElse, {40}, /*Result=*/2, /*Tmp=*/3, 8), 1,
+              sim::Dim3{LaneThreads}),
+       ThenElseWant},
+      // Groups of ten lanes: the cut falls inside the group from 40.
+      {"register count narrows the group",
+       Marked(laneKernel(ThenElse, {40}, /*Result=*/2, /*Tmp=*/3, 3000), 1,
+              sim::Dim3{LaneThreads}),
+       ThenElseWant},
+      // The odd lanes run alone (a listed group), and the range keeps a
+      // prefix of them: even lanes -tx, odd ones below 33 tx + 33, the
+      // other odd ones 2tx - tx.
+      {"a prefix of a scattered group",
+       Marked(laneKernel({uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: 33
+                          instr(Op::Coord, 1, 0, 0, 3),          // 1: tx
+                          instr(Op::Const, 2, 0, 0, 1),          // 2: 2
+                          instr(Op::ModI, 3, 1, 2),              // 3
+                          instr(Op::Jz, 3, 0, 0, 9),             // 4: even
+                          uniform(instr(Op::Range, 0, 0, 3, 8)), // 5
+                          instr(Op::AddI, 4, 1, 0),              // 6
+                          instr(Op::Jmp, 0, 0, 0, 10),           // 7
+                          instr(Op::MulI, 4, 1, 2),              // 8
+                          instr(Op::SubI, 4, 4, 1)},             // 9
+                         {33, 2}, /*Result=*/4, /*Tmp=*/5, 10),
+              1, sim::Dim3{LaneThreads}),
+       [](long long Lin) {
+         return Lin % 2 == 0 ? -Lin : Lin < 33 ? Lin + 33 : Lin;
+       }},
+      // Lanes from 20 on finish at the `ret` and never store.
+      {"lanes past the bound retire",
+       Marked(laneKernel({uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: 20
+                          uniform(instr(Op::Range, 0, 0, 6, 5)), // 1: _lin
+                          instr(Op::Coord, 1, 0, 0, 6),          // 2
+                          instr(Op::AddI, 2, 1, 1),              // 3
+                          instr(Op::Jmp, 0, 0, 0, 6),            // 4
+                          instr(Op::Ret)},                       // 5
+                         {20}, /*Result=*/2, /*Tmp=*/3, 8),
+              1, sim::Dim3{LaneThreads}),
+       [](long long Lin) { return Lin < 20 ? 2 * Lin : -1; }},
+      // A bound past every lane keeps the group; one below zero moves it.
+      {"bounds outside the block",
+       Marked(laneKernel({uniform(instr(Op::Const, 0, 0, 0, 0)), // 0: max
+                          uniform(instr(Op::Const, 1, 0, 0, 1)), // 1: -5
+                          uniform(instr(Op::Range, 0, 0, 3, 8)), // 2: all
+                          uniform(instr(Op::Range, 1, 0, 6, 6)), // 3: none
+                          instr(Op::Const, 2, 0, 0, 2),          // 4
+                          instr(Op::Jmp, 0, 0, 0, 9),            // 5
+                          instr(Op::Coord, 2, 0, 0, 6),          // 6: lin
+                          instr(Op::Jmp, 0, 0, 0, 9),            // 7
+                          instr(Op::Const, 2, 0, 0, 2)},         // 8
+                         {std::numeric_limits<long long>::max(), -5, 7},
+                         /*Result=*/2, /*Tmp=*/3, 8),
+              2, sim::Dim3{LaneThreads}),
+       [](long long Lin) { return Lin; }},
+      {"_ty of an 8 x 8 block",
+       Marked(laneKernel(Axis(4), {3}, /*Result=*/2, /*Tmp=*/3, 8), 1,
+              sim::Dim3{8, 8}),
+       [](long long Lin) { return Lin / 8 < 3 ? Lin / 8 + 3 : 3 * (Lin % 8); }},
+      {"_tz of a 4 x 4 x 4 block",
+       Marked(laneKernel(Axis(5), {3}, /*Result=*/2, /*Tmp=*/3, 8), 1,
+              sim::Dim3{4, 4, 4}),
+       [](long long Lin) {
+         return Lin / 16 < 3 ? Lin / 16 + 3 : 3 * (Lin % 4);
+       }},
+  };
+  for (const Case &C : Cases) {
+    for (bool Strip : {false, true}) {
+      SCOPED_TRACE(std::string(C.Name) + (Strip ? ", marks stripped" : ""));
+      const vm::VmKernel K = Strip ? stripMarks(C.K) : C.K;
+      ASSERT_TRUE(vm::validateKernel(K).Ok) << vm::validateKernel(K).Error;
+      for (const ExecMode &M : Modes) {
+        std::vector<long long> Out = runLanes(K, M);
+        for (unsigned T = 0; T != Out.size(); ++T)
+          ASSERT_EQ(Out[T], C.Want(T % LaneThreads))
+              << modeName(M) << ", thread " << T;
+      }
+    }
+  }
+}
+
 TEST(VmLaneGroups, TrapTextIsDeterministic) {
   using vm::Op;
   const uint16_t I64 = static_cast<uint16_t>(ScalarKind::I64);
@@ -1004,15 +1297,17 @@ TEST(VmUniform, LaunchWorkIsExact) {
   // matmul nt=1 (the serve mix's). Before uniform marking every
   // instruction ran per lane: reduce 33280 / 4127488, scan_blocks 45568 /
   // 8521728, add_sums 4602 / 1178112, transpose 16256 / 4161536, matmul
-  // nt=4 20976 / 5353536, nt=1 348 / 88068.
+  // nt=4 20976 / 5353536, nt=1 348 / 88068. Before range ops each split
+  // ran `coord`, `lt.i` and `jz` on every lane: reduce 24832 / 2364672,
+  // scan_blocks 32256 / 4726272.
   struct Case {
     const char *File, *Nat;
     long long Size;
     const char *Kernel;
     uint64_t Instrs, LaneSteps;
   } const Cases[] = {
-      {"reduce.descend", "nb", 256, "reduce", 24832, 2364672},
-      {"scan.descend", "nb", 256, "scan_blocks", 32256, 4726272},
+      {"reduce.descend", "nb", 256, "reduce", 22272, 662784},
+      {"scan.descend", "nb", 256, "scan_blocks", 32000, 3548928},
       {"scan.descend", "nb", 256, "add_sums", 3581, 394241},
       {"transpose.descend", "n", 256, "transpose", 8128, 758848},
       {"matmul.descend", "nt", 4, "matmul", 15248, 2242928},
@@ -1046,6 +1341,33 @@ TEST(VmUniform, LaunchWorkIsExact) {
         EXPECT_EQ(W.Instrs, W.LaneSteps);
       }
     }
+  }
+}
+
+TEST(VmUniform, StrippedMarksWriteTheSameBytes) {
+  // With every mark stripped each instruction runs per lane, a range op
+  // included, and the bytes may not change: the marks only save work.
+  struct Case {
+    std::string File;
+    const char *Nat;
+    long long Size;
+  } const Cases[] = {
+      {DESCEND_KERNEL_DIR "/reduce.descend", "nb", 8},
+      {DESCEND_KERNEL_DIR "/scan.descend", "nb", 8},
+      {DESCEND_KERNEL_DIR "/matmul.descend", "nt", 4},
+      {DESCEND_KERNEL_DIR "/transpose.descend", "n", 128},
+      {DESCEND_FIXTURE_DIR "/split_2d.descend", "nb", 2},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.File);
+    auto P = compileVm(C.File, {{C.Nat, C.Size}});
+    ASSERT_TRUE(P);
+    vm::CompiledProgram Stripped = *P;
+    for (vm::VmKernel &K : Stripped.Kernels)
+      K = stripMarks(std::move(K));
+    for (const ExecMode &M : {Modes[0], Modes[2]})
+      EXPECT_TRUE(runKernels(Stripped, M) == runKernels(*P, M))
+          << modeName(M);
   }
 }
 

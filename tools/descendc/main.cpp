@@ -59,6 +59,7 @@
 #include "obs/Trace.h"
 #include "support/StringUtils.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,7 +108,8 @@ static int usageError(const std::string &Msg) {
 }
 
 /// Parses "name=integer" into \p Defines. Rejects a missing '=', an empty
-/// name and a non-integer value instead of silently mis-reading them.
+/// name, a non-integer value and one outside the 64-bit range instead of
+/// silently mis-reading them.
 static bool parseDefine(const std::string &Def,
                         std::map<std::string, long long> &Defines,
                         std::string &Err) {
@@ -119,10 +121,16 @@ static bool parseDefine(const std::string &Def,
   std::string Name = Def.substr(0, Eq);
   std::string Value = Def.substr(Eq + 1);
   char *End = nullptr;
+  errno = 0;
   long long V = std::strtoll(Value.c_str(), &End, 10);
   if (Value.empty() || End == Value.c_str() || *End != '\0') {
     Err = "malformed -D argument '" + Def + "': '" + Value +
           "' is not an integer";
+    return false;
+  }
+  if (errno == ERANGE) {
+    Err = "-D argument '" + Def + "': '" + Value +
+          "' is out of range for a 64-bit integer";
     return false;
   }
   Defines[Name] = V;
@@ -148,10 +156,16 @@ static bool parseTune(const std::string &Spec,
     std::string Val = Rest.substr(
         Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
     char *End = nullptr;
+    errno = 0;
     long long V = std::strtoll(Val.c_str(), &End, 10);
     if (Val.empty() || End == Val.c_str() || *End != '\0') {
       Err = "malformed --tune argument '" + Spec + "': '" + Val +
             "' is not an integer";
+      return false;
+    }
+    if (errno == ERANGE) {
+      Err = "--tune argument '" + Spec + "': '" + Val +
+            "' is out of range for a 64-bit integer";
       return false;
     }
     Values.push_back(V);

@@ -193,12 +193,17 @@ int main(int argc, char **argv) {
     while (Refusal.empty() && LS >> Def) {
       size_t Eq = Def.find('=');
       char *End = nullptr;
+      errno = 0;
       long long V = Eq == std::string::npos
                         ? 0
                         : std::strtoll(Def.c_str() + Eq + 1, &End, 10);
       if (Eq == std::string::npos || Eq == 0 || End == Def.c_str() + Eq + 1 ||
           *End != '\0') {
         Refusal = "malformed define `" + Def + "`: expected name=value";
+        break;
+      }
+      if (errno == ERANGE) {
+        Refusal = "define `" + Def + "` is out of range for a 64-bit integer";
         break;
       }
       Req.Defines[Def.substr(0, Eq)] = V;
